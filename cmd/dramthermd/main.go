@@ -20,11 +20,11 @@
 // key (each worker's cache stays hot for its shard), dead peers are
 // ejected by health probes and failed runs retry on the next ring member,
 // falling back to local execution when every peer is down. Sweeps are
-// dispatched in batches by default — each peer receives its entire shard
-// of the grid in one /v1/exec/batch request and streams per-spec
-// outcomes back — so a big grid costs one round trip per peer, not per
-// spec; -batch=false reverts to one /v1/exec per spec. Any node can be a
-// coordinator; workers need no flags at all. See docs/ARCHITECTURE.md.
+// dispatched in batches — each peer receives its entire shard of the
+// grid in one /v1/exec/batch request and streams per-spec outcomes back
+// — so a big grid costs one round trip per peer, not per spec. Any node
+// can be a coordinator; workers need no flags at all. See
+// docs/ARCHITECTURE.md.
 //
 // With -gossip the membership is epidemic instead of static: the node
 // keeps a versioned membership table (id, url, incarnation,
@@ -60,12 +60,11 @@
 // With -segment-dir the run cache and level-1 trace store are durable:
 // every completed result is appended to a crash-safe segment log as it
 // finishes (not on shutdown), replayed at boot, and compacted in the
-// background. -state names a legacy gob blob from older releases; it is
-// migrated into <path>.d once and aliased there from then on. With
-// -replication each completed result is also pushed to its key's ring
-// successor over POST /v1/handoff (RF=2), cached shards stream to new
-// owners on membership changes, and a dead primary's replica holder is
-// promoted in place — so a worker crash loses no cached result.
+// background. With -replication each completed result is also pushed
+// to its key's ring successor over POST /v1/handoff (RF=2), cached
+// shards stream to new owners on membership changes, and a dead
+// primary's replica holder is promoted in place — so a worker crash
+// loses no cached result.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: it stops
 // accepting requests and cancels in-flight simulations.
@@ -97,7 +96,7 @@ import (
 )
 
 // version is reported by GET /v1/healthz.
-const version = "0.9.0"
+const version = "0.10.0"
 
 // parsePeers expands the -peers flag: either a comma-separated list of
 // entries or @path naming a file with one entry per line (blank lines
@@ -170,7 +169,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "simulation worker pool width (0 = GOMAXPROCS; with -peers, cluster capacity + GOMAXPROCS)")
 		replicas = flag.Int("replicas", 0, "batch copies per application (0 = Chapter 4 default)")
 		scale    = flag.Float64("instrscale", 0, "application length scale factor (0 = 1.0; small values for demos)")
-		state    = flag.String("state", "", "legacy gob state file: migrated once into <path>.d segment logs (alias for -segment-dir <path>.d)")
 		segDir   = flag.String("segment-dir", "", "durable state: append-only segment-log directory; results persist as they complete and replay on boot")
 		compact  = flag.Duration("compact-interval", 10*time.Minute, "segment-log compaction period (0 disables background compaction)")
 		prefixOn = flag.Bool("prefix-share", false, "prefix-state checkpointing: specs differing only in DTM policy share their warm-up prefix — one leader run records decisions and checkpoints, later policies resume from the checkpoint before their first divergent decision (results stay bit-identical to cold replay)")
@@ -180,7 +178,6 @@ func main() {
 		peers    = flag.String("peers", "", "cluster mode: comma-separated peer URLs (optionally id=url), or @file with one per line")
 		probe    = flag.Duration("peer-probe", 5*time.Second, "peer health-probe period (<=0 disables active probing)")
 		perPeer  = flag.Int("peer-conns", 4, "max concurrent requests per peer")
-		batch    = flag.Bool("batch", true, "with -peers: dispatch each peer its whole sweep shard in one /v1/exec/batch request (false = one /v1/exec per spec)")
 
 		gossipOn  = flag.Bool("gossip", false, "epidemic membership: gossip the peer table over POST /v1/gossip so workers join/leave without coordinator restarts (-peers becomes the seed list)")
 		join      = flag.String("join", "", "with -gossip: seed member URLs (optionally id=url, or @file) to join an existing cluster through, without coordinating")
@@ -260,15 +257,8 @@ func main() {
 	}
 	eng.Instrument(reg)
 
-	// -state is a migrating alias for -segment-dir: the legacy gob blob
-	// (if any) is imported once into <path>.d and renamed aside; from
-	// then on the segment log under that directory is the state.
-	stateDir := *segDir
-	if stateDir == "" && *state != "" {
-		stateDir = *state + ".d"
-	}
-	if stateDir != "" {
-		if err := eng.EnableSegmentLog(stateDir, *compact); err != nil {
+	if *segDir != "" {
+		if err := eng.EnableSegmentLog(*segDir, *compact); err != nil {
 			fatalf("-segment-dir: %v", err)
 		}
 		defer func() {
@@ -276,16 +266,8 @@ func main() {
 				logger.Warn("state close", "err", err.Error())
 			}
 		}()
-		if *state != "" {
-			switch migrated, err := eng.MigrateLegacyStateFile(*state); {
-			case err != nil:
-				fatalf("-state: migrating %s: %v", *state, err)
-			case migrated:
-				logger.Info("legacy state migrated", "from", *state, "to", stateDir)
-			}
-		}
 		if st, ok := eng.StateStats(); ok {
-			logger.Info("state replayed", "dir", stateDir, "segments", st.Segments,
+			logger.Info("state replayed", "dir", *segDir, "segments", st.Segments,
 				"bytes", st.Bytes, "traces", eng.System().Store().Len())
 		}
 	}
@@ -339,17 +321,13 @@ func main() {
 		}
 		defer backend.Close()
 		backend.Instrument(reg)
-		if *batch {
-			eng.SetBatchBackend(backend)
-		} else {
-			eng.SetBackend(backend)
-		}
+		eng.SetBatchBackend(backend)
 		apiCfg.ClusterStatus = func() any { return backend.Status() }
 		if *replicat {
 			apiCfg.ReplicationStatus = func() any { return backend.ReplicationStatus() }
 		}
 		logger.Info("cluster mode: coordinating peers",
-			"peers", len(peerList), "batch", *batch, "replication", *replicat)
+			"peers", len(peerList), "replication", *replicat)
 	}
 
 	if *gossipOn {

@@ -53,7 +53,7 @@ func main() {
 	fail(eng.Validate(spec))
 
 	ctx := context.Background()
-	res, err := eng.Run(ctx, spec)
+	res, _, err := eng.Run(ctx, spec)
 	fail(err)
 	// The spec run is already cached, so this only adds the baseline.
 	norm, err := eng.Normalized(ctx, spec)

@@ -10,9 +10,9 @@
 //	memtherm -run all -parallel 8  # run experiments concurrently; shared
 //	                               # (mix, policy) runs are deduplicated by
 //	                               # the sweep engine, not repeated
-//	memtherm -run all -state s.gob # durable cache: results persist to the
-//	                               # s.gob.d segment log as they complete
-//	                               # (a legacy s.gob blob migrates once)
+//	memtherm -run all -segment-dir s.d
+//	                               # durable cache: results persist to the
+//	                               # s.d segment log as they complete
 //	memtherm -search halving -quick # adaptive search for the best DTM
 //	                               # policy: cheap fidelity rungs prune
 //	                               # candidates before full simulation
@@ -38,7 +38,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "reduced-scale mode (smaller batches, fewer mixes)")
 		csv      = flag.Bool("csv", false, "emit tables as CSV")
 		parallel = flag.Int("parallel", 1, "experiments to run concurrently; also sizes the simulation worker pool (0 = GOMAXPROCS)")
-		state    = flag.String("state", "", "durable state: results append to the <path>.d segment log as they complete; a legacy gob blob at <path> migrates once")
+		segDir   = flag.String("segment-dir", "", "durable state: results append to the segment-log directory as they complete and replay on the next run")
 		search   = flag.String("search", "", "adaptive search instead of an experiment: \"halving\" or \"bounds\" finds the best DTM policy per Chapter 4 mix, pruning on cheap fidelity rungs")
 	)
 	flag.Parse()
@@ -54,12 +54,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The facade owns the engine (and its durable state, when -state is
-	// set); the experiment runner drives it. Results append to the
-	// segment log as they complete, so even an aborted run keeps its
-	// finished simulations.
+	// The facade owns the engine (and its durable state, when
+	// -segment-dir is set); the experiment runner drives it. Results
+	// append to the segment log as they complete, so even an aborted run
+	// keeps its finished simulations.
 	eng, err := dramtherm.NewEngine(exp.RunnerConfig(*quick),
-		dramtherm.WithWorkers(*parallel), dramtherm.WithState(*state))
+		dramtherm.WithWorkers(*parallel), dramtherm.WithStateDir(*segDir))
 	if err != nil {
 		log.Fatalf("engine: %v", err)
 	}

@@ -84,8 +84,10 @@ type (
 // Engine is the public handle on the concurrent sweep engine: a
 // deduplicating, memoizing run cache over a bounded simulation worker
 // pool, with optional durable state. It embeds *sweep.Engine, so the
-// full engine surface (Run, Sweep, Stats, Normalized, …) is available
-// directly.
+// full engine surface is available directly: Run and Sweep execute
+// through the cache, Exec runs one spec uncached, Normalized divides by
+// the No-limit baseline, and Stats, PrefixStats and StateStats report
+// the cache, prefix-sharing and segment-log counters.
 //
 //	eng, err := dramtherm.NewEngine(dramtherm.DefaultConfig(),
 //		dramtherm.WithWorkers(8),
@@ -118,7 +120,6 @@ func (e *Engine) Search(ctx context.Context, strat Strategy, opts SearchOptions)
 type engineOptions struct {
 	workers      int
 	stateDir     string
-	legacyState  string
 	compactEvery time.Duration
 	prefixShare  bool
 }
@@ -140,17 +141,9 @@ func WithStateDir(dir string) EngineOption {
 	return func(o *engineOptions) { o.stateDir = dir }
 }
 
-// WithState is the migrating alias for pre-segment-log deployments:
-// path names a legacy gob state file, which is imported once into the
-// segment log (under path + ".d" unless WithStateDir overrides it) and
-// renamed aside. An empty path is a no-op.
-func WithState(path string) EngineOption {
-	return func(o *engineOptions) { o.legacyState = path }
-}
-
 // WithCompactInterval sets the background segment-log compaction period
 // (default 10m; 0 disables background compaction). Only meaningful with
-// WithStateDir or WithState.
+// WithStateDir.
 func WithCompactInterval(d time.Duration) EngineOption {
 	return func(o *engineOptions) { o.compactEvery = d }
 }
@@ -183,19 +176,9 @@ func NewEngine(cfg Config, opts ...EngineOption) (*Engine, error) {
 		// and completed groups gain the persistence hook.
 		eng.EnablePrefixSharing()
 	}
-	dir := o.stateDir
-	if dir == "" && o.legacyState != "" {
-		dir = o.legacyState + ".d"
-	}
-	if dir != "" {
-		if err := eng.EnableSegmentLog(dir, o.compactEvery); err != nil {
+	if o.stateDir != "" {
+		if err := eng.EnableSegmentLog(o.stateDir, o.compactEvery); err != nil {
 			return nil, err
-		}
-		if o.legacyState != "" {
-			if _, err := eng.MigrateLegacyStateFile(o.legacyState); err != nil {
-				eng.Close() //nolint:errcheck
-				return nil, err
-			}
 		}
 	}
 	return &Engine{Engine: eng}, nil

@@ -3,9 +3,9 @@
 // coordinator whose engine fans runs out to them through the
 // consistent-hashing remote backend, sweeps a mix×policy grid across
 // the cluster, and asserts the aggregated report table is byte-identical
-// to a plain single-node sweep. In the default batched mode it also
-// counts the cluster's HTTP traffic and asserts the whole sweep cost one
-// /v1/exec/batch request per live peer — not one request per spec. It
+// to a plain single-node sweep. It also counts the cluster's HTTP
+// traffic and asserts the whole sweep cost one /v1/exec/batch request
+// per live peer — not one request per spec. It
 // then repeats the sweep on a fresh cluster and kills one worker
 // mid-sweep, exercising the failover path (the dead peer's
 // unacknowledged shard re-plans onto the survivor or runs locally) — and
@@ -20,19 +20,18 @@
 // 100% worker-side cache hits (zero rebuilds on any worker engine) with
 // byte-identical tables.
 //
-// Finally (batched mode only) it proves gossip-based membership under
-// churn: every node runs a gossip.Node, a third worker joins the
-// running cluster mid-sweep through a seed member, the coordinator's
-// ring re-forms from the membership delta without any restart, one of
-// the original workers is killed, and the dead worker's shard re-plans
-// across the survivor AND the newly joined worker — per-endpoint
-// request counts prove the joiner served batch shards, and the report
-// table still comes out byte-identical to the single-node run.
+// Finally it proves gossip-based membership under churn: every node
+// runs a gossip.Node, a third worker joins the running cluster
+// mid-sweep through a seed member, the coordinator's ring re-forms from
+// the membership delta without any restart, one of the original workers
+// is killed, and the dead worker's shard re-plans across the survivor
+// AND the newly joined worker — per-endpoint request counts prove the
+// joiner served batch shards, and the report table still comes out
+// byte-identical to the single-node run.
 //
 // Usage:
 //
 //	go run ./examples/clusterdtm
-//	go run ./examples/clusterdtm -batch=false         # legacy spec-at-a-time dispatch
 //	go run ./examples/clusterdtm -mixes W1,W2 -policies DTM-TS,DTM-BW
 //	go run ./examples/clusterdtm -instrscale 0.02     # CI-sized workload
 //	go run ./examples/clusterdtm -table-out /tmp/t.txt  # dump the table for diffing
@@ -66,7 +65,6 @@ var (
 	policies = flag.String("policies", "DTM-TS,DTM-BW,DTM-ACG,DTM-CDVFS", "comma-separated DTM policies")
 	full     = flag.Bool("full", false, "full-scale batches (default is a fast demo scale)")
 	scale    = flag.Float64("instrscale", 0, "override the application length scale factor")
-	batch    = flag.Bool("batch", true, "dispatch whole shards per peer over /v1/exec/batch (false = one /v1/exec per spec)")
 	tableOut = flag.String("table-out", "", "also write the cluster sweep's report table to this file")
 )
 
@@ -208,11 +206,7 @@ func clusterSweep(specs []sweep.Spec, killVictim bool) (table string, served map
 	defer backend.Close()
 	reg = obs.NewRegistry()
 	backend.Instrument(reg)
-	if *batch {
-		coord.SetBatchBackend(backend)
-	} else {
-		coord.SetBackend(backend)
-	}
+	coord.SetBatchBackend(backend)
 
 	victim := backend.OwnerOf(specs[0])
 	killed := make(chan struct{})
@@ -480,11 +474,7 @@ func verifySweep(specs []sweep.Spec, ring []remote.Peer, workers map[string]*wor
 		log.Fatal(err)
 	}
 	defer backend.Close()
-	if *batch {
-		coord.SetBatchBackend(backend)
-	} else {
-		coord.SetBackend(backend)
-	}
+	coord.SetBatchBackend(backend)
 	var mu sync.Mutex
 	served := map[string]int{}
 	hits := 0
@@ -552,11 +542,7 @@ func replicationSweep(specs []sweep.Spec, refTable string) {
 		log.Fatal(err)
 	}
 	defer backend.Close()
-	if *batch {
-		coord.SetBatchBackend(backend)
-	} else {
-		coord.SetBackend(backend)
-	}
+	coord.SetBatchBackend(backend)
 
 	// Warm sweep: every result is built on its ring owner, streams back
 	// into the coordinator's cache, and replicates to its successor.
@@ -643,12 +629,8 @@ func main() {
 		Policies: strings.Split(*policies, ","),
 	}
 	specs := grid.Expand()
-	mode := "batched shard dispatch"
-	if !*batch {
-		mode = "spec-at-a-time dispatch"
-	}
-	fmt.Printf("grid: %d mixes × %d policies = %d specs (%s)\n\n",
-		len(grid.Mixes), len(grid.Policies), len(specs), mode)
+	fmt.Printf("grid: %d mixes × %d policies = %d specs (batched shard dispatch)\n\n",
+		len(grid.Mixes), len(grid.Policies), len(specs))
 
 	// Reference: the same grid on one plain single-node engine.
 	fmt.Println("single-node reference sweep:")
@@ -670,18 +652,14 @@ func main() {
 			refTable, clusterTable)
 	}
 	fmt.Println("  ✓ report table byte-identical to the single-node run")
-	if *batch {
-		// The whole point of batching: one request per live peer, not one
-		// per spec.
-		want := int64(livePeersServing(served))
-		if batches != want || execs != 0 {
-			log.Fatalf("batched sweep cost %d batch + %d single-exec requests, want exactly %d batch (one per serving peer) and 0 single-exec",
-				batches, execs, want)
-		}
-		fmt.Printf("  ✓ one /v1/exec/batch request per live peer (%d requests for %d specs)\n", batches, len(specs))
-	} else if batches != 0 {
-		log.Fatalf("legacy mode issued %d batch requests, want 0", batches)
+	// The whole point of batching: one request per live peer, not one
+	// per spec.
+	want := int64(livePeersServing(served))
+	if batches != want || execs != 0 {
+		log.Fatalf("batched sweep cost %d batch + %d single-exec requests, want exactly %d batch (one per serving peer) and 0 single-exec",
+			batches, execs, want)
 	}
+	fmt.Printf("  ✓ one /v1/exec/batch request per live peer (%d requests for %d specs)\n", batches, len(specs))
 
 	// Failover: fresh cluster, one worker killed as the sweep starts.
 	fmt.Println("\ncluster sweep with one worker killed mid-sweep:")
@@ -694,17 +672,12 @@ func main() {
 	}
 	fmt.Println("  ✓ report table byte-identical despite the dead worker")
 	// The kill must be visible in the coordinator's own metrics: the dead
-	// peer transitions down, and the lost work is re-planned (batched
-	// mode) or failed over spec by spec (legacy mode).
+	// peer transitions down, and the lost work is re-planned.
 	if down := failReg.Sum("dramtherm_remote_peer_state_transitions_total", map[string]string{"to": "down"}); down < 1 {
 		log.Fatalf("killed a worker but peer_state_transitions_total{to=down} = %v", down)
 	}
-	if *batch {
-		if n := failReg.Sum("dramtherm_remote_replan_rounds_total", nil); n < 1 {
-			log.Fatalf("killed a worker mid-batch but replan_rounds_total = %v", n)
-		}
-	} else if n := failReg.Sum("dramtherm_remote_failover_total", nil); n < 1 {
-		log.Fatalf("killed a worker but failover_total = %v", n)
+	if n := failReg.Sum("dramtherm_remote_replan_rounds_total", nil); n < 1 {
+		log.Fatalf("killed a worker mid-batch but replan_rounds_total = %v", n)
 	}
 	fmt.Println("  ✓ failover visible in metrics: down transition + re-planned work")
 
@@ -713,23 +686,21 @@ func main() {
 	fmt.Println("\nreplicated cluster sweep: RF=2 handoff on join, replica promotion on kill:")
 	replicationSweep(specs, refTable)
 
-	if *batch {
-		// Gossip membership under churn: join mid-sweep, kill mid-sweep.
-		fmt.Println("\ngossip cluster sweep: worker-3 joins mid-sweep, one worker killed:")
-		gossipTable, served, joinerBatches := gossipSweep(specs)
-		fmt.Printf("  shard distribution after churn: %v\n", served)
-		if gossipTable != refTable {
-			log.Fatalf("gossip-churn table differs from single-node table:\n--- local ---\n%s--- gossip ---\n%s",
-				refTable, gossipTable)
-		}
-		fmt.Println("  ✓ report table byte-identical through join + kill, zero coordinator restarts")
-		if joinerBatches == 0 || served["worker-3"] == 0 {
-			log.Fatalf("worker-3 served %d batch requests / %d specs, want it visibly serving shards",
-				joinerBatches, served["worker-3"])
-		}
-		fmt.Printf("  ✓ mid-sweep joiner worker-3 served %d batch shard(s), %d spec(s)\n",
+	// Gossip membership under churn: join mid-sweep, kill mid-sweep.
+	fmt.Println("\ngossip cluster sweep: worker-3 joins mid-sweep, one worker killed:")
+	gossipTable, served, joinerBatches := gossipSweep(specs)
+	fmt.Printf("  shard distribution after churn: %v\n", served)
+	if gossipTable != refTable {
+		log.Fatalf("gossip-churn table differs from single-node table:\n--- local ---\n%s--- gossip ---\n%s",
+			refTable, gossipTable)
+	}
+	fmt.Println("  ✓ report table byte-identical through join + kill, zero coordinator restarts")
+	if joinerBatches == 0 || served["worker-3"] == 0 {
+		log.Fatalf("worker-3 served %d batch requests / %d specs, want it visibly serving shards",
 			joinerBatches, served["worker-3"])
 	}
+	fmt.Printf("  ✓ mid-sweep joiner worker-3 served %d batch shard(s), %d spec(s)\n",
+		joinerBatches, served["worker-3"])
 
 	if *tableOut != "" {
 		if err := os.WriteFile(*tableOut, []byte(clusterTable), 0o644); err != nil {

@@ -2,9 +2,9 @@
 // dramtherm facade: it expands (mix × policy × cooling) into specs,
 // executes them on a bounded worker pool with per-job progress, prints
 // the normalized-runtime table, and demonstrates durable state — rerun
-// with the same -state directory and the sweep completes from cache,
-// even if the previous run crashed mid-sweep (results persist as they
-// finish, not at exit).
+// with the same -segment-dir and the sweep completes from cache, even if
+// the previous run crashed mid-sweep (results persist as they finish,
+// not at exit).
 //
 // The whole program imports only the root dramtherm package: the sweep
 // engine, grid expansion, options, and durable state all reach the
@@ -13,7 +13,7 @@
 // Usage:
 //
 //	go run ./examples/sweepgrid
-//	go run ./examples/sweepgrid -workers 8 -state /tmp/sweep.d
+//	go run ./examples/sweepgrid -workers 8 -segment-dir /tmp/sweep.d
 package main
 
 import (
@@ -29,7 +29,7 @@ import (
 func main() {
 	var (
 		workers = flag.Int("workers", 0, "simulation worker pool width (0 = GOMAXPROCS)")
-		state   = flag.String("state", "", "durable state directory: results append to a segment log as they complete; rerun to finish from cache")
+		segDir  = flag.String("segment-dir", "", "durable state directory: results append to a segment log as they complete; rerun to finish from cache")
 		full    = flag.Bool("full", false, "full-scale batches (default is a fast demo scale)")
 		scale   = flag.Float64("instrscale", 0, "override the application length scale factor")
 	)
@@ -50,7 +50,7 @@ func main() {
 	}
 
 	eng, err := dramtherm.NewEngine(cfg,
-		dramtherm.WithWorkers(*workers), dramtherm.WithStateDir(*state))
+		dramtherm.WithWorkers(*workers), dramtherm.WithStateDir(*segDir))
 	if err != nil {
 		log.Fatalf("engine: %v", err)
 	}
@@ -82,7 +82,7 @@ func main() {
 	st := eng.Stats()
 	fmt.Printf("cache: %d simulations run, %d requests deduplicated or cached\n", st.Builds, st.Hits+st.Waits)
 
-	if *state != "" {
-		fmt.Printf("state persisted under %s — rerun to finish from cache\n", *state)
+	if *segDir != "" {
+		fmt.Printf("state persisted under %s — rerun to finish from cache\n", *segDir)
 	}
 }

@@ -118,7 +118,7 @@ func (r *Runner) mixes() []workload.Mix {
 // run executes one Chapter 4 level-2 run through the sweep engine, which
 // memoizes it and deduplicates concurrent requests for the same spec.
 func (r *Runner) run(mix workload.Mix, policyName string, cooling fbconfig.Cooling, model core.ThermalModelKind, spec core.RunSpec) (sim.MEMSpotResult, error) {
-	return r.Eng.Run(context.Background(), sweep.Spec{
+	res, _, err := r.Eng.Run(context.Background(), sweep.Spec{
 		Mix:      mix.Name,
 		Policy:   policyName,
 		Cooling:  cooling.Name(),
@@ -127,6 +127,7 @@ func (r *Runner) run(mix workload.Mix, policyName string, cooling fbconfig.Cooli
 		Interval: spec.Interval,
 		Limits:   spec.Limits,
 	})
+	return res, err
 }
 
 // norm returns runtime normalized to the No-limit baseline.

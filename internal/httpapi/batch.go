@@ -92,7 +92,7 @@ func (s *Server) handleExecBatch(w http.ResponseWriter, r *http.Request) {
 			case <-ctx.Done():
 				return
 			}
-			res, out, err := s.eng.RunTraced(ctx, sp)
+			res, info, err := s.eng.Run(ctx, sp)
 			if err != nil {
 				if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					// Draining (or the client hung up): truncate the stream
@@ -105,7 +105,7 @@ func (s *Server) handleExecBatch(w http.ResponseWriter, r *http.Request) {
 				writeLine(remote.BatchLine{Index: i, Key: string(s.eng.Key(sp)), Error: err.Error()})
 				return
 			}
-			writeLine(remote.BatchLine{Index: i, Key: string(s.eng.Key(sp)), Outcome: out.String(), Result: &res})
+			writeLine(remote.BatchLine{Index: i, Key: string(s.eng.Key(sp)), Outcome: info.Outcome.String(), Result: &res})
 		}(i, sp)
 	}
 	wg.Wait()

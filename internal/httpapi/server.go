@@ -368,7 +368,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := mergeDone(r.Context(), s.base)
 	defer cancel()
-	res, out, err := s.eng.RunTraced(ctx, spec)
+	res, info, err := s.eng.Run(ctx, spec)
 	if err != nil {
 		// The status tells the coordinator whether to fail over. A
 		// cancellation means this node is draining (or the caller hung
@@ -383,7 +383,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, remote.ExecResponse{Outcome: out.String(), Result: res})
+	writeJSON(w, http.StatusOK, remote.ExecResponse{Outcome: info.Outcome.String(), Result: res})
 }
 
 // jobView is the wire rendering of one job. Total carries the spec
@@ -457,9 +457,14 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	go func() {
-		res, err := s.eng.RunObserved(job.Context(), spec, func(ev sweep.Event) {
-			job.Publish(sweep.JobEventFrom(ev))
-		})
+		job.Publish(sweep.JobEventFrom(sweep.Event{Kind: sweep.EventStarted, Spec: spec, Total: 1}))
+		res, info, err := s.eng.Run(job.Context(), spec)
+		ev := sweep.Event{Kind: sweep.EventFinished, Spec: spec, Done: 1, Total: 1,
+			Outcome: info.Outcome, Peer: info.Peer, Seconds: res.Seconds}
+		if err != nil {
+			ev.Kind, ev.Err = sweep.EventError, err
+		}
+		job.Publish(sweep.JobEventFrom(ev))
 		if err != nil {
 			job.Finish(nil, err)
 			return

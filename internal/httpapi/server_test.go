@@ -112,7 +112,7 @@ func pollJob(t *testing.T, baseURL, id string, pred func(jobView) bool) jobView 
 
 func TestHealthz(t *testing.T) {
 	ts, _, eng := newTestServer(t, 2, 0, Config{Version: "9.9-test"})
-	if _, err := eng.Run(context.Background(), sweep.Spec{Mix: "W1"}); err != nil {
+	if _, _, err := eng.Run(context.Background(), sweep.Spec{Mix: "W1"}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.URL + "/v1/healthz")

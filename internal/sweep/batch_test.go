@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,7 +55,7 @@ func TestSweepBatchesDistinctSpecs(t *testing.T) {
 
 	// Warm the cache with one spec through the single-run path.
 	warm := Spec{Mix: "W2", Policy: "DTM-TS"}
-	if _, err := e.Run(context.Background(), warm); err != nil {
+	if _, _, err := e.Run(context.Background(), warm); err != nil {
 		t.Fatal(err)
 	}
 
@@ -263,5 +264,39 @@ func TestSweepBatchIdenticalTable(t *testing.T) {
 
 	if a, b := ref.Table("t").String(), got.Table("t").String(); a != b {
 		t.Fatalf("tables differ:\n--- plain ---\n%s--- batched ---\n%s", a, b)
+	}
+}
+
+// TestBatchLocalFallbackSharesPrefixes: specs a batch backend hands back
+// with ErrRunLocal run through the same leader body as local cache
+// misses — prefix sharing included — and still match a cold engine
+// field for field.
+func TestBatchLocalFallbackSharesPrefixes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation skipped in -short mode")
+	}
+	specs := Grid{Mixes: []string{"W1"}, Policies: []string{"DTM-TS", "DTM-BW", "DTM-ACG"}}.Expand()
+	sys := core.NewSystem(tinyConfig())
+	want, err := NewEngine(sys, 2).Sweep(context.Background(), specs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e := NewEngine(sys, 2)
+	e.EnablePrefixSharing()
+	e.SetBatchBackend(&fakeBatchBackend{serve: func(Spec) (sim.MEMSpotResult, RunInfo, error) {
+		return sim.MEMSpotResult{}, RunInfo{}, ErrRunLocal
+	}})
+	got, err := e.Sweep(context.Background(), specs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := e.PrefixStats(); st.Leaders == 0 {
+		t.Errorf("prefix stats %+v: local fallbacks bypassed the sharer", st)
+	}
+	for i, sp := range specs {
+		if !reflect.DeepEqual(got.Results[i], want.Results[i]) {
+			t.Errorf("%s: fallback result differs from cold replay:\n got %+v\nwant %+v", sp, got.Results[i], want.Results[i])
+		}
 	}
 }

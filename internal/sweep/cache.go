@@ -2,11 +2,8 @@ package sweep
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
-	"fmt"
 	"hash/maphash"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -23,8 +20,7 @@ const numShards = 16
 // the cached value for a key, joins an in-flight build of the same key,
 // or becomes the leader that builds it. Leaders run on a worker pool
 // bounded at construction, so any number of concurrent distinct keys
-// degrade gracefully to pool-width parallelism. The value type only
-// needs to be gob-encodable if Save/Load are used.
+// degrade gracefully to pool-width parallelism.
 type Cache[V any] struct {
 	shards [numShards]shard[V]
 	seed   maphash.Seed
@@ -207,7 +203,8 @@ func (c *Cache[V]) Get(key Key) (V, bool) {
 	return v, ok
 }
 
-// Put inserts a completed value directly (used by Load and tests).
+// Put inserts a completed value directly (used by state replay and
+// tests).
 func (c *Cache[V]) Put(key Key, v V) {
 	sh := c.shardOf(key)
 	sh.mu.Lock()
@@ -216,7 +213,7 @@ func (c *Cache[V]) Put(key Key, v V) {
 }
 
 // OnInsert registers fn to run after every leader-path insert — a value
-// newly built by Do, not entries restored via Put/Load (so replaying a
+// newly built by Do, not entries restored via Put (so replaying a
 // persisted log does not re-persist every record). fn runs outside the
 // shard lock on the leader's goroutine; it must not call back into the
 // cache for the same key. Call before the cache is in use; not
@@ -276,29 +273,4 @@ func (c *Cache[V]) Stats() Stats {
 		Waits:   c.waits.Load(),
 		Entries: c.Len(),
 	}
-}
-
-// Save writes all completed entries to w with gob.
-func (c *Cache[V]) Save(w io.Writer) error {
-	out := make(map[Key]V)
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		for k, v := range c.shards[i].done {
-			out[k] = v
-		}
-		c.shards[i].mu.Unlock()
-	}
-	return gob.NewEncoder(w).Encode(out)
-}
-
-// Load reads entries written by Save and inserts them.
-func (c *Cache[V]) Load(r io.Reader) error {
-	var in map[Key]V
-	if err := gob.NewDecoder(r).Decode(&in); err != nil {
-		return fmt.Errorf("sweep: cache load: %w", err)
-	}
-	for k, v := range in {
-		c.Put(k, v)
-	}
-	return nil
 }

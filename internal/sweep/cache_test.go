@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -157,33 +156,6 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("build calls = %d, want 2", calls)
-	}
-}
-
-// TestCachePersistence round-trips entries through Save/Load.
-func TestCachePersistence(t *testing.T) {
-	c := NewCache[int](1)
-	for i := 0; i < 10; i++ {
-		c.Put(Key(fmt.Sprintf("k%d", i)), i*i)
-	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewCache[int](1)
-	if err := c2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if c2.Len() != 10 {
-		t.Fatalf("loaded %d entries, want 10", c2.Len())
-	}
-	for i := 0; i < 10; i++ {
-		if v, ok := c2.Get(Key(fmt.Sprintf("k%d", i))); !ok || v != i*i {
-			t.Fatalf("k%d: v=%d ok=%v", i, v, ok)
-		}
-	}
-	if err := c2.Load(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("junk accepted")
 	}
 }
 

@@ -16,12 +16,15 @@
 // # Cache and engine
 //
 // Cache is a sharded singleflight build cache: concurrent requests for
-// the same Key share one simulation, distinct Keys run in parallel on a
-// bounded worker pool, and completed entries persist with gob. Engine
-// layers validation, spec resolution (names → live workload mixes,
-// fresh stateful policies, cooling columns) and normalization on top,
-// and executes whole sweeps with cancellation, per-spec lifecycle
-// events (Options.OnEvent) and report-table aggregation.
+// the same Key share one simulation and distinct Keys run in parallel on
+// a bounded worker pool. Engine layers validation, spec resolution
+// (names → live workload mixes, fresh stateful policies, cooling
+// columns) and normalization on top. Engine.Run is the one cached entry
+// point: it returns the result plus a RunInfo telling how the run was
+// served. Engine.Exec is the uncached leader body behind it. Sweep
+// executes whole grids with cancellation, per-spec lifecycle events
+// (Options.OnEvent) and report-table aggregation, and
+// EnableSegmentLog makes completed entries durable.
 //
 // # Jobs
 //

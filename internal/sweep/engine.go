@@ -263,35 +263,13 @@ func (e *Engine) Resolve(spec Spec) (core.RunSpec, error) {
 	}, nil
 }
 
-// Run executes the spec, deduplicating against identical in-flight and
-// completed runs. The returned result is shared with other callers and
-// must be treated as read-only.
-func (e *Engine) Run(ctx context.Context, spec Spec) (sim.MEMSpotResult, error) {
-	res, _, err := e.RunTraced(ctx, spec)
-	return res, err
-}
-
-// RunTraced is Run plus the cache Outcome: whether this call simulated,
-// hit a completed entry, or joined an identical in-flight run.
-func (e *Engine) RunTraced(ctx context.Context, spec Spec) (sim.MEMSpotResult, Outcome, error) {
-	res, info, err := e.RunDetailed(ctx, spec)
-	return res, info.Outcome, err
-}
-
-// Exec executes the spec locally, uncached: resolve then run. It is the
-// raw unit of work behind the cache — and the local-fallback hook a
-// SpecBackend uses when its peer ring is empty. Most callers want Run.
-func (e *Engine) Exec(ctx context.Context, spec Spec) (sim.MEMSpotResult, error) {
-	rs, err := e.Resolve(spec) // fresh policy for this execution
-	if err != nil {
-		return sim.MEMSpotResult{}, err
-	}
-	return e.run(ctx, rs)
-}
-
-// RunDetailed is Run plus the full RunInfo: the outcome and, in cluster
-// mode, the peer that executed the run.
-func (e *Engine) RunDetailed(ctx context.Context, spec Spec) (sim.MEMSpotResult, RunInfo, error) {
+// Run executes the spec through the run cache, deduplicating against
+// identical in-flight and completed runs, and reports how it was served:
+// whether this call simulated, hit a completed entry or joined an
+// identical in-flight run and, in cluster mode, the peer that executed
+// it. The returned result is shared with other callers and must be
+// treated as read-only.
+func (e *Engine) Run(ctx context.Context, spec Spec) (sim.MEMSpotResult, RunInfo, error) {
 	// Validate eagerly (without building run state) so bad specs fail
 	// fast even on the cache hit path, and so resolution inside the
 	// builder cannot fail.
@@ -303,11 +281,6 @@ func (e *Engine) RunDetailed(ctx context.Context, spec Spec) (sim.MEMSpotResult,
 	var remote RunInfo
 	res, out, err := e.cache.DoTraced(ctx, spec.Key(e.digest), func(ctx context.Context) (sim.MEMSpotResult, error) {
 		if e.backend == nil {
-			if e.prefix != nil && !e.runCustom {
-				return e.prefix.Run(ctx, e.sliceKey(spec), func() (core.RunSpec, error) {
-					return e.Resolve(spec)
-				})
-			}
 			return e.Exec(ctx, spec)
 		}
 		r, info, err := e.backend.RunSpec(ctx, spec)
@@ -321,32 +294,33 @@ func (e *Engine) RunDetailed(ctx context.Context, spec Spec) (sim.MEMSpotResult,
 	return res, info, err
 }
 
-// RunObserved executes the spec like Run while reporting its lifecycle
-// to onEvent: a started event before execution and a finished or error
-// event after, tagged with how the run was served. onEvent may be nil.
-func (e *Engine) RunObserved(ctx context.Context, spec Spec, onEvent func(Event)) (sim.MEMSpotResult, error) {
-	if onEvent == nil {
-		return e.Run(ctx, spec)
+// Exec executes the spec locally, uncached: the leader body behind the
+// cache — prefix sharing when it is enabled and no custom RunFunc is
+// set, the run function otherwise. It is also the local-fallback hook a
+// SpecBackend calls from inside a cache leader, where Run would wait on
+// its own flight. Most callers want Run.
+func (e *Engine) Exec(ctx context.Context, spec Spec) (sim.MEMSpotResult, error) {
+	if e.prefix != nil && !e.runCustom {
+		return e.prefix.Run(ctx, e.sliceKey(spec), func() (core.RunSpec, error) {
+			return e.Resolve(spec)
+		})
 	}
-	onEvent(Event{Kind: EventStarted, Spec: spec, Total: 1})
-	res, info, err := e.RunDetailed(ctx, spec)
+	rs, err := e.Resolve(spec) // fresh policy for this execution
 	if err != nil {
-		onEvent(Event{Kind: EventError, Spec: spec, Done: 1, Total: 1, Outcome: info.Outcome, Peer: info.Peer, Err: err})
-		return res, err
+		return sim.MEMSpotResult{}, err
 	}
-	onEvent(Event{Kind: EventFinished, Spec: spec, Done: 1, Total: 1, Outcome: info.Outcome, Peer: info.Peer, Seconds: res.Seconds})
-	return res, nil
+	return e.run(ctx, rs)
 }
 
 // Normalized executes the spec and its No-limit baseline (same mix,
 // cooling, model and psi-xi, default interval and limits) and returns
 // runtime(spec)/runtime(baseline) — the unit of the paper's figures.
 func (e *Engine) Normalized(ctx context.Context, spec Spec) (float64, error) {
-	res, err := e.Run(ctx, spec)
+	res, _, err := e.Run(ctx, spec)
 	if err != nil {
 		return 0, err
 	}
-	base, err := e.Run(ctx, e.BaselineSpec(spec))
+	base, _, err := e.Run(ctx, e.BaselineSpec(spec))
 	if err != nil {
 		return 0, err
 	}
@@ -372,5 +346,4 @@ func (e *Engine) BaselineSpec(spec Spec) Spec {
 
 // Persistence lives in state.go: the engine appends completed runs and
 // level-1 trace records to a crash-safe segment log (EnableSegmentLog)
-// instead of rewriting a monolithic blob at shutdown; legacy blobs
-// migrate once through ImportLegacyState.
+// instead of rewriting a monolithic blob at shutdown.

@@ -45,7 +45,7 @@ func TestEngineRejectsBadSpecs(t *testing.T) {
 		{Mix: "W1", Limits: fbconfig.ThermalLimits{DRAMTRP: 81}},
 		{Mix: "W1", Limits: fbconfig.ThermalLimits{AMBTDP: 110, DRAMTDP: 85}},
 	} {
-		if _, err := e.Run(context.Background(), s); err == nil {
+		if _, _, err := e.Run(context.Background(), s); err == nil {
 			t.Errorf("spec %v accepted", s)
 		}
 	}
@@ -177,12 +177,12 @@ func TestEngineMatchesSerialRun(t *testing.T) {
 	spec := Spec{Mix: "W1", Policy: "DTM-TS"}
 
 	e := NewEngine(core.NewSystem(tinyConfig()), 2)
-	got, err := e.Run(context.Background(), spec)
+	got, _, err := e.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second call must be a cache hit sharing the identical value.
-	again, err := e.Run(context.Background(), spec)
+	again, _, err := e.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestEngineStatePersistence(t *testing.T) {
 	if err := e.EnableSegmentLog(dir, 0); err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.Run(context.Background(), spec)
+	want, _, err := e.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestEngineStatePersistence(t *testing.T) {
 	if e2.System().Store().Len() == 0 {
 		t.Fatal("trace store state not restored")
 	}
-	got, err := e2.Run(context.Background(), spec)
+	got, _, err := e2.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestRunCtxCancelled(t *testing.T) {
 	e := NewEngine(core.NewSystem(tinyConfig()), 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Run(ctx, Spec{Mix: "W1"}); !errors.Is(err, context.Canceled) {
+	if _, _, err := e.Run(ctx, Spec{Mix: "W1"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

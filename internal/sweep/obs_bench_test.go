@@ -23,13 +23,13 @@ func BenchmarkObsOverhead(b *testing.B) {
 		}
 		ctx := context.Background()
 		spec := Spec{Mix: "W1", Policy: "DTM-ACG"}
-		if _, _, err := eng.RunTraced(ctx, spec); err != nil { // warm the cache
+		if _, _, err := eng.Run(ctx, spec); err != nil { // warm the cache
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.RunTraced(ctx, spec); err != nil {
+			if _, _, err := eng.Run(ctx, spec); err != nil {
 				b.Fatal(err)
 			}
 		}

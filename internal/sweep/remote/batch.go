@@ -189,9 +189,9 @@ func (b *Backend) peerByID(id string) *peer {
 // acknowledged when the peer failed (submit error, 5xx, stream
 // truncation or protocol violation) — the caller's cue to fail them
 // over — and nil when every spec was delivered or the caller's ctx
-// died. singles is set when the peer is healthy but cannot take the
-// shard as one batch (no batch endpoint, or the shard exceeds its size
-// limit): the unacked specs should go to the same peer spec-at-a-time.
+// died. singles is set when the peer is healthy but the shard exceeds
+// its batch size limit: the unacked specs should go to the same peer
+// spec-at-a-time.
 func (b *Backend) dispatchBatch(ctx context.Context, p *peer, specs []sweep.Spec, idxs []int, deliver func(int, sim.MEMSpotResult, sweep.RunInfo, error)) (unacked []int, singles bool) {
 	var zero sim.MEMSpotResult
 	select {
@@ -236,12 +236,10 @@ func (b *Backend) dispatchBatch(ctx context.Context, p *peer, specs []sweep.Spec
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		return b.decodeBatchStream(ctx, p, resp.Body, idxs, deliver), false
-	case resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed ||
-		resp.StatusCode == http.StatusRequestEntityTooLarge:
-		// The peer is healthy but batch-incapable for this shard: an
-		// older node without the endpoint (404/405) or a shard over its
-		// size limit (413). Degrade to spec-at-a-time dispatch instead
-		// of failing the sweep or ejecting a working peer.
+	case resp.StatusCode == http.StatusRequestEntityTooLarge:
+		// The peer is healthy but the shard is over its size limit.
+		// Degrade to spec-at-a-time dispatch instead of failing the
+		// sweep or ejecting a working peer.
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
 		return idxs, true
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
@@ -261,8 +259,8 @@ func (b *Backend) dispatchBatch(ctx context.Context, p *peer, specs []sweep.Spec
 }
 
 // dispatchSingles executes idxs against p one spec at a time — the
-// degraded path for a healthy peer that cannot serve the shard as one
-// batch. Concurrency is bounded by the peer's request pool (dispatch
+// degraded path for a healthy peer whose batch limit the shard
+// exceeds. Concurrency is bounded by the peer's request pool (dispatch
 // acquires a slot per call). Peer failures eject p and return the
 // still-unserved indexes for re-planning; terminal errors are delivered.
 func (b *Backend) dispatchSingles(ctx context.Context, p *peer, specs []sweep.Spec, idxs []int, deliver func(int, sim.MEMSpotResult, sweep.RunInfo, error)) (unacked []int) {

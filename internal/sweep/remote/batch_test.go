@@ -2,8 +2,10 @@ package remote_test
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,54 +199,52 @@ func TestBatchedSweepMidStreamKill(t *testing.T) {
 	}
 }
 
-// TestBatchFallbackToSingles: a healthy peer that cannot take its shard
-// as one batch — an older node without the endpoint (404) or one whose
-// MaxBatch is smaller than the shard (413) — is served spec-at-a-time
-// instead of failing the sweep or being ejected.
+// newStubWorker is an embedded dramthermd with a constant-result run
+// function whose HTTP front counts exec requests by endpoint. With
+// batch404 its batch route answers 404, as if the endpoint were absent.
+func newStubWorker(t *testing.T, cfg httpapi.Config, batch404 bool) *countingWorker {
+	t.Helper()
+	w := &countingWorker{gotRun: make(chan struct{})}
+	eng := sweep.NewEngine(core.NewSystem(core.DefaultConfig()), 4)
+	eng.SetRunFunc(func(ctx context.Context, rs core.RunSpec) (sim.MEMSpotResult, error) {
+		secs := 100.0
+		if rs.Policy.Name() != "No-limit" {
+			secs = 150
+		}
+		return sim.MEMSpotResult{Seconds: secs, Completed: 1}, nil
+	})
+	cfg.Logf = func(string, ...any) {}
+	w.api = httpapi.New(context.Background(), eng, cfg)
+	w.ts = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case remote.ExecPath:
+			w.execs.Add(1)
+		case remote.BatchPath:
+			w.batches.Add(1)
+			if batch404 {
+				http.NotFound(rw, r)
+				return
+			}
+		}
+		w.api.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(func() { w.ts.Close(); w.api.Close() })
+	return w
+}
+
+// TestBatchFallbackToSingles: a healthy peer whose MaxBatch is smaller
+// than its shard (413) is served spec-at-a-time instead of failing the
+// sweep or being ejected.
 func TestBatchFallbackToSingles(t *testing.T) {
 	specs := sweep.Grid{
 		Mixes:    []string{"W1", "W2"},
 		Policies: []string{"DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"},
 	}.Expand()
-
-	newIncapableWorker := func(cfg httpapi.Config, fake404 bool) *countingWorker {
-		w := &countingWorker{gotRun: make(chan struct{})}
-		eng := sweep.NewEngine(core.NewSystem(core.DefaultConfig()), 4)
-		eng.SetRunFunc(func(ctx context.Context, rs core.RunSpec) (sim.MEMSpotResult, error) {
-			secs := 100.0
-			if rs.Policy.Name() != "No-limit" {
-				secs = 150
-			}
-			return sim.MEMSpotResult{Seconds: secs, Completed: 1}, nil
-		})
-		cfg.Logf = func(string, ...any) {}
-		w.api = httpapi.New(context.Background(), eng, cfg)
-		w.ts = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			switch r.URL.Path {
-			case remote.ExecPath:
-				w.execs.Add(1)
-			case remote.BatchPath:
-				w.batches.Add(1)
-				if fake404 { // a pre-batch node: the endpoint does not exist
-					http.NotFound(rw, r)
-					return
-				}
-			}
-			w.api.ServeHTTP(rw, r)
-		}))
-		t.Cleanup(func() { w.ts.Close(); w.api.Close() })
-		return w
-	}
-	// legacy pretends to be a pre-batch node: its batch route 404s.
-	legacy := newIncapableWorker(httpapi.Config{}, true)
 	// tiny accepts at most one spec per batch, so any real shard 413s.
-	tiny := newIncapableWorker(httpapi.Config{MaxBatch: 1}, false)
+	tiny := newStubWorker(t, httpapi.Config{MaxBatch: 1}, false)
 
 	coord := fakeEngine(nil, 0)
-	b := newBackend(t, coord, remote.Config{Peers: []remote.Peer{
-		{ID: "legacy", URL: legacy.ts.URL},
-		{ID: "tiny", URL: tiny.ts.URL},
-	}})
+	b := newBackend(t, coord, remote.Config{Peers: []remote.Peer{{ID: "tiny", URL: tiny.ts.URL}}})
 	coord.SetBatchBackend(b)
 
 	res, err := coord.Sweep(context.Background(), specs, sweep.Options{})
@@ -255,13 +255,46 @@ func TestBatchFallbackToSingles(t *testing.T) {
 		t.Fatalf("fallback table differs from single-node:\n--- single ---\n%s--- fallback ---\n%s", want, got)
 	}
 	// Every spec was served over /v1/exec by the peer that owned it.
-	if got := legacy.execs.Load() + tiny.execs.Load(); got != int64(len(specs)) {
+	if got := tiny.execs.Load(); got != int64(len(specs)) {
 		t.Errorf("singles served = %d, want %d", got, len(specs))
 	}
-	for _, st := range b.Status() {
-		if !st.Up {
-			t.Errorf("peer %s was ejected; batch-incapable peers must stay in the ring", st.ID)
+	if st := b.Status()[0]; !st.Up {
+		t.Errorf("peer %s was ejected; a peer over its batch limit must stay in the ring", st.ID)
+	}
+}
+
+// TestBatchRoute404IsTerminal: a healthy peer whose batch route 404s
+// rejected the batch — every spec of its shard gets a terminal error
+// (no spec-at-a-time retry, no local fallback) and the peer stays in
+// the ring.
+func TestBatchRoute404IsTerminal(t *testing.T) {
+	specs := sweep.Grid{
+		Mixes:    []string{"W1", "W2"},
+		Policies: []string{"DTM-TS", "DTM-BW"},
+	}.Expand()
+	w := newStubWorker(t, httpapi.Config{}, true)
+	coord := fakeEngine(nil, 0)
+	b := newBackend(t, coord, remote.Config{Peers: []remote.Peer{{ID: "w", URL: w.ts.URL}}, Local: coord.Exec})
+
+	errs := make([]error, len(specs))
+	var delivered atomic.Int64
+	b.RunSpecs(context.Background(), specs, func(i int, _ sim.MEMSpotResult, _ sweep.RunInfo, err error) {
+		errs[i] = err
+		delivered.Add(1)
+	})
+	if got := delivered.Load(); got != int64(len(specs)) {
+		t.Fatalf("delivered %d outcomes, want %d", got, len(specs))
+	}
+	for i, err := range errs {
+		if err == nil || errors.Is(err, sweep.ErrRunLocal) || !strings.Contains(err.Error(), "rejected batch") {
+			t.Errorf("spec %d: err = %v, want a terminal rejected-batch error", i, err)
 		}
+	}
+	if got := w.execs.Load(); got != 0 {
+		t.Errorf("peer served %d single-exec requests, want 0", got)
+	}
+	if st := b.Status()[0]; !st.Up {
+		t.Errorf("peer %s was ejected; a rejected batch must not eject a healthy peer", st.ID)
 	}
 }
 

@@ -166,6 +166,14 @@ func (t *Table) Snapshot() []Member {
 	return t.snapshotLocked()
 }
 
+// versionedSnapshot is Snapshot plus the table version it reflects,
+// read under one lock so the pair is consistent.
+func (t *Table) versionedSnapshot() (uint64, []Member) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.version, t.snapshotLocked()
+}
+
 func (t *Table) snapshotLocked() []Member {
 	out := make([]Member, 0, len(t.entries))
 	for _, e := range t.entries {

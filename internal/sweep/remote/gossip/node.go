@@ -291,12 +291,15 @@ func (n *Node) notify() {
 	}
 	n.notifyMu.Lock()
 	defer n.notifyMu.Unlock()
-	v := n.table.Version()
+	// Version and members come from one table read: a merge landing
+	// between two separate reads would pair an old version with a newer
+	// snapshot and deliver that snapshot twice.
+	v, ms := n.table.versionedSnapshot()
 	if v == n.notified {
 		return
 	}
 	n.notified = v
-	n.cfg.OnChange(n.table.Snapshot())
+	n.cfg.OnChange(ms)
 }
 
 func (n *Node) loop() {

@@ -495,13 +495,11 @@ func (b *Backend) dispatch(ctx context.Context, p *peer, spec sweep.Spec) (sim.M
 	}
 }
 
-// errorBody extracts the error message of a 4xx reply — the structured
-// {"error":{"code","message"}} envelope, the legacy {"error":"..."}
-// string of pre-0.8 peers during a rolling upgrade — falling back to
-// the status line.
+// errorBody extracts the message of a 4xx reply's structured
+// {"error":{"code","message"}} envelope, falling back to the status
+// line.
 func errorBody(resp *http.Response) string {
-	var body []byte
-	body, _ = io.ReadAll(io.LimitReader(resp.Body, 4096))
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	var env struct {
 		Error struct {
 			Message string `json:"message"`
@@ -509,12 +507,6 @@ func errorBody(resp *http.Response) string {
 	}
 	if json.Unmarshal(body, &env) == nil && env.Error.Message != "" {
 		return env.Error.Message
-	}
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(body, &legacy) == nil && legacy.Error != "" {
-		return legacy.Error
 	}
 	return resp.Status
 }

@@ -199,7 +199,7 @@ func TestLocalFallbackWhenRingEmpty(t *testing.T) {
 	b := newBackend(t, coord, remote.Config{Local: coord.Exec})
 	coord.SetBackend(b)
 
-	res, info, err := coord.RunDetailed(context.Background(), sweep.Spec{Mix: "W1", Policy: "DTM-TS"})
+	res, info, err := coord.Run(context.Background(), sweep.Spec{Mix: "W1", Policy: "DTM-TS"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,9 +371,9 @@ func TestRemoteOutcomeAndPeerFlowIntoEvents(t *testing.T) {
 	spec := sweep.Spec{Mix: "W1", Policy: "DTM-TS"}
 
 	var evs []sweep.Event
-	if _, err := coord.RunObserved(context.Background(), spec, func(ev sweep.Event) {
+	if _, err := coord.Sweep(context.Background(), []sweep.Spec{spec}, sweep.Options{OnEvent: func(ev sweep.Event) {
 		evs = append(evs, ev)
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	last := evs[len(evs)-1]
@@ -389,7 +389,7 @@ func TestRemoteOutcomeAndPeerFlowIntoEvents(t *testing.T) {
 		Local: coord2.Exec,
 	})
 	coord2.SetBackend(b2)
-	_, info, err := coord2.RunDetailed(context.Background(), spec)
+	_, info, err := coord2.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestRemoteOutcomeAndPeerFlowIntoEvents(t *testing.T) {
 	}
 
 	// The coordinator's own cache hit wins on a repeat: no peer involved.
-	_, info, err = coord2.RunDetailed(context.Background(), spec)
+	_, info, err = coord2.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

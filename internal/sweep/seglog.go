@@ -14,11 +14,10 @@ import (
 	"sync"
 )
 
-// The versioned persisted-state wire format. Every dramtherm state
-// artifact — segment files here, and the importer's sniff of legacy gob
-// blobs — shares this magic + version header, so a state file written by
-// a future incompatible format fails loudly instead of silently
-// corrupting the warm cache.
+// The versioned persisted-state wire format. Every segment file starts
+// with this magic + version header, so a state file written by a future
+// incompatible format fails loudly instead of silently corrupting the
+// warm cache.
 //
 // Segment file layout:
 //
@@ -38,9 +37,7 @@ import (
 var stateMagic = [8]byte{'D', 'T', 'M', 'S', 'T', 'A', 'T', 'E'}
 
 // StateVersion is the current persisted-state wire-format version.
-// Readers reject higher versions loudly; lower versions (none exist yet,
-// the unversioned gob blob predates the header) go through the legacy
-// importer exactly once.
+// Readers reject higher versions loudly.
 const StateVersion = 1
 
 // Record kinds.

@@ -7,7 +7,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -254,7 +253,7 @@ func TestEngineSegmentLogAppendsOnBuild(t *testing.T) {
 	if err := e.EnableSegmentLog(dir, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(context.Background(), Spec{Mix: "W1"}); err != nil {
+	if _, _, err := e.Run(context.Background(), Spec{Mix: "W1"}); err != nil {
 		t.Fatal(err)
 	}
 	st, ok := e.StateStats()
@@ -274,8 +273,8 @@ func TestEngineSegmentLogAppendsOnBuild(t *testing.T) {
 		t.Fatalf("replay re-appended records: %+v", st2)
 	}
 	builds.Store(0)
-	if _, out, err := e2.RunTraced(context.Background(), Spec{Mix: "W1"}); err != nil || out != Hit {
-		t.Fatalf("restored run: out=%v err=%v, want Hit", out, err)
+	if _, info, err := e2.Run(context.Background(), Spec{Mix: "W1"}); err != nil || info.Outcome != Hit {
+		t.Fatalf("restored run: out=%v err=%v, want Hit", info.Outcome, err)
 	}
 	if builds.Load() != 0 {
 		t.Fatal("restored engine rebuilt a persisted run")
@@ -305,106 +304,15 @@ func TestEngineImportResult(t *testing.T) {
 	if e.ImportResult(key, res) {
 		t.Fatal("re-import of a present key reported accepted")
 	}
-	got, out, err := e.RunTraced(context.Background(), spec)
-	if err != nil || out != Hit || got.Seconds != 42 {
-		t.Fatalf("run after import: %+v out=%v err=%v, want hit of imported result", got, out, err)
+	got, info, err := e.Run(context.Background(), spec)
+	if err != nil || info.Outcome != Hit || got.Seconds != 42 {
+		t.Fatalf("run after import: %+v out=%v err=%v, want hit of imported result", got, info.Outcome, err)
 	}
 	if builds.Load() != 0 {
 		t.Fatal("import did not prevent a rebuild")
 	}
 	if st, _ := e.StateStats(); st.Appends != 1 {
 		t.Fatalf("import not persisted: %+v", st)
-	}
-}
-
-// TestMigrateLegacyStateFile writes a pre-versioning gob blob, migrates
-// it through the segment log, and asserts it loads once: the records
-// are served from the log afterwards and the blob is renamed aside.
-func TestMigrateLegacyStateFile(t *testing.T) {
-	legacy := filepath.Join(t.TempDir(), "state.gob")
-	segdir := filepath.Join(t.TempDir(), "seg")
-
-	var builds atomic.Int64
-	src := testEngine(1, &builds, 0)
-	if _, err := src.Run(context.Background(), Spec{Mix: "W2"}); err != nil {
-		t.Fatal(err)
-	}
-	// Hand-roll the legacy format: two gob-framed blobs (cache map, trace
-	// records) under one outer stream — what SaveState used to write.
-	var cacheBuf, traceBuf, out bytes.Buffer
-	if err := src.cache.Save(&cacheBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.System().Store().Save(&traceBuf); err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(&out)
-	if err := enc.Encode(cacheBuf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(traceBuf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(legacy, out.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	e := testEngine(1, &builds, 0)
-	if err := e.EnableSegmentLog(segdir, 0); err != nil {
-		t.Fatal(err)
-	}
-	migrated, err := e.MigrateLegacyStateFile(legacy)
-	if err != nil || !migrated {
-		t.Fatalf("migrate = %v, %v", migrated, err)
-	}
-	if _, err := os.Stat(legacy); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("legacy blob still present after migration: %v", err)
-	}
-	if _, err := os.Stat(legacy + migratedSuffix); err != nil {
-		t.Fatalf("migrated marker missing: %v", err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second boot: the alias is a no-op, the log alone restores the run.
-	e2 := testEngine(1, &builds, 0)
-	if err := e2.EnableSegmentLog(segdir, 0); err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	if migrated, err := e2.MigrateLegacyStateFile(legacy); err != nil || migrated {
-		t.Fatalf("second migrate = %v, %v, want no-op", migrated, err)
-	}
-	builds.Store(0)
-	if _, out, err := e2.RunTraced(context.Background(), Spec{Mix: "W2"}); err != nil || out != Hit {
-		t.Fatalf("post-migration run: out=%v err=%v, want Hit", out, err)
-	}
-	if builds.Load() != 0 {
-		t.Fatal("migrated state did not prevent a rebuild")
-	}
-}
-
-// TestMigrateRejectsVersionedFile guards the flag mixup: pointing -state
-// at a segment file must fail loudly, not decode as gob.
-func TestMigrateRejectsVersionedFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "seg-000001.dtl")
-	var hdr [12]byte
-	copy(hdr[:8], stateMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], StateVersion)
-	if err := os.WriteFile(path, hdr[:], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var builds atomic.Int64
-	e := testEngine(1, &builds, 0)
-	if err := e.EnableSegmentLog(filepath.Join(dir, "seg"), 0); err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	_, err := e.MigrateLegacyStateFile(path)
-	if err == nil || !strings.Contains(err.Error(), "versioned state segment") {
-		t.Fatalf("migrating a versioned file: err = %v", err)
 	}
 }
 
@@ -418,7 +326,7 @@ func TestEngineCompactState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mix := range []string{"W1", "W2", "W3"} {
-		if _, err := e.Run(context.Background(), Spec{Mix: mix}); err != nil {
+		if _, _, err := e.Run(context.Background(), Spec{Mix: mix}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -436,8 +344,8 @@ func TestEngineCompactState(t *testing.T) {
 	defer e2.Close()
 	builds.Store(0)
 	for _, mix := range []string{"W1", "W2", "W3"} {
-		if _, out, err := e2.RunTraced(context.Background(), Spec{Mix: mix}); err != nil || out != Hit {
-			t.Fatalf("mix %s after compact: out=%v err=%v", mix, out, err)
+		if _, info, err := e2.Run(context.Background(), Spec{Mix: mix}); err != nil || info.Outcome != Hit {
+			t.Fatalf("mix %s after compact: out=%v err=%v", mix, info.Outcome, err)
 		}
 	}
 	if builds.Load() != 0 {

@@ -5,8 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -252,67 +250,3 @@ func (e *Engine) HasResult(key Key) bool {
 // Range iterates the completed run cache (see Cache.Range) — the export
 // side of replication and handoff.
 func (e *Engine) Range(fn func(Key, sim.MEMSpotResult) bool) { e.cache.Range(fn) }
-
-// ImportLegacyState reads the pre-versioning state blob (two gob-framed
-// byte blobs — run cache map, then trace records — under one outer gob
-// stream) and folds it into the in-memory layers. It does not persist:
-// callers migrate by following up with CompactState.
-func (e *Engine) ImportLegacyState(r io.Reader) error {
-	dec := gob.NewDecoder(r)
-	var cacheBlob, traceBlob []byte
-	if err := dec.Decode(&cacheBlob); err != nil {
-		return fmt.Errorf("sweep: legacy state: %w", err)
-	}
-	if err := dec.Decode(&traceBlob); err != nil {
-		return fmt.Errorf("sweep: legacy state: %w", err)
-	}
-	if err := e.cache.Load(bytes.NewReader(cacheBlob)); err != nil {
-		return err
-	}
-	return e.sys.Store().Load(bytes.NewReader(traceBlob))
-}
-
-// migratedSuffix marks a legacy state file that has been folded into a
-// segment log, so it imports exactly once.
-const migratedSuffix = ".migrated"
-
-// MigrateLegacyStateFile imports the legacy gob state file at path into
-// the enabled segment log, compacts so every imported record is durable,
-// and renames the file aside (path + ".migrated") so it never imports
-// twice. A missing file — including one already renamed by a previous
-// migration — is a cold start: (false, nil). A file that carries the
-// versioned state magic is not legacy: that is a segment file passed as
-// -state, reported loudly instead of mis-parsed as gob.
-func (e *Engine) MigrateLegacyStateFile(path string) (migrated bool, err error) {
-	if e.seglog == nil {
-		return false, errors.New("sweep: segment log not enabled")
-	}
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	var head [8]byte
-	if n, _ := io.ReadFull(f, head[:]); n == len(head) && head == stateMagic {
-		f.Close()
-		return false, fmt.Errorf("sweep: %s is a versioned state segment, not a legacy blob — pass its directory as the segment dir instead", path)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return false, err
-	}
-	err = e.ImportLegacyState(f)
-	f.Close()
-	if err != nil {
-		return false, err
-	}
-	if err := e.CompactState(); err != nil {
-		return false, err
-	}
-	if err := os.Rename(path, path+migratedSuffix); err != nil {
-		return false, fmt.Errorf("sweep: marking %s migrated: %w", path, err)
-	}
-	return true, nil
-}

@@ -40,10 +40,10 @@ const (
 	EventRoundFinished EventKind = "round_finished"
 )
 
-// Event is one per-spec lifecycle notification from RunObserved or
-// Sweep. Unlike Progress (finish-only), events also mark run starts and
-// carry the cache outcome, so observers can distinguish fresh
-// simulations from cache hits and deduplicated joins.
+// Event is one per-spec lifecycle notification from Sweep or a
+// single-run job. Unlike Progress (finish-only), events also mark run
+// starts and carry the cache outcome, so observers can distinguish
+// fresh simulations from cache hits and deduplicated joins.
 type Event struct {
 	Kind  EventKind
 	Index int // position in the sweep's spec list; 0 for single runs
@@ -117,7 +117,7 @@ func (e *Engine) Sweep(ctx context.Context, specs []Spec, opts Options) (*Result
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	runOne := e.RunDetailed
+	runOne := e.Run
 	if e.batch != nil {
 		// The dispatcher goroutine is bounded by ctx, which the deferred
 		// cancel kills when the sweep returns.
@@ -192,7 +192,7 @@ func (e *Engine) Sweep(ctx context.Context, specs []Spec, opts Options) (*Result
 
 // batchRunner plans a sweep's distinct uncached specs — plus their
 // No-limit baselines when normalizing — into one BatchBackend call and
-// returns a RunDetailed-equivalent runner whose cache builders wait on
+// returns a Run-equivalent runner whose cache builders wait on
 // the batch stream instead of dispatching spec-at-a-time. Every run
 // still flows through the cache, so duplicate specs join, concurrent
 // sweeps deduplicate, and observers see the same built/hit/joined
@@ -244,7 +244,7 @@ func (e *Engine) batchRunner(ctx context.Context, specs []Spec, normalize bool) 
 			if p == nil {
 				// Not planned (cached at plan time, yet we are the leader —
 				// a concurrent engine user raced us): dispatch the one spec
-				// exactly like RunDetailed would.
+				// exactly like Run would.
 				r, info, err := e.backend.RunSpec(bctx, spec)
 				served = info
 				return r, err

@@ -1,11 +1,9 @@
-// Framed binary trace codec. Store.Save historically wrote one gob blob
-// holding every record, which forces the reader to materialize the whole
-// trace set before inserting anything. The framed format instead writes
-// an 8-byte magic followed by length-prefixed records, so a reader can
-// decode in fixed-size chunks and insert each batch as it completes —
-// ChunkDecoder accepts arbitrary chunk boundaries, including boundaries
-// in the middle of a record, a length prefix, or the magic itself.
-// Store.Load sniffs the magic and still reads legacy gob streams.
+// Framed binary trace codec: an 8-byte magic followed by
+// length-prefixed records, so a reader can decode in fixed-size chunks
+// and insert each batch as it completes instead of materializing the
+// whole trace set first. ChunkDecoder accepts arbitrary chunk
+// boundaries, including boundaries in the middle of a record, a length
+// prefix, or the magic itself.
 package trace
 
 import (

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"strings"
 	"testing"
@@ -90,33 +89,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		if !ratesEqual(got, want) {
 			t.Fatalf("round trip changed %v:\n got %+v\nwant %+v", want.Point, got, want)
 		}
-	}
-}
-
-// TestLegacyGobLoad ensures Load still reads streams written by the
-// pre-framed gob Save, including its -1 encoding of +Inf caps.
-func TestLegacyGobLoad(t *testing.T) {
-	legacy := []storedRates{
-		{Rates: Rates{Point: DesignPoint{Apps: "mcf", FreqGHz: 3.2, BWCapGBps: -1}, PerApp: map[string]AppRates{"mcf": {InstrPerSec: 1e9}}}, InfCap: true},
-		{Rates: Rates{Point: DesignPoint{Apps: "art", FreqGHz: 2.0, BWCapGBps: 4.2}, PerApp: map[string]AppRates{"art": {}}}},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore(nil)
-	if err := s.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Get(DesignPoint{Apps: "mcf", FreqGHz: 3.2, BWCapGBps: math.Inf(1)})
-	if err != nil {
-		t.Fatalf("legacy +Inf cap not restored: %v", err)
-	}
-	if r.PerApp["mcf"].InstrPerSec != 1e9 {
-		t.Fatalf("legacy record corrupted: %+v", r)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("loaded %d legacy records, want 2", s.Len())
 	}
 }
 

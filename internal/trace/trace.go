@@ -4,13 +4,11 @@
 // throughput for one combination of running applications under one DTM
 // design point — and the level-2 simulator (MEMSpot) consumes them in
 // 10 ms windows. A Store memoizes records and can persist them in the
-// framed binary format of codec.go (legacy gob streams still load),
-// mirroring the paper's precomputed trace sets Wi×D.
+// framed binary format of codec.go, mirroring the paper's precomputed
+// trace sets Wi×D.
 package trace
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -260,13 +258,6 @@ func (s *Store) Counts() (builds, hits int) {
 	return s.builds, s.hits
 }
 
-// storedRates mirrors Rates for the legacy gob format with an explicit
-// Inf encoding; Load still reads such streams.
-type storedRates struct {
-	Rates  Rates
-	InfCap bool
-}
-
 // Save writes all records to w in the framed binary format (codec.go).
 // Records are sorted by design point so the same record set always
 // produces the same bytes.
@@ -302,30 +293,17 @@ func (s *Store) Save(w io.Writer) error {
 // it to force records to span chunk boundaries.
 var loadChunkBytes = 64 << 10
 
-// Load reads records written by Save and inserts them. It sniffs the
-// stream: framed streams decode incrementally in fixed-size chunks
-// (each decoded batch inserted via PutBatch as it completes), legacy
-// gob streams fall back to the old one-shot decoder.
+// Load reads records written by Save and inserts them. The stream
+// decodes incrementally in fixed-size chunks, each decoded batch
+// inserted via PutBatch as it completes.
 func (s *Store) Load(r io.Reader) error {
-	head := make([]byte, len(codecMagic))
-	n, err := io.ReadFull(r, head)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return fmt.Errorf("trace: load: %w", err)
-	}
-	head = head[:n]
-	if string(head) != codecMagic {
-		return s.loadGob(io.MultiReader(bytes.NewReader(head), r))
-	}
-
 	var dec ChunkDecoder
-	if _, err := dec.Feed(head, nil); err != nil {
-		return fmt.Errorf("trace: load: %w", err)
-	}
 	chunk := make([]byte, loadChunkBytes)
 	var batch []Rates
 	for {
 		n, rerr := r.Read(chunk)
 		if n > 0 {
+			var err error
 			batch, err = dec.Feed(chunk[:n], batch[:0])
 			if err != nil {
 				return fmt.Errorf("trace: load: %w", err)
@@ -341,21 +319,6 @@ func (s *Store) Load(r io.Reader) error {
 	}
 	if err := dec.Finish(); err != nil {
 		return fmt.Errorf("trace: load: %w", err)
-	}
-	return nil
-}
-
-// loadGob reads the legacy one-blob gob format.
-func (s *Store) loadGob(r io.Reader) error {
-	var recs []storedRates
-	if err := gob.NewDecoder(r).Decode(&recs); err != nil {
-		return fmt.Errorf("trace: load: %w", err)
-	}
-	for _, sr := range recs {
-		if sr.InfCap {
-			sr.Rates.Point.BWCapGBps = math.Inf(1)
-		}
-		s.Put(sr.Rates)
 	}
 	return nil
 }
