@@ -2,8 +2,7 @@
 // regenerates its artifact through the experiment driver in quick mode,
 // so `go test -bench=.` exercises the entire reproduction pipeline and
 // reports how long each artifact takes to rebuild. Run
-// `cmd/memtherm -run all` for the full-scale numbers recorded in
-// EXPERIMENTS.md.
+// `cmd/memtherm -run all` to regenerate every artifact at full scale.
 package dramtherm
 
 import (

@@ -8,11 +8,11 @@ import (
 	"dramtherm/internal/workload"
 )
 
-// TestBatchDepthSensitivity backs the EXPERIMENTS.md claim that the
-// normalized runtime is insensitive to the batch depth: the paper uses 50
-// replicas per application, the full-scale experiment runs use 4, and the
-// ratio must agree because any batch longer than a few thermal time
-// constants samples the same duty-cycle equilibrium.
+// TestBatchDepthSensitivity checks that the normalized runtime is
+// insensitive to the batch depth: the paper uses 50 replicas per
+// application, the full-scale experiment runs use 4, and the ratio must
+// agree because any batch longer than a few thermal time constants
+// samples the same duty-cycle equilibrium.
 func TestBatchDepthSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sensitivity sweep skipped in -short mode")

@@ -13,6 +13,7 @@ import (
 
 	"dramtherm/internal/core"
 	"dramtherm/internal/fbconfig"
+	"dramtherm/internal/memo"
 	"dramtherm/internal/platform"
 	"dramtherm/internal/report"
 	"dramtherm/internal/sim"
@@ -59,7 +60,19 @@ type Runner struct {
 	pe, sr  platform.Machine
 	peStore *trace.Store
 	srStore *trace.Store
-	pfCache *sweep.Cache[platform.RunResult]
+	pfRuns  *memo.Table[pfKey, platform.RunResult]
+}
+
+// pfKey identifies one Chapter 5 platform run: the RunConfig fields the
+// drivers vary, after pfRun's defaults.
+type pfKey struct {
+	machine, mix string
+	policy       platform.PolicyKind
+	runsPerApp   int
+	quantumS     float64
+	ambient, tdp fbconfig.Celsius
+	forceFreqIdx int
+	sensorSeed   int64
 }
 
 // NewRunner builds a Runner. quick selects the reduced-scale mode.
@@ -94,12 +107,12 @@ func RunnerConfig(quick bool) core.Config {
 // the paper's tables.
 func NewRunnerFor(eng *sweep.Engine, quick bool) *Runner {
 	r := &Runner{
-		Sys:     eng.System(),
-		Eng:     eng,
-		Quick:   quick,
-		pe:      platform.PE1950(),
-		sr:      platform.SR1500AL(),
-		pfCache: sweep.NewCache[platform.RunResult](eng.Workers()),
+		Sys:    eng.System(),
+		Eng:    eng,
+		Quick:  quick,
+		pe:     platform.PE1950(),
+		sr:     platform.SR1500AL(),
+		pfRuns: memo.New[pfKey, platform.RunResult](0),
 	}
 	r.peStore = platform.NewStore(r.pe, 1)
 	r.srStore = platform.NewStore(r.sr, 1)
@@ -143,9 +156,10 @@ func (r *Runner) norm(mix workload.Mix, policyName string, cooling fbconfig.Cool
 	return res.Seconds / base.Seconds, res, nil
 }
 
-// pfRun executes one Chapter 5 platform run through a sweep cache, so
+// pfRun executes one Chapter 5 platform run through a memo table, so
 // concurrent drivers share in-flight emulations the same way Chapter 4
-// runs share simulations.
+// runs share simulations. Drivers call it sequentially and memtherm
+// -parallel bounds how many drivers run at once, so it needs no pool.
 func (r *Runner) pfRun(cfg platform.RunConfig) (platform.RunResult, error) {
 	if cfg.RunsPerApp == 0 {
 		if r.Quick {
@@ -157,15 +171,20 @@ func (r *Runner) pfRun(cfg platform.RunConfig) (platform.RunResult, error) {
 	if cfg.SensorSeed == 0 {
 		cfg.SensorSeed = 7
 	}
-	key := sweep.Key(fmt.Sprintf("%s|%v|%s|%d|%v|%v|%v|%v|%d", cfg.Machine.Name, cfg.Policy, cfg.Mix.Name,
-		cfg.RunsPerApp, cfg.QuantumS, cfg.AmbientOverride, cfg.TDPOverride, cfg.ForceFreqIdx, cfg.SensorSeed))
-	return r.pfCache.Do(context.Background(), key, func(context.Context) (platform.RunResult, error) {
+	key := pfKey{
+		machine: cfg.Machine.Name, mix: cfg.Mix.Name, policy: cfg.Policy,
+		runsPerApp: cfg.RunsPerApp, quantumS: cfg.QuantumS,
+		ambient: cfg.AmbientOverride, tdp: cfg.TDPOverride,
+		forceFreqIdx: cfg.ForceFreqIdx, sensorSeed: cfg.SensorSeed,
+	}
+	res, _, err := r.pfRuns.Do(context.TODO(), key, func(context.Context) (platform.RunResult, error) {
 		store := r.peStore
 		if cfg.Machine.Name == r.sr.Name {
 			store = r.srStore
 		}
 		return platform.RunPlatform(cfg, store)
 	})
+	return res, err
 }
 
 // Driver is one registered experiment.

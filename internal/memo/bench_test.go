@@ -1,8 +1,7 @@
-// Benchmarks for the sweep run cache: the hit path (every request served
-// from a completed entry) and the contended path (many goroutines racing
-// on a small key set). These anchor the perf baseline for future PRs,
-// alongside the per-artifact suites in the repo root.
-package sweep
+// Benchmarks for the table: the hit path (every request served from a
+// completed entry) and the contended path (many goroutines racing on a
+// small key set).
+package memo
 
 import (
 	"context"
@@ -11,24 +10,24 @@ import (
 )
 
 func BenchmarkCacheHit(b *testing.B) {
-	c := NewCache[int](4)
-	key := Key("hot")
+	c := New[string, int](0)
+	key := "hot"
 	c.Put(key, 1)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Do(ctx, key, func(context.Context) (int, error) { return 0, nil }); err != nil {
+		if _, _, err := c.Do(ctx, key, func(context.Context) (int, error) { return 0, nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkCacheHitParallel(b *testing.B) {
-	c := NewCache[int](4)
+	c := New[string, int](0)
 	const keys = 64
 	for i := 0; i < keys; i++ {
-		c.Put(Key(fmt.Sprintf("k%d", i)), i)
+		c.Put(fmt.Sprintf("k%d", i), i)
 	}
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -36,9 +35,9 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			key := Key(fmt.Sprintf("k%d", i%keys))
+			key := fmt.Sprintf("k%d", i%keys)
 			i++
-			if _, err := c.Do(ctx, key, func(context.Context) (int, error) { return 0, nil }); err != nil {
+			if _, _, err := c.Do(ctx, key, func(context.Context) (int, error) { return 0, nil }); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -50,7 +49,7 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 // the mixed regime a busy dramthermd sees. Allocation count per op is
 // the number to watch.
 func BenchmarkCacheContended(b *testing.B) {
-	c := NewCache[int](8)
+	c := New[string, int](0)
 	ctx := context.Background()
 	var epoch int64
 	b.ReportAllocs()
@@ -60,9 +59,9 @@ func BenchmarkCacheContended(b *testing.B) {
 		for pb.Next() {
 			// 8 live keys per epoch of 1024 ops; the epoch shift retires
 			// old keys so builds keep happening.
-			key := Key(fmt.Sprintf("e%d-k%d", (epoch+int64(i))/1024, i%8))
+			key := fmt.Sprintf("e%d-k%d", (epoch+int64(i))/1024, i%8)
 			i++
-			if _, err := c.Do(ctx, key, func(context.Context) (int, error) { return i, nil }); err != nil {
+			if _, _, err := c.Do(ctx, key, func(context.Context) (int, error) { return i, nil }); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -15,9 +15,11 @@
 //
 // # Cache and engine
 //
-// Cache is a sharded singleflight build cache: concurrent requests for
-// the same Key share one simulation and distinct Keys run in parallel on
-// a bounded worker pool. Engine layers validation, spec resolution
+// The run cache is a memo.Table, the keyed singleflight table shared
+// with the level-1 trace store and the prefix groups: concurrent
+// requests for the same Key share one simulation, and distinct Keys run
+// in parallel, each leader holding a slot of the engine's bounded
+// worker pool. Engine layers validation, spec resolution
 // (names → live workload mixes, fresh stateful policies, cooling
 // columns) and normalization on top. Engine.Run is the one cached entry
 // point: it returns the result plus a RunInfo telling how the run was

@@ -5,10 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
+	"time"
 
 	"dramtherm/internal/core"
 	"dramtherm/internal/fbconfig"
+	"dramtherm/internal/memo"
+	"dramtherm/internal/obs"
 	"dramtherm/internal/sim"
 	"dramtherm/internal/sweep/prefix"
 	"dramtherm/internal/workload"
@@ -17,6 +21,24 @@ import (
 // RunFunc executes one resolved level-2 run. The default is
 // core.System.RunCtx; tests substitute counting fakes via SetRunFunc.
 type RunFunc func(ctx context.Context, spec core.RunSpec) (sim.MEMSpotResult, error)
+
+// Outcome reports how a run was served: by simulating it, by a completed
+// cache entry, or by joining an identical in-flight run.
+type Outcome = memo.Outcome
+
+// Run outcomes.
+const (
+	// Built: this caller was the leader and produced the result itself.
+	Built = memo.Built
+	// Hit: served from a completed cache entry, no work at all.
+	Hit = memo.Hit
+	// Joined: deduplicated against another caller's in-flight run.
+	Joined = memo.Joined
+)
+
+// Stats summarizes run-cache traffic; Builds counts leader runs — the
+// unique simulations requested.
+type Stats = memo.Stats
 
 // RunInfo describes how a run was ultimately served: the cache outcome
 // plus, for runs dispatched through a SpecBackend, the identity of the
@@ -70,11 +92,13 @@ type BatchBackend interface {
 
 // Engine serves level-2 runs from a deduplicating cache over one
 // core.System. It is safe for concurrent use by any number of callers;
-// actual simulation work is bounded by the cache's worker pool.
+// actual simulation work is bounded by the engine's worker pool.
 type Engine struct {
 	sys      *core.System
 	digest   string
-	cache    *Cache[sim.MEMSpotResult]
+	cache    *memo.Table[Key, sim.MEMSpotResult]
+	sem      chan struct{}  // worker pool: one slot per leader build
+	buildDur *obs.Histogram // leader build latency; nil until Instrument
 	run      RunFunc
 	backend  SpecBackend
 	batch    BatchBackend
@@ -98,10 +122,14 @@ type Engine struct {
 // NewEngine builds an engine over sys with the given worker-pool width
 // (<= 0 selects GOMAXPROCS).
 func NewEngine(sys *core.System, workers int) *Engine {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	e := &Engine{
 		sys:      sys,
 		digest:   sys.ConfigDigest(),
-		cache:    NewCache[sim.MEMSpotResult](workers),
+		cache:    memo.New[Key, sim.MEMSpotResult](0),
+		sem:      make(chan struct{}, workers),
 		policies: make(map[string]bool),
 	}
 	for _, n := range core.PolicyNames() {
@@ -115,7 +143,7 @@ func NewEngine(sys *core.System, workers int) *Engine {
 func (e *Engine) System() *core.System { return e.sys }
 
 // Workers returns the simulation worker-pool width.
-func (e *Engine) Workers() int { return e.cache.Workers() }
+func (e *Engine) Workers() int { return cap(e.sem) }
 
 // Stats returns run-cache traffic counters.
 func (e *Engine) Stats() Stats { return e.cache.Stats() }
@@ -276,10 +304,10 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (sim.MEMSpotResult, RunInfo
 	if err := e.Validate(spec); err != nil {
 		return sim.MEMSpotResult{}, RunInfo{}, err
 	}
-	// The leader runs the builder synchronously inside DoTraced, so the
+	// The leader runs the builder synchronously inside do, so the
 	// captured backend info is safe to read whenever out == Built.
 	var remote RunInfo
-	res, out, err := e.cache.DoTraced(ctx, spec.Key(e.digest), func(ctx context.Context) (sim.MEMSpotResult, error) {
+	res, out, err := e.do(ctx, spec.Key(e.digest), func(ctx context.Context) (sim.MEMSpotResult, error) {
 		if e.backend == nil {
 			return e.Exec(ctx, spec)
 		}
@@ -292,6 +320,28 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (sim.MEMSpotResult, RunInfo
 		info = remote
 	}
 	return res, info, err
+}
+
+// do serves key from the run cache, running build as the leader body
+// inside a worker-pool slot. The slot is taken after the flight is
+// registered, so joiners wait on it, and the wait for a slot aborts
+// when ctx is done.
+func (e *Engine) do(ctx context.Context, key Key, build func(context.Context) (sim.MEMSpotResult, error)) (sim.MEMSpotResult, Outcome, error) {
+	return e.cache.Do(ctx, key, func(ctx context.Context) (sim.MEMSpotResult, error) {
+		select {
+		case e.sem <- struct{}{}:
+		case <-ctx.Done():
+			return sim.MEMSpotResult{}, ctx.Err()
+		}
+		defer func() { <-e.sem }()
+		if e.buildDur == nil {
+			return build(ctx)
+		}
+		t0 := time.Now()
+		res, err := build(ctx)
+		e.buildDur.Observe(time.Since(t0).Seconds())
+		return res, err
+	})
 }
 
 // Exec executes the spec locally, uncached: the leader body behind the

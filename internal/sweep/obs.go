@@ -4,45 +4,41 @@ import (
 	"dramtherm/internal/obs"
 )
 
-// Instrument registers the cache's metric families on reg: lookup
-// outcomes, completed entries, worker-pool saturation, and the leader
-// build-latency histogram. The counter and gauge families read the
-// cache's own atomics and pool channel, so /metrics and Stats report
-// identical numbers by construction. Like SetRunFunc, Instrument must
-// be called before the cache is shared across goroutines; a nil reg is
-// a no-op (the uninstrumented hot path pays one nil check).
-func (c *Cache[V]) Instrument(reg *obs.Registry) {
+// Instrument registers the engine's metric families on reg: run-cache
+// lookup outcomes, completed entries, worker-pool saturation and the
+// leader build-latency histogram, plus the prefix-sharing families when
+// EnablePrefixSharing has been called. The counter and gauge families
+// read the cache's own counters and the pool channel, so /metrics and
+// Stats report identical numbers by construction. Like SetRunFunc,
+// Instrument must be called before the engine is shared across
+// goroutines; a nil reg is a no-op (the uninstrumented hot path pays
+// one nil check).
+func (e *Engine) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	c.buildDur = reg.Histogram("dramtherm_cache_build_seconds",
+	e.buildDur = reg.Histogram("dramtherm_cache_build_seconds",
 		"Wall-clock seconds per leader build (one unique simulation each).",
 		obs.DefBuckets)
 	reg.SampleFunc(obs.KindCounter, "dramtherm_cache_requests_total",
 		"Cache lookups by outcome: built (leader ran the builder), hit (completed entry), joined (deduplicated against an in-flight build).",
 		[]string{"outcome"}, func() []obs.Sample {
+			st := e.cache.Stats()
 			return []obs.Sample{
-				{LabelValues: []string{"built"}, Value: float64(c.builds.Load())},
-				{LabelValues: []string{"hit"}, Value: float64(c.hits.Load())},
-				{LabelValues: []string{"joined"}, Value: float64(c.waits.Load())},
+				{LabelValues: []string{"built"}, Value: float64(st.Builds)},
+				{LabelValues: []string{"hit"}, Value: float64(st.Hits)},
+				{LabelValues: []string{"joined"}, Value: float64(st.Waits)},
 			}
 		})
 	reg.GaugeFunc("dramtherm_cache_entries",
 		"Completed run-cache entries.",
-		func() float64 { return float64(c.Len()) })
+		func() float64 { return float64(e.cache.Len()) })
 	reg.GaugeFunc("dramtherm_pool_workers",
 		"Simulation worker-pool width.",
-		func() float64 { return float64(cap(c.sem)) })
+		func() float64 { return float64(cap(e.sem)) })
 	reg.GaugeFunc("dramtherm_pool_busy",
 		"Worker-pool slots currently held by leader builds.",
-		func() float64 { return float64(len(c.sem)) })
-}
-
-// Instrument registers the engine's run-cache metrics on reg, plus the
-// prefix-sharing families when EnablePrefixSharing has been called. It
-// must be called before the engine is shared across goroutines.
-func (e *Engine) Instrument(reg *obs.Registry) {
-	e.cache.Instrument(reg)
+		func() float64 { return float64(len(e.sem)) })
 	if e.prefix != nil {
 		e.prefix.Instrument(reg)
 	}

@@ -23,12 +23,7 @@ func (s *Sharer) Instrument(reg *obs.Registry) {
 		func() float64 { return float64(s.checkpoints.Load()) })
 	reg.GaugeFunc("dramtherm_prefix_groups",
 		"Policy-sliced prefix groups currently tracked.",
-		func() float64 {
-			s.mu.Lock()
-			n := len(s.groups)
-			s.mu.Unlock()
-			return float64(n)
-		})
+		func() float64 { return float64(s.groups.Len()) })
 	reg.SampleFunc(obs.KindCounter, "dramtherm_prefix_runs_total",
 		"Runs by mode: leader (cold run recording the group log), full_reuse (follower matched the whole log), resumed (follower restored a checkpoint), cold (follower fell back to full replay).",
 		[]string{"mode"}, func() []obs.Sample {

@@ -14,6 +14,11 @@
 // replaying from t=0. A follower whose policy matches the entire log
 // reuses the leader's result outright.
 //
+// Groups live in a memo.Table keyed by the slice key, so a group's
+// leader is the table's builder: siblings that arrive while it runs wait
+// for it, and when the leader's client goes away one live sibling takes
+// over the lead and the others follow that one instead.
+//
 // Correctness rests on a bit-identity proof obligation, discharged by
 // the divergence differential suite in internal/simtest: restoring a
 // checkpoint and warming a fresh policy with the recorded inputs must
@@ -30,11 +35,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"dramtherm/internal/core"
 	"dramtherm/internal/dtm"
+	"dramtherm/internal/memo"
 	"dramtherm/internal/sim"
 )
 
@@ -48,9 +53,8 @@ const maxCheckpoints = 16
 // checkpoint within the recorded prefix, but full-result reuse is off.
 const maxDecisions = 1 << 18
 
-// maxGroups bounds the group table; the oldest group is evicted first.
-// Evicting an in-flight group is safe: followers hold the *group
-// pointer and the leader completes it regardless of table membership.
+// maxGroups bounds the group table; the oldest completed group is
+// evicted first, and in-flight groups are never evicted.
 const maxGroups = 512
 
 // DecisionRecord is one recorded policy invocation.
@@ -104,29 +108,23 @@ type Stats struct {
 	StepsSaved     int64 // windows skipped via checkpoint resume or full reuse
 }
 
-// group is one policy-sliced prefix group. The leader writes decisions,
-// checkpoints, res and err before closing done; everything is read-only
-// for followers afterwards.
+// group is one policy-sliced prefix group. The leader fills it in before
+// the group table publishes it; everything is read-only for followers
+// afterwards.
 type group struct {
-	done chan struct{}
-
 	decisions   []DecisionRecord
 	checkpoints []Checkpoint
 	truncated   bool
 	res         sim.MEMSpotResult
 	hasRes      bool
 	steps       int64 // leader's total timeline steps, for full-reuse accounting
-	err         error
 }
 
 // Sharer coordinates prefix sharing across concurrently executing specs.
 // The zero value is not usable; construct with New.
 type Sharer struct {
 	builder Builder
-
-	mu     sync.Mutex
-	groups map[string]*group
-	order  []string
+	groups  *memo.Table[string, *group]
 
 	onComplete func(GroupRecord) // persistence hook; set before first Run
 
@@ -137,7 +135,13 @@ type Sharer struct {
 
 // New returns a sharer building runs through b.
 func New(b Builder) *Sharer {
-	return &Sharer{builder: b, groups: make(map[string]*group)}
+	s := &Sharer{builder: b, groups: memo.New[string, *group](maxGroups)}
+	s.groups.OnInsert(func(key string, g *group) {
+		if s.onComplete != nil && len(g.checkpoints) > 0 {
+			s.onComplete(export(key, g))
+		}
+	})
+	return s
 }
 
 // OnGroupComplete registers fn to receive a persistable record of every
@@ -147,11 +151,8 @@ func (s *Sharer) OnGroupComplete(fn func(GroupRecord)) { s.onComplete = fn }
 
 // Stats returns a snapshot of the counters.
 func (s *Sharer) Stats() Stats {
-	s.mu.Lock()
-	n := len(s.groups)
-	s.mu.Unlock()
 	return Stats{
-		Groups:         n,
+		Groups:         s.groups.Len(),
 		Leaders:        s.leaders.Load(),
 		FullReuse:      s.fullReuse.Load(),
 		Resumed:        s.resumed.Load(),
@@ -169,50 +170,24 @@ func (s *Sharer) Stats() Stats {
 // checkpointing); later specs follow (probe, resume, or reuse). Results
 // are bit-identical to a cold replay either way.
 func (s *Sharer) Run(ctx context.Context, groupKey string, newRun func() (core.RunSpec, error)) (sim.MEMSpotResult, error) {
-	s.mu.Lock()
-	g, ok := s.groups[groupKey]
-	if !ok {
-		g = &group{done: make(chan struct{})}
-		s.insertLocked(groupKey, g)
-		s.mu.Unlock()
-
-		res, err := s.runLeader(ctx, g, newRun)
-		g.err = err
-		if err != nil {
-			// Delete before close(done) so arrivals that observe the map
-			// without this group elect a fresh leader; current waiters see
-			// g.err and fall back to cold runs.
-			s.mu.Lock()
-			if s.groups[groupKey] == g {
-				delete(s.groups, groupKey)
-			}
-			s.mu.Unlock()
-		}
-		close(g.done)
-		if err == nil && s.onComplete != nil && len(g.checkpoints) > 0 {
-			s.onComplete(s.export(groupKey, g))
-		}
+	var res sim.MEMSpotResult
+	g, out, err := s.groups.Do(ctx, groupKey, func(ctx context.Context) (*group, error) {
+		g := &group{}
+		var err error
+		res, err = s.runLeader(ctx, g, newRun)
+		return g, err
+	})
+	switch {
+	case out == memo.Built:
 		return res, err
-	}
-	s.mu.Unlock()
-
-	select {
-	case <-g.done:
-	case <-ctx.Done():
-		return sim.MEMSpotResult{}, ctx.Err()
+	case err != nil && ctx.Err() == nil:
+		// The leader failed for its own reasons (a cancelled leader hands
+		// off to a live follower inside Do instead): run cold.
+		return s.runCold(ctx, newRun)
+	case err != nil:
+		return sim.MEMSpotResult{}, err
 	}
 	return s.runFollower(ctx, g, newRun)
-}
-
-// insertLocked adds a group under s.mu, evicting the oldest past the cap.
-func (s *Sharer) insertLocked(key string, g *group) {
-	s.groups[key] = g
-	s.order = append(s.order, key)
-	for len(s.order) > maxGroups {
-		old := s.order[0]
-		s.order = s.order[1:]
-		delete(s.groups, old)
-	}
 }
 
 // Recorder wraps a policy so every decision is captured; the prefix
@@ -334,7 +309,7 @@ func (s *Sharer) runLeader(ctx context.Context, g *group, newRun func() (core.Ru
 // from the deepest usable checkpoint, reuses the leader's result on a
 // full match, or falls back to a cold replay.
 func (s *Sharer) runFollower(ctx context.Context, g *group, newRun func() (core.RunSpec, error)) (sim.MEMSpotResult, error) {
-	if g.err != nil || len(g.decisions) == 0 {
+	if len(g.decisions) == 0 {
 		return s.runCold(ctx, newRun)
 	}
 
@@ -408,9 +383,9 @@ func (s *Sharer) runCold(ctx context.Context, newRun func() (core.RunSpec, error
 	return res, err
 }
 
-// export builds the persistable record of a completed group; done is
-// closed, so the group's fields are immutable and no lock is needed.
-func (s *Sharer) export(key string, g *group) GroupRecord {
+// export builds the persistable record of a completed group; a published
+// group is immutable, so no lock is needed.
+func export(key string, g *group) GroupRecord {
 	rec := GroupRecord{
 		Key:         key,
 		TraceDigest: TraceDigest(key, g.decisions),
@@ -430,31 +405,9 @@ func (s *Sharer) export(key string, g *group) GroupRecord {
 // Export streams persistable records of every completed group with
 // checkpoints (segment-log compaction uses it).
 func (s *Sharer) Export(fn func(GroupRecord) bool) {
-	s.mu.Lock()
-	type kv struct {
-		k string
-		g *group
-	}
-	var completed []kv
-	for _, k := range s.order {
-		g := s.groups[k]
-		if g == nil {
-			continue
-		}
-		select {
-		case <-g.done:
-			if g.err == nil && len(g.checkpoints) > 0 {
-				completed = append(completed, kv{k, g})
-			}
-		default:
-		}
-	}
-	s.mu.Unlock()
-	for _, e := range completed {
-		if !fn(s.export(e.k, e.g)) {
-			return
-		}
-	}
+	s.groups.Range(func(key string, g *group) bool {
+		return len(g.checkpoints) == 0 || fn(export(key, g))
+	})
 }
 
 // Validate checks a record's internal consistency: the trace digest must
@@ -499,7 +452,6 @@ func (s *Sharer) Import(rec GroupRecord) error {
 		return err
 	}
 	g := &group{
-		done:      make(chan struct{}),
 		decisions: rec.Decisions,
 		truncated: true, // no result to reuse; resume-only
 	}
@@ -512,12 +464,7 @@ func (s *Sharer) Import(rec GroupRecord) error {
 			State:       &st,
 		})
 	}
-	close(g.done)
-	s.mu.Lock()
-	if _, exists := s.groups[rec.Key]; !exists {
-		s.insertLocked(rec.Key, g)
-	}
-	s.mu.Unlock()
+	s.groups.Add(rec.Key, g)
 	return nil
 }
 

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"dramtherm/internal/core"
 	"dramtherm/internal/dtm"
@@ -195,6 +197,106 @@ func TestLeaderErrorElectsFreshLeader(t *testing.T) {
 	}
 	if st := s.Stats(); st.Leaders != 2 {
 		t.Fatalf("leaders = %d, want 2 (failed + fresh)", st.Leaders)
+	}
+}
+
+// cancelAt wraps a policy and calls fn just before decision at, so a
+// test can act in the middle of a run.
+type cancelAt struct {
+	dtm.Policy
+	n, at int
+	fn    func()
+}
+
+func (c *cancelAt) Decide(in dtm.Input) dtm.Action {
+	if c.n == c.at {
+		c.fn()
+	}
+	c.n++
+	return c.Policy.Decide(in)
+}
+
+// TestCancelledLeaderHandsOff: when a group leader's client goes away
+// mid-run, one live waiting sibling takes over the lead and the others
+// follow it — none is demoted to a cold replay, and every result is
+// bit-identical to its cold replay.
+func TestCancelledLeaderHandsOff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation skipped in -short mode")
+	}
+	sys := testSystem(t)
+	followers := []string{"DTM-BW", "DTM-ACG", "DTM-CDVFS"}
+	cold := make(map[string]sim.MEMSpotResult, len(followers))
+	for _, p := range followers {
+		res, err := sys.Run(runSpec(t, sys, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold[p] = res
+	}
+
+	// newRun resolves specs off the test goroutine, so it reports errors
+	// instead of failing the test itself.
+	mix, err := workload.MixByName("W1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRun := func(policy string) (core.RunSpec, error) {
+		pol, err := sys.NewPolicy(policy)
+		return core.RunSpec{Mix: mix, Policy: pol, Cooling: fbconfig.CoolingAOHS15}, err
+	}
+
+	s := prefix.New(sys)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leading := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := s.Run(ctx, "slice", func() (core.RunSpec, error) {
+			rs, err := newRun("DTM-TS")
+			rs.Policy = &cancelAt{Policy: rs.Policy, at: 50, fn: func() {
+				close(leading)
+				for s.Waits() < int64(len(followers)) {
+					time.Sleep(time.Millisecond)
+				}
+				cancel()
+			}}
+			return rs, err
+		})
+		leaderErr <- err
+	}()
+	<-leading
+
+	got := make([]sim.MEMSpotResult, len(followers))
+	errs := make([]error, len(followers))
+	var wg sync.WaitGroup
+	for i, p := range followers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = s.Run(context.Background(), "slice", func() (core.RunSpec, error) {
+				return newRun(p)
+			})
+		}()
+	}
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader err = %v, want context.Canceled", err)
+	}
+	wg.Wait()
+	for i, p := range followers {
+		if errs[i] != nil {
+			t.Fatalf("%s inherited the leader's cancellation: %v", p, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], cold[p]) {
+			t.Fatalf("%s: result after hand-off diverged from cold replay", p)
+		}
+	}
+	st := s.Stats()
+	if st.Leaders != 2 || st.Cold != 0 {
+		t.Fatalf("stats %+v, want 2 leaders (cancelled + hand-off) and 0 cold runs", st)
+	}
+	if st.FullReuse+st.Resumed != int64(len(followers))-1 {
+		t.Fatalf("follower modes don't sum: %+v", st)
 	}
 }
 

@@ -7,10 +7,14 @@ import (
 	"encoding/gob"
 	"errors"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"dramtherm/internal/core"
 	"dramtherm/internal/sim"
 )
 
@@ -313,6 +317,45 @@ func TestEngineImportResult(t *testing.T) {
 	}
 	if st, _ := e.StateStats(); st.Appends != 1 {
 		t.Fatalf("import not persisted: %+v", st)
+	}
+}
+
+// TestEngineImportResultOnce: concurrent deliveries of one key (two
+// /v1/handoff requests racing) must accept exactly one import and append
+// exactly one segment-log frame.
+func TestEngineImportResultOnce(t *testing.T) {
+	const (
+		iterations = 500
+		deliveries = 16
+	)
+	sys := core.NewSystem(core.DefaultConfig())
+	root := t.TempDir()
+	res := sim.MEMSpotResult{Seconds: 42}
+	for iter := 0; iter < iterations; iter++ {
+		e := NewEngine(sys, 1)
+		if err := e.EnableSegmentLog(filepath.Join(root, strconv.Itoa(iter)), 0); err != nil {
+			t.Fatal(err)
+		}
+		key := e.Key(Spec{Mix: "W1"})
+		var accepted atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < deliveries; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if e.ImportResult(key, res) {
+					accepted.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		st, _ := e.StateStats()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := accepted.Load(); n != 1 || st.Appends != 1 {
+			t.Fatalf("iteration %d: %d imports accepted, %d frames appended; want 1 and 1", iter, n, st.Appends)
+		}
 	}
 }
 

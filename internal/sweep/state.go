@@ -231,10 +231,9 @@ func (e *Engine) ImportResult(key Key, res sim.MEMSpotResult) bool {
 	if !strings.HasPrefix(string(key), e.digest+"|") {
 		return false
 	}
-	if _, ok := e.cache.Get(key); ok {
+	if !e.cache.Add(key, res) {
 		return false
 	}
-	e.cache.Put(key, res)
 	if e.seglog != nil {
 		e.appendRun(key, res)
 	}
@@ -247,6 +246,6 @@ func (e *Engine) HasResult(key Key) bool {
 	return ok
 }
 
-// Range iterates the completed run cache (see Cache.Range) — the export
+// Range iterates the completed run cache (see memo.Table.Range) — the export
 // side of replication and handoff.
 func (e *Engine) Range(fn func(Key, sim.MEMSpotResult) bool) { e.cache.Range(fn) }

@@ -239,7 +239,7 @@ func (e *Engine) batchRunner(ctx context.Context, specs []Spec, normalize bool) 
 		}
 		k := e.Key(spec)
 		var served RunInfo
-		res, out, err := e.cache.DoTraced(ctx, k, func(bctx context.Context) (sim.MEMSpotResult, error) {
+		res, out, err := e.do(ctx, k, func(bctx context.Context) (sim.MEMSpotResult, error) {
 			p := pend[k]
 			if p == nil {
 				// Not planned (cached at plan time, yet we are the leader —

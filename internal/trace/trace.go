@@ -3,18 +3,21 @@
 // simulator produces Rates records — steady-state performance and
 // throughput for one combination of running applications under one DTM
 // design point — and the level-2 simulator (MEMSpot) consumes them in
-// 10 ms windows. A Store memoizes records and can persist them in the
-// framed binary format of codec.go, mirroring the paper's precomputed
-// trace sets Wi×D.
+// 10 ms windows. A Store memoizes records on a memo.Table — one level-1
+// build per design point, however many level-2 runs ask for it — and
+// can persist them in the framed binary format of codec.go, mirroring
+// the paper's precomputed trace sets Wi×D.
 package trace
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strings"
-	"sync"
+
+	"dramtherm/internal/memo"
 )
 
 // DesignPoint is one point of the explored design space D: which
@@ -120,34 +123,18 @@ type BuilderFunc func(dp DesignPoint) (Rates, error)
 // Build implements Builder.
 func (f BuilderFunc) Build(dp DesignPoint) (Rates, error) { return f(dp) }
 
-// Store memoizes Rates by design point. It is safe for concurrent use:
-// simultaneous Gets for the same unbuilt point share a single build
-// (singleflight), while distinct points build in parallel.
+// Store memoizes Rates by design point on a memo.Table. It is safe for
+// concurrent use: simultaneous Gets for the same unbuilt point share a
+// single build, while distinct points build in parallel.
 type Store struct {
-	mu       sync.Mutex
-	builder  Builder
-	recs     map[DesignPoint]Rates
-	inflight map[DesignPoint]*build
-	builds   int
-	hits     int
-	onBuild  func(Rates) // post-build hook; nil until SetOnBuild
-}
-
-// build tracks one in-flight level-1 simulation.
-type build struct {
-	done chan struct{}
-	r    Rates
-	err  error
+	builder Builder
+	recs    *memo.Table[DesignPoint, Rates]
 }
 
 // NewStore returns a store backed by b (may be nil for a read-only store
 // filled via Load or Put).
 func NewStore(b Builder) *Store {
-	return &Store{
-		builder:  b,
-		recs:     make(map[DesignPoint]Rates),
-		inflight: make(map[DesignPoint]*build),
-	}
+	return &Store{builder: b, recs: memo.New[DesignPoint, Rates](0)}
 }
 
 // Get returns the record for dp, building and memoizing it on first use.
@@ -156,48 +143,17 @@ func (s *Store) Get(dp DesignPoint) (Rates, error) {
 	if dp.MemOff || dp.Apps == "" || dp.FreqGHz <= 0 {
 		return Zero(dp), nil
 	}
-	s.mu.Lock()
-	if r, ok := s.recs[dp]; ok {
-		s.hits++
-		s.mu.Unlock()
+	r, _, err := s.recs.Do(context.TODO(), dp, func(context.Context) (Rates, error) {
+		if s.builder == nil {
+			return Rates{}, fmt.Errorf("trace: no record for %v and no builder", dp)
+		}
+		r, err := s.builder.Build(dp)
+		if err != nil {
+			return Rates{}, fmt.Errorf("trace: building %v: %w", dp, err)
+		}
 		return r, nil
-	}
-	if fl, ok := s.inflight[dp]; ok {
-		s.mu.Unlock()
-		<-fl.done
-		return fl.r, fl.err
-	}
-	b := s.builder
-	if b == nil {
-		s.mu.Unlock()
-		return Rates{}, fmt.Errorf("trace: no record for %v and no builder", dp)
-	}
-	fl := &build{done: make(chan struct{})}
-	s.inflight[dp] = fl
-	s.mu.Unlock()
-
-	r, err := b.Build(dp)
-	if err != nil {
-		err = fmt.Errorf("trace: building %v: %w", dp, err)
-	}
-	fl.r, fl.err = r, err
-	s.mu.Lock()
-	delete(s.inflight, dp)
-	var hook func(Rates)
-	if err == nil {
-		s.recs[dp] = r
-		s.builds++
-		hook = s.onBuild
-	}
-	s.mu.Unlock()
-	close(fl.done)
-	if err != nil {
-		return Rates{}, err
-	}
-	if hook != nil {
-		hook(r)
-	}
-	return r, nil
+	})
+	return r, err
 }
 
 // SetOnBuild registers fn to run after every successful level-1 build —
@@ -206,68 +162,37 @@ func (s *Store) Get(dp DesignPoint) (Rates, error) {
 // outside the store lock on the builder's goroutine. Call before the
 // store is in use; not synchronized with concurrent Get.
 func (s *Store) SetOnBuild(fn func(Rates)) {
-	s.mu.Lock()
-	s.onBuild = fn
-	s.mu.Unlock()
+	s.recs.OnInsert(func(_ DesignPoint, r Rates) { fn(r) })
 }
 
 // Range calls fn for every memoized record until fn returns false. The
 // record set is snapshotted under the lock, so fn itself runs lock-free.
 func (s *Store) Range(fn func(Rates) bool) {
-	s.mu.Lock()
-	snap := make([]Rates, 0, len(s.recs))
-	for _, r := range s.recs {
-		snap = append(snap, r)
-	}
-	s.mu.Unlock()
-	for _, r := range snap {
-		if !fn(r) {
-			return
-		}
-	}
+	s.recs.Range(func(_ DesignPoint, r Rates) bool { return fn(r) })
 }
 
-// Put inserts a record directly (used by tests and by Load).
-func (s *Store) Put(r Rates) {
-	s.mu.Lock()
-	s.recs[r.Point] = r
-	s.mu.Unlock()
-}
-
-// PutBatch inserts a batch of records under one lock acquisition; Load
-// uses it to insert each decoded chunk as it completes.
-func (s *Store) PutBatch(rs []Rates) {
-	s.mu.Lock()
-	for _, r := range rs {
-		s.recs[r.Point] = r
-	}
-	s.mu.Unlock()
-}
+// Put inserts a record directly (used by tests, Load and log replay).
+func (s *Store) Put(r Rates) { s.recs.Put(r.Point, r) }
 
 // Len returns the number of memoized records.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.recs)
-}
+func (s *Store) Len() int { return s.recs.Len() }
 
-// Counts returns how many records were built vs. served from memo.
+// Counts returns how many level-1 builds ran vs. how many lookups were
+// served from memo.
 func (s *Store) Counts() (builds, hits int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.builds, s.hits
+	st := s.recs.Stats()
+	return int(st.Builds), int(st.Hits)
 }
 
 // Save writes all records to w in the framed binary format (codec.go).
 // Records are sorted by design point so the same record set always
 // produces the same bytes.
 func (s *Store) Save(w io.Writer) error {
-	s.mu.Lock()
-	recs := make([]Rates, 0, len(s.recs))
-	for _, r := range s.recs {
+	var recs []Rates
+	s.Range(func(r Rates) bool {
 		recs = append(recs, r)
-	}
-	s.mu.Unlock()
+		return true
+	})
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := recs[i].Point, recs[j].Point
 		if a.Apps != b.Apps {
@@ -295,7 +220,7 @@ var loadChunkBytes = 64 << 10
 
 // Load reads records written by Save and inserts them. The stream
 // decodes incrementally in fixed-size chunks, each decoded batch
-// inserted via PutBatch as it completes.
+// inserted as it completes.
 func (s *Store) Load(r io.Reader) error {
 	var dec ChunkDecoder
 	chunk := make([]byte, loadChunkBytes)
@@ -308,7 +233,9 @@ func (s *Store) Load(r io.Reader) error {
 			if err != nil {
 				return fmt.Errorf("trace: load: %w", err)
 			}
-			s.PutBatch(batch)
+			for _, r := range batch {
+				s.Put(r)
+			}
 		}
 		if rerr == io.EOF {
 			break
