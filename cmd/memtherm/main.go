@@ -9,7 +9,9 @@
 //	memtherm -run fig4.4 -csv      # emit CSV instead of rendered tables
 //	memtherm -run all -parallel 8  # run experiments concurrently; shared
 //	                               # (mix, policy) runs are deduplicated by
-//	                               # the sweep engine, not repeated
+//	                               # the sweep engine, not repeated, and
+//	                               # each Chapter 5 figure runs up to 8
+//	                               # platform emulations at once
 //	memtherm -run all -segment-dir s.d
 //	                               # durable cache: results persist to the
 //	                               # s.d segment log as they complete
@@ -37,7 +39,7 @@ func main() {
 		run      = flag.String("run", "", "experiment ID(s), comma separated, or \"all\"")
 		quick    = flag.Bool("quick", false, "reduced-scale mode (smaller batches, fewer mixes)")
 		csv      = flag.Bool("csv", false, "emit tables as CSV")
-		parallel = flag.Int("parallel", 1, "experiments to run concurrently; also sizes the simulation worker pool (0 = GOMAXPROCS)")
+		parallel = flag.Int("parallel", 1, "experiments to run concurrently; also sizes the simulation worker pool and the fan-out of each Chapter 5 figure's platform runs (0 = GOMAXPROCS)")
 		segDir   = flag.String("segment-dir", "", "durable state: results append to the segment-log directory as they complete and replay on the next run")
 		search   = flag.String("search", "", "adaptive search instead of an experiment: \"halving\" or \"bounds\" finds the best DTM policy per Chapter 4 mix, pruning on cheap fidelity rungs")
 	)

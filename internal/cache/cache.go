@@ -6,7 +6,11 @@
 // source of DTM-ACG performance gain (§4.4.2, §5.4.3).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"sync"
+)
 
 // Addr is a byte address. Streams address a per-core private region by
 // setting high bits, so cores never alias.
@@ -79,14 +83,45 @@ type Cache struct {
 	lineBits uint
 	setMask  uint64
 
-	tags  []uint64 // sets × ways; tag 0 means empty (tags stored +1)
-	dirty []bool
-	owner []uint8  // requester core of the resident line
-	stamp []uint64 // LRU timestamps
-	clock uint64
+	storage
+	clock uint32 // last stamp handed out; renormalized before it wraps
 
 	stats   Stats
 	perCore []Stats
+}
+
+// storage is a cache's line arrays (sets × ways each). Release hands it
+// to a pool shared by every cache of the same line count, so a level-1
+// build storm reuses a few megabytes of L2 arrays instead of allocating
+// them per build.
+type storage struct {
+	tags  []uint64 // tag 0 means empty (tags stored +1)
+	dirty []bool
+	owner []uint8  // requester core of the resident line
+	stamp []uint32 // LRU timestamps, ordered within a set
+}
+
+// pools maps a line count to the *sync.Pool of released storage.
+var pools sync.Map
+
+// newStorage returns zeroed storage for lines lines, recycled when a
+// released one of that size is available.
+func newStorage(lines int) storage {
+	if p, ok := pools.Load(lines); ok {
+		if s, ok := p.(*sync.Pool).Get().(*storage); ok {
+			clear(s.tags)
+			clear(s.dirty)
+			clear(s.owner)
+			clear(s.stamp)
+			return *s
+		}
+	}
+	return storage{
+		tags:  make([]uint64, lines),
+		dirty: make([]bool, lines),
+		owner: make([]uint8, lines),
+		stamp: make([]uint32, lines),
+	}
 }
 
 // New builds a cache for cfg with stats tracked for cores requester IDs
@@ -110,13 +145,23 @@ func New(cfg Config, cores int) (*Cache, error) {
 		ways:     cfg.Ways,
 		lineBits: lineBits,
 		setMask:  uint64(sets - 1),
-		tags:     make([]uint64, lines),
-		dirty:    make([]bool, lines),
-		owner:    make([]uint8, lines),
-		stamp:    make([]uint64, lines),
+		storage:  newStorage(lines),
 		perCore:  make([]Stats, cores),
 	}
 	return c, nil
+}
+
+// Release returns the cache's line arrays to the pool for the next cache
+// of the same size. The cache must not be used afterwards; a second
+// Release is a no-op.
+func (c *Cache) Release() {
+	if c.tags == nil {
+		return
+	}
+	p, _ := pools.LoadOrStore(len(c.tags), new(sync.Pool))
+	s := c.storage
+	p.(*sync.Pool).Put(&s)
+	c.storage = storage{}
 }
 
 // Config returns the cache geometry.
@@ -129,6 +174,9 @@ func (c *Cache) Sets() int { return c.sets }
 // result. On a miss the line is allocated, evicting the LRU way; a dirty
 // victim's address is reported for writeback.
 func (c *Cache) Access(core int, addr Addr, kind AccessKind) Result {
+	if c.clock == math.MaxUint32 {
+		c.renormalize()
+	}
 	c.clock++
 	line := addr >> c.lineBits
 	set := int(line & c.setMask)
@@ -158,7 +206,7 @@ func (c *Cache) Access(core int, addr Addr, kind AccessKind) Result {
 		c.perCore[core].Misses++
 	}
 	victim := base
-	var oldest uint64 = ^uint64(0)
+	var oldest uint32 = math.MaxUint32
 	for w := 0; w < c.ways; w++ {
 		i := base + w
 		if c.tags[i] == 0 {
@@ -190,6 +238,32 @@ func (c *Cache) Access(core int, addr Addr, kind AccessKind) Result {
 		c.owner[victim] = uint8(core)
 	}
 	return res
+}
+
+// renormalize rewrites each set's stamps as their ranks within the set,
+// 1 for the least recently used valid line, and restarts the clock at
+// the largest rank. Victim choice only compares stamps within one set,
+// and every new stamp exceeds the clock, so LRU decisions are exactly
+// those of an unbounded clock.
+func (c *Cache) renormalize() {
+	c.clock = 0
+	ranks := make([]uint32, c.ways)
+	for base := 0; base < len(c.tags); base += c.ways {
+		for w := range ranks {
+			ranks[w] = 0
+			if c.tags[base+w] == 0 {
+				continue
+			}
+			ranks[w] = 1
+			for v := base; v < base+c.ways; v++ {
+				if c.tags[v] != 0 && c.stamp[v] < c.stamp[base+w] {
+					ranks[w]++
+				}
+			}
+			c.clock = max(c.clock, ranks[w])
+		}
+		copy(c.stamp[base:], ranks)
+	}
 }
 
 // Contains reports whether addr's line is resident (no LRU update).

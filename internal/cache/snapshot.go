@@ -4,7 +4,10 @@
 
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // State is the restorable state of a Cache. Geometry (Config) is not
 // part of the state: a snapshot restores only onto a cache built with
@@ -21,12 +24,16 @@ type State struct {
 
 // Snapshot deep-copies the cache's dynamic state.
 func (c *Cache) Snapshot() State {
+	stamps := make([]uint64, len(c.stamp))
+	for i, s := range c.stamp {
+		stamps[i] = uint64(s)
+	}
 	return State{
 		Tags:    append([]uint64(nil), c.tags...),
 		Dirty:   append([]bool(nil), c.dirty...),
 		Owner:   append([]uint8(nil), c.owner...),
-		Stamp:   append([]uint64(nil), c.stamp...),
-		Clock:   c.clock,
+		Stamp:   stamps,
+		Clock:   uint64(c.clock),
 		Stats:   c.stats,
 		PerCore: append([]Stats(nil), c.perCore...),
 	}
@@ -39,14 +46,19 @@ func (c *Cache) Restore(st State) error {
 		len(st.Owner) != len(c.owner) || len(st.Stamp) != len(c.stamp) {
 		return fmt.Errorf("cache: restore onto a cache with different geometry")
 	}
+	if st.Clock > math.MaxUint32 {
+		return fmt.Errorf("cache: restore of clock %d past the 32-bit LRU clock", st.Clock)
+	}
 	if len(st.PerCore) != len(c.perCore) {
 		return fmt.Errorf("cache: restore with %d per-core stats onto %d cores", len(st.PerCore), len(c.perCore))
 	}
 	copy(c.tags, st.Tags)
 	copy(c.dirty, st.Dirty)
 	copy(c.owner, st.Owner)
-	copy(c.stamp, st.Stamp)
-	c.clock = st.Clock
+	for i, s := range st.Stamp {
+		c.stamp[i] = uint32(s)
+	}
+	c.clock = uint32(st.Clock)
 	c.stats = st.Stats
 	copy(c.perCore, st.PerCore)
 	return nil

@@ -141,6 +141,15 @@ func New(cfg Config, mem *memctrl.Controller, seed int64) (*Multicore, error) {
 	return m, nil
 }
 
+// Release hands the L2 arrays back to the cache pool for the next
+// machine's build. Call it once the counters have been read; the machine
+// must not be stepped or inspected afterwards.
+func (m *Multicore) Release() {
+	for _, l2 := range m.l2s {
+		l2.Release()
+	}
+}
+
 // Cores returns the core slice.
 func (m *Multicore) Cores() []*Core { return m.cores }
 

@@ -43,15 +43,19 @@ func fig54(r *Runner) (Result, error) {
 	}
 	fig := report.NewFigure("Fig 5.4: AMB temperature, first 500 s (SR1500AL, no DTM below safety cap)",
 		"time (s)", "AMB temperature (C)")
-	for _, a := range apps {
-		res, err := r.pfRun(platform.RunConfig{
+	cfgs := make([]platform.RunConfig, len(apps))
+	for i, a := range apps {
+		cfgs[i] = platform.RunConfig{
 			Machine: r.sr, Policy: platform.NoLimit, Mix: homogeneous(a),
 			RunsPerApp: 5, MaxSeconds: 3000,
-		})
-		if err != nil {
-			return out, err
 		}
-		tr := res.AMBTrace
+	}
+	runs, err := r.pfRunAll(cfgs)
+	if err != nil {
+		return out, err
+	}
+	for i, a := range apps {
+		tr := runs[i].AMBTrace
 		if len(tr) > 500 {
 			tr = tr[:500]
 		}
@@ -69,56 +73,63 @@ func fig55(r *Runner) (Result, error) {
 	}
 	t := report.NewTable("Fig 5.5: average AMB temperature, homogeneous workloads on PE1950 (no DTM)",
 		"benchmark", "avg AMB (C)", "max AMB (C)")
-	var names []string
-	var avgs []float64
-	for _, p := range progs {
-		res, err := r.pfRun(platform.RunConfig{
+	cfgs := make([]platform.RunConfig, len(progs))
+	for i, p := range progs {
+		cfgs[i] = platform.RunConfig{
 			Machine: r.pe, Policy: platform.NoLimit, Mix: homogeneous(p.Name),
 			RunsPerApp: 1, MaxSeconds: 5000,
-		})
-		if err != nil {
-			return out, err
 		}
+	}
+	runs, err := r.pfRunAll(cfgs)
+	if err != nil {
+		return out, err
+	}
+	var avgs []float64
+	for i, p := range progs {
+		res := runs[i]
 		// The paper excludes the top 0.5% of samples to remove sensor
 		// spikes (§5.4.1).
 		trimmed := stats.TrimTop(res.AMBTrace, 0.005)
 		avg := stats.Mean(trimmed)
 		t.AddRowf(p.Name, avg, res.MaxAMB)
-		names = append(names, p.Name)
 		avgs = append(avgs, avg)
 	}
 	fig := report.NewFigure("Fig 5.5 (chart)", "benchmark index", "avg AMB (C)")
 	fig.Add("avg AMB", avgs)
 	out.Tables = append(out.Tables, t)
 	out.Figures = append(out.Figures, fig)
-	_ = names
 	return out, nil
 }
 
 // pfNormSeries runs mixes × policies on machine m and returns normalized
 // runtimes plus the raw results for derived figures.
 func (r *Runner) pfNormSeries(m platform.Machine, mixes []workload.Mix, variant func(*platform.RunConfig)) (map[platform.PolicyKind][]float64, map[string]platform.RunResult, error) {
-	norm := make(map[platform.PolicyKind][]float64)
-	raw := make(map[string]platform.RunResult)
-	for _, mix := range mixes {
-		baseCfg := platform.RunConfig{Machine: m, Policy: platform.NoLimit, Mix: mix}
-		if variant != nil {
-			variant(&baseCfg)
-		}
-		base, err := r.pfRun(baseCfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		raw[mix.Name+"/No-limit"] = base
-		for _, k := range ch5Policies {
+	// Plan policy-major, so neighbouring runs in the batch differ in mix;
+	// run(p, i) is policy p (0 = No-limit, then ch5Policies) on mixes[i].
+	policies := append([]platform.PolicyKind{platform.NoLimit}, ch5Policies...)
+	var cfgs []platform.RunConfig
+	for _, k := range policies {
+		for _, mix := range mixes {
 			cfg := platform.RunConfig{Machine: m, Policy: k, Mix: mix}
 			if variant != nil {
 				variant(&cfg)
 			}
-			res, err := r.pfRun(cfg)
-			if err != nil {
-				return nil, nil, err
-			}
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	runs, err := r.pfRunAll(cfgs)
+	if err != nil {
+		return nil, nil, err
+	}
+	run := func(p, i int) platform.RunResult { return runs[p*len(mixes)+i] }
+
+	norm := make(map[platform.PolicyKind][]float64)
+	raw := make(map[string]platform.RunResult)
+	for i, mix := range mixes {
+		base := run(0, i)
+		raw[mix.Name+"/No-limit"] = base
+		for p, k := range ch5Policies {
+			res := run(p+1, i)
 			raw[mix.Name+"/"+k.String()] = res
 			norm[k] = append(norm[k], res.Seconds/base.Seconds)
 		}
@@ -287,28 +298,49 @@ func fig512(r *Runner) (Result, error) {
 	return out, nil
 }
 
+// pfBaselines returns the No-limit baseline config of every mix on
+// machine m.
+func pfBaselines(m platform.Machine, mixes []workload.Mix) []platform.RunConfig {
+	cfgs := make([]platform.RunConfig, len(mixes))
+	for i, mix := range mixes {
+		cfgs[i] = platform.RunConfig{Machine: m, Policy: platform.NoLimit, Mix: mix}
+	}
+	return cfgs
+}
+
 func fig513(r *Runner) (Result, error) {
 	out := Result{ID: "fig5.13"}
 	fig := report.NewFigure("Fig 5.13 (SR1500AL): DTM-ACG vs DTM-BW at 3.0 and 2.0 GHz",
 		"workload", "runtime / No-limit(3GHz)")
-	for _, v := range []struct {
+	variants := []struct {
 		label string
 		force int
-	}{{"3.0GHz", -1}, {"2.0GHz", 3}} {
-		for _, k := range []platform.PolicyKind{platform.BW, platform.ACG} {
-			var ys []float64
-			for _, mix := range ch5Mixes2000(r) {
-				base, err := r.pfRun(platform.RunConfig{Machine: r.sr, Policy: platform.NoLimit, Mix: mix})
-				if err != nil {
-					return out, err
-				}
-				res, err := r.pfRun(platform.RunConfig{
+	}{{"3.0GHz", -1}, {"2.0GHz", 3}}
+	policies := []platform.PolicyKind{platform.BW, platform.ACG}
+	mixes := ch5Mixes2000(r)
+	// The batch is the baselines, then every variant × policy × mix in
+	// loop order, mix innermost.
+	cfgs := pfBaselines(r.sr, mixes)
+	for _, v := range variants {
+		for _, k := range policies {
+			for _, mix := range mixes {
+				cfgs = append(cfgs, platform.RunConfig{
 					Machine: r.sr, Policy: k, Mix: mix, ForceFreqIdx: v.force,
 				})
-				if err != nil {
-					return out, err
-				}
-				ys = append(ys, res.Seconds/base.Seconds)
+			}
+		}
+	}
+	runs, err := r.pfRunAll(cfgs)
+	if err != nil {
+		return out, err
+	}
+	base, runs := runs[:len(mixes)], runs[len(mixes):]
+	for _, v := range variants {
+		for _, k := range policies {
+			var ys []float64
+			for i := range mixes {
+				ys = append(ys, runs[0].Seconds/base[i].Seconds)
+				runs = runs[1:]
 			}
 			ys = append(ys, stats.Mean(ys))
 			fig.Add(k.String()+"@"+v.label, ys)
@@ -323,22 +355,31 @@ func fig514(r *Runner) (Result, error) {
 	tdps := []float64{88, 90, 92}
 	fig := report.NewFigure("Fig 5.14 (PE1950): avg normalized runtime vs AMB TDP",
 		"AMB TDP (C)", "runtime / No-limit")
+	mixes := ch5Mixes2000(r)
+	// The batch is the baselines, then every policy × TDP × mix in loop
+	// order, mix innermost.
+	cfgs := pfBaselines(r.pe, mixes)
 	for _, k := range ch5Policies {
-		var ys []float64
 		for _, tdp := range tdps {
-			var ns []float64
-			for _, mix := range ch5Mixes2000(r) {
-				base, err := r.pfRun(platform.RunConfig{Machine: r.pe, Policy: platform.NoLimit, Mix: mix})
-				if err != nil {
-					return out, err
-				}
-				res, err := r.pfRun(platform.RunConfig{
+			for _, mix := range mixes {
+				cfgs = append(cfgs, platform.RunConfig{
 					Machine: r.pe, Policy: k, Mix: mix, TDPOverride: tdp,
 				})
-				if err != nil {
-					return out, err
-				}
-				ns = append(ns, res.Seconds/base.Seconds)
+			}
+		}
+	}
+	runs, err := r.pfRunAll(cfgs)
+	if err != nil {
+		return out, err
+	}
+	base, runs := runs[:len(mixes)], runs[len(mixes):]
+	for _, k := range ch5Policies {
+		var ys []float64
+		for range tdps {
+			var ns []float64
+			for i := range mixes {
+				ns = append(ns, runs[0].Seconds/base[i].Seconds)
+				runs = runs[1:]
 			}
 			ys = append(ys, stats.Mean(ns))
 		}
@@ -355,18 +396,26 @@ func fig515(r *Runner) (Result, error) {
 		"quantum (ms)", "runtime / 100ms quantum")
 	figM := report.NewFigure("Fig 5.15 (PE1950): avg L2 misses vs scheduling quantum (DTM-ACG)",
 		"quantum (ms)", "L2 misses / 100ms quantum")
-	var rt, ms []float64
+	mixes := ch5Mixes2000(r)
+	var cfgs []platform.RunConfig
 	for _, q := range quanta {
-		var sumT, sumM float64
-		for _, mix := range ch5Mixes2000(r) {
-			res, err := r.pfRun(platform.RunConfig{
+		for _, mix := range mixes {
+			cfgs = append(cfgs, platform.RunConfig{
 				Machine: r.pe, Policy: platform.ACG, Mix: mix, QuantumS: q,
 			})
-			if err != nil {
-				return out, err
-			}
-			sumT += res.Seconds
-			sumM += res.L2Misses
+		}
+	}
+	runs, err := r.pfRunAll(cfgs)
+	if err != nil {
+		return out, err
+	}
+	var rt, ms []float64
+	for range quanta {
+		var sumT, sumM float64
+		for range mixes {
+			sumT += runs[0].Seconds
+			sumM += runs[0].L2Misses
+			runs = runs[1:]
 		}
 		rt = append(rt, sumT)
 		ms = append(ms, sumM)

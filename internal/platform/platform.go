@@ -310,6 +310,7 @@ func (l *Level1) Build(dp trace.DesignPoint) (trace.Rates, error) {
 	mc.RunFor(l.WarmupNS)
 	mc.ResetStats()
 	mc.RunFor(l.MeasureNS)
+	defer mc.Release()
 	return l.collect(dp, mc, names, l2dom)
 }
 

@@ -45,7 +45,10 @@ type RunConfig struct {
 	MaxSeconds float64
 }
 
-func (c *RunConfig) applyDefaults() {
+// WithDefaults returns c with every zero field that has a default filled
+// in, exactly as a run sees it: configs whose WithDefaults values agree
+// field by field describe the same run.
+func (c RunConfig) WithDefaults() RunConfig {
 	if c.RunsPerApp == 0 {
 		c.RunsPerApp = 10
 	}
@@ -64,6 +67,7 @@ func (c *RunConfig) applyDefaults() {
 	if c.ForceFreqIdx == 0 {
 		c.ForceFreqIdx = -1
 	}
+	return c
 }
 
 // RunResult is what the instrumented testbed reports.
@@ -117,7 +121,7 @@ type pjob struct {
 // same machine so level-1 results are reused; it must have been created
 // with NewLevel1(machine) as its builder (see NewStore).
 func NewServer(cfg RunConfig, store *trace.Store) (*Server, error) {
-	cfg.applyDefaults()
+	cfg = cfg.WithDefaults()
 	if store == nil {
 		return nil, fmt.Errorf("platform: nil store")
 	}

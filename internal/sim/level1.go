@@ -84,6 +84,7 @@ func (l *Level1) Build(dp trace.DesignPoint) (trace.Rates, error) {
 	mc.ResetStats()
 	mc.RunFor(l.MeasureNS)
 
+	defer mc.Release()
 	return l.collect(dp, mc, names)
 }
 
