@@ -47,8 +47,11 @@ type Config struct {
 	Interval float64 // DTM interval in seconds (paper: 10 ms)
 	// InstrScale shrinks application run lengths; tests use small values.
 	InstrScale float64
-	// ExactThermal routes level-2 runs through the retained per-step
-	// math.Exp thermal path instead of the cached-decay fast path; the
+	// ExactThermal routes level-2 runs through the per-window reference
+	// path (sim.MEMSpotConfig.ExactThermal): the retained per-step
+	// math.Exp thermal math instead of the cached-decay fast path, and a
+	// design point re-resolved and residency written into the result
+	// maps every window instead of only when its inputs change. The
 	// differential harness (internal/simtest) uses it to compare whole
 	// sweeps. The flag is part of the ConfigDigest, so results from the
 	// two paths never share a cache scope.

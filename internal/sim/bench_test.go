@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"dramtherm/internal/dtm"
@@ -53,4 +55,55 @@ func BenchmarkMEMSpotSecond(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkMEMSpotRunShared measures whole level-2 runs in the shape of
+// a sweep: two goroutines each run RunMixCtx to completion under one
+// shared cancelable context, over a store warmed before the timer
+// starts. Unlike BenchmarkMEMSpotSecond, which calls step directly, it
+// includes RunHooked's per-window cancellation poll on the shared
+// context. Reports wall ns per simulated window of one run.
+func BenchmarkMEMSpotRunShared(b *testing.B) {
+	mix, err := workload.MixByName("W1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := trace.NewStore(fastLevel1())
+	cfg := func() MEMSpotConfig {
+		return MEMSpotConfig{
+			Mix: mix, Replicas: 2, Policy: dtm.NewACG(dtm.DefaultLevels(), 4),
+			InstrScale: 0.5,
+		}
+	}
+	warm, err := NewMEMSpot(cfg(), store)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := warm.Run(); err != nil {
+		b.Fatal(err)
+	}
+	windows := warm.StepsTaken()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[g] = RunMixCtx(ctx, cfg(), store)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*windows), "ns/window")
 }

@@ -44,11 +44,14 @@ type MEMSpotConfig struct {
 	// runs); zero keeps the Chapter 4 noiseless simulation sensors.
 	SensorSeed int64
 
-	// ExactThermal selects the retained per-step math.Exp thermal path
-	// (thermal.Model.AdvanceExact) instead of the cached-decay fast path.
-	// The two agree bit-for-bit today; the flag exists so the
-	// differential harness (internal/simtest) can drive both through the
-	// identical simulation stack.
+	// ExactThermal selects the per-window reference path: the retained
+	// per-step math.Exp thermal math (thermal.Model.AdvanceExact) instead
+	// of the cached-decay fast path, and a design point re-resolved and
+	// residency written into the result maps every window instead of
+	// only when the action, rotation or jobs change. The two paths agree
+	// bit-for-bit today; the flag exists so the differential harness
+	// (internal/simtest) can drive both through the identical simulation
+	// stack.
 	ExactThermal bool
 }
 
@@ -150,19 +153,31 @@ type MEMSpot struct {
 	// Hot-loop scratch state, reused across windows so the steady-state
 	// step allocates nothing: the precomputed channel power model, the
 	// power/gating/activity buffers, and a one-entry design-point → rates
-	// memo (windows overwhelmingly repeat the previous window's design
-	// point, so most steps skip the store lock and key canonicalization).
+	// memo (a re-resolution mostly lands on the previous design point, so
+	// it skips the store lock and key canonicalization).
 	chanModel   *power.ChannelModel
 	pwBuf       []power.DIMMPower
 	gatedBuf    []bool
 	namesBuf    []string
-	runningBuf  []int
 	activityBuf []thermal.CoreActivity
 	lastNames   []string
 	lastApps    string
 	lastDP      trace.DesignPoint
 	lastRates   trace.Rates
 	haveLast    bool
+
+	// The resolved window: what resolve derives from the DTM action, the
+	// rotation offset and the per-core jobs. stale marks a change to one
+	// of those inputs; step re-resolves only then.
+	stale    bool
+	freqIdx  int
+	lv       fbconfig.DVFSLevel
+	running  []int            // ungated busy cores, in core order
+	appRates []trace.AppRates // appRates[k]: rates of the job on core running[k]
+	cpuW     float64
+
+	// The residency entries the current windows add to (see resCell).
+	coresCell, freqCell resCell
 
 	steps     int64 // windows on the simulated timeline (inherited on Restore)
 	decisions int   // DTM decisions taken so far; index of the next decision
@@ -221,6 +236,7 @@ func NewMEMSpot(cfg MEMSpotConfig, store *trace.Store) (*MEMSpot, error) {
 
 // dispatch pops the next job onto core i, if any.
 func (m *MEMSpot) dispatch(i int) {
+	m.stale = true
 	if len(m.queue) == 0 {
 		m.cores[i] = nil
 		return
@@ -333,10 +349,15 @@ func (m *MEMSpot) RunCtx(ctx context.Context) (MEMSpotResult, error) {
 // simulator between policy decisions; a hook error aborts the run. A nil
 // hook makes RunHooked identical to RunCtx.
 func (m *MEMSpot) RunHooked(ctx context.Context, hook func(*MEMSpot) error) (MEMSpotResult, error) {
+	// Poll cancellation with a non-blocking receive on Done: ctx.Err
+	// takes the context's mutex, and a sweep shares one context across
+	// all of its workers.
+	done := ctx.Done()
 	for !m.done() {
-		if err := ctx.Err(); err != nil {
-			m.res.Seconds = m.now
-			return m.res, err
+		select {
+		case <-done:
+			return m.result(), ctx.Err()
+		default:
 		}
 		if m.now >= m.cfg.MaxSeconds {
 			m.res.TimedOut = true
@@ -344,16 +365,22 @@ func (m *MEMSpot) RunHooked(ctx context.Context, hook func(*MEMSpot) error) (MEM
 		}
 		if hook != nil && m.now >= m.nextDTM {
 			if err := hook(m); err != nil {
-				m.res.Seconds = m.now
-				return m.res, err
+				return m.result(), err
 			}
 		}
 		if err := m.step(); err != nil {
-			return m.res, err
+			return m.result(), err
 		}
 	}
+	return m.result(), nil
+}
+
+// result writes the residency cells back and returns the accumulator,
+// stamped with the simulated time.
+func (m *MEMSpot) result() MEMSpotResult {
+	m.flushResidency()
 	m.res.Seconds = m.now
-	return m.res, nil
+	return m.res
 }
 
 // step advances one window.
@@ -372,9 +399,13 @@ func (m *MEMSpot) step() error {
 			m.res.Overshoots++
 		}
 		m.hot = over
-		m.act = m.cfg.Policy.Decide(dtm.Input{
+		act := m.cfg.Policy.Decide(dtm.Input{
 			AMB: ambR, DRAM: dramR, Now: m.now, Dt: m.cfg.DTMIntervalS,
 		})
+		if act != m.act {
+			m.stale = true
+		}
+		m.act = act
 		m.decisions++
 		m.nextDTM += m.cfg.DTMIntervalS
 		overheadThisWindow = m.cfg.DTMOverheadS
@@ -383,43 +414,15 @@ func (m *MEMSpot) step() error {
 	if m.now >= m.nextRot {
 		m.rot++
 		m.nextRot += m.cfg.RotatePeriodS
+		m.stale = true
 	}
-
-	gated := m.gatedSet()
-	freqIdx := m.act.FreqIndex
-	if freqIdx < 0 {
-		freqIdx = 0
-	}
-	if freqIdx >= len(m.cfg.DVFS) {
-		freqIdx = len(m.cfg.DVFS) - 1
-	}
-	lv := m.cfg.DVFS[freqIdx]
-
-	// Running combination → design point → rates.
-	names := m.namesBuf[:0]
-	running := m.runningBuf[:0]
-	for i, j := range m.cores {
-		if j != nil && !gated[i] {
-			names = append(names, j.prof.Name)
-			running = append(running, i)
-		}
-	}
-	m.namesBuf, m.runningBuf = names, running
-	dp := trace.DesignPoint{
-		Apps:      m.canonApps(names),
-		FreqGHz:   lv.FreqGHz,
-		BWCapGBps: m.act.BWCapGBps,
-		MemOff:    m.act.MemOff,
-	}
-	rates := m.lastRates
-	if !m.haveLast || dp != m.lastDP {
-		var err error
-		rates, err = m.store.Get(dp)
-		if err != nil {
+	// The ExactThermal reference re-resolves every window.
+	if m.stale || m.cfg.ExactThermal {
+		if err := m.resolve(); err != nil {
 			return err
 		}
-		m.lastDP, m.lastRates, m.haveLast = dp, rates, true
 	}
+	running, rates, lv := m.running, m.appRates, m.lv
 
 	// Progress and traffic.
 	effWin := win - overheadThisWindow
@@ -428,9 +431,9 @@ func (m *MEMSpot) step() error {
 	}
 	var readG, writeG float64 // GB/s aggregates
 	activity := m.activityBuf[:0]
-	for _, i := range running {
+	for k, i := range running {
 		j := m.cores[i]
-		ar := rates.PerApp[j.prof.Name]
+		ar := rates[k]
 		if ar.InstrPerSec <= 0 {
 			continue
 		}
@@ -472,8 +475,7 @@ func (m *MEMSpot) step() error {
 	}
 	m.res.MemEnergyJ += memW * win
 
-	cpuW := m.cpuWatts(lv, len(running))
-	m.res.CPUEnergyJ += cpuW * win
+	m.res.CPUEnergyJ += m.cpuW * win
 
 	// Thermal.
 	if m.cfg.ExactThermal {
@@ -498,8 +500,13 @@ func (m *MEMSpot) step() error {
 	if m.act.MemOff {
 		m.res.TimeMemOff += win
 	}
-	m.res.TimeAtCores[len(running)] += win
-	m.res.TimeAtFreq[freqIdx] += win
+	if m.cfg.ExactThermal {
+		m.res.TimeAtCores[len(running)] += win
+		m.res.TimeAtFreq[m.freqIdx] += win
+	} else {
+		m.coresCell.add(m.res.TimeAtCores, len(running), win)
+		m.freqCell.add(m.res.TimeAtFreq, m.freqIdx, win)
+	}
 	if m.now >= m.nextRec {
 		m.res.AMBTrace = append(m.res.AMBTrace, m.model.HottestAMB())
 		m.res.DRAMTrace = append(m.res.DRAMTrace, m.model.HottestDRAM())
@@ -509,6 +516,87 @@ func (m *MEMSpot) step() error {
 
 	m.now += win
 	m.steps++
+	return nil
+}
+
+// resCell holds one residency-map entry while consecutive windows add to
+// it, so a steady-state window adds to a float instead of assigning into
+// the map. The cell loads the map's value on its first addition, so the
+// sum is formed in the same order from the same value as per-window map
+// updates; it is written back when its key changes and by flush. Only a
+// cell some window added to is live, so a failed step creates no key.
+type resCell struct {
+	key  int
+	val  float64
+	live bool
+}
+
+// add accumulates win under key in res, through the cell.
+func (c *resCell) add(res map[int]float64, key int, win float64) {
+	if !c.live || c.key != key {
+		c.flush(res)
+		c.key, c.val, c.live = key, res[key], true
+	}
+	c.val += win
+}
+
+// flush writes a live cell back into res.
+func (c *resCell) flush(res map[int]float64) {
+	if c.live {
+		res[c.key] = c.val
+	}
+}
+
+// flushResidency brings the result's residency maps up to date.
+func (m *MEMSpot) flushResidency() {
+	m.coresCell.flush(m.res.TimeAtCores)
+	m.freqCell.flush(m.res.TimeAtFreq)
+}
+
+// resolve derives the window's design point from its inputs — the DTM
+// action, the ACG rotation offset and the per-core jobs — and looks up
+// the rates of every running job and the processor power.
+func (m *MEMSpot) resolve() error {
+	gated := m.gatedSet()
+	freqIdx := m.act.FreqIndex
+	if freqIdx < 0 {
+		freqIdx = 0
+	}
+	if freqIdx >= len(m.cfg.DVFS) {
+		freqIdx = len(m.cfg.DVFS) - 1
+	}
+	m.freqIdx, m.lv = freqIdx, m.cfg.DVFS[freqIdx]
+
+	// Running combination → design point → rates.
+	names := m.namesBuf[:0]
+	running := m.running[:0]
+	for i, j := range m.cores {
+		if j != nil && !gated[i] {
+			names = append(names, j.prof.Name)
+			running = append(running, i)
+		}
+	}
+	m.namesBuf, m.running = names, running
+	dp := trace.DesignPoint{
+		Apps:      m.canonApps(names),
+		FreqGHz:   m.lv.FreqGHz,
+		BWCapGBps: m.act.BWCapGBps,
+		MemOff:    m.act.MemOff,
+	}
+	if !m.haveLast || dp != m.lastDP {
+		rates, err := m.store.Get(dp)
+		if err != nil {
+			return err
+		}
+		m.lastDP, m.lastRates, m.haveLast = dp, rates, true
+	}
+	ar := m.appRates[:0]
+	for _, name := range names {
+		ar = append(ar, m.lastRates.PerApp[name])
+	}
+	m.appRates = ar
+	m.cpuW = m.cpuWatts(m.lv, len(running))
+	m.stale = false
 	return nil
 }
 

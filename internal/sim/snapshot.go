@@ -8,11 +8,14 @@
 //
 // What is captured: simulated time and schedule cursors, the thermal
 // state (model + ambient), the batch queue and per-core jobs, the live
-// DTM action and overshoot flag, and the result accumulator. What is
-// deliberately excluded: the hot-loop scratch state (design-point memo,
-// power/gating buffers) — Restore resets it and the next step rebuilds
-// it from the shared deterministic trace store — and the decay caches,
-// which self-revalidate (see internal/thermal/snapshot.go).
+// DTM action and overshoot flag, and the result accumulator. Snapshot
+// first writes the residency cells back, so the captured maps are
+// current. What is deliberately excluded: the hot-loop scratch state
+// (the resolved window, design-point memo, residency cells,
+// power/gating buffers) — Restore drops it and marks the resolution
+// inputs changed, so the next step re-resolves from the shared
+// deterministic trace store — and the decay caches, which
+// self-revalidate (see internal/thermal/snapshot.go).
 //
 // Runs with sensor noise enabled cannot be snapshotted: the sensor's
 // math/rand state is not capturable, so a resumed run could not
@@ -74,6 +77,7 @@ func (m *MEMSpot) Snapshot() (*MEMSpotState, error) {
 	if m.sensor != nil {
 		return nil, fmt.Errorf("sim: cannot snapshot a run with sensor noise (RNG state is not restorable)")
 	}
+	m.flushResidency()
 	st := &MEMSpotState{
 		WindowS:   m.cfg.WindowS,
 		Now:       m.now,
@@ -155,9 +159,12 @@ func (m *MEMSpot) Restore(st *MEMSpotState) error {
 	m.hot = st.Hot
 	m.res = cloneResult(st.Res)
 
-	// Drop the hot-loop memo: the next step re-resolves its design point
-	// from the shared store, which is deterministic, so the resumed run
-	// sees the identical rates a never-checkpointed run would.
+	// Drop the hot-loop memo and the residency cells, which belong to
+	// the replaced accumulator: the next step re-resolves its design
+	// point from the shared store, which is deterministic, so the resumed
+	// run sees the identical rates a never-checkpointed run would.
+	m.stale = true
+	m.coresCell, m.freqCell = resCell{}, resCell{}
 	m.haveLast = false
 	m.lastNames = m.lastNames[:0]
 	m.lastApps = ""

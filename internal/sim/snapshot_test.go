@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -144,5 +145,55 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	if err := other.Restore(st); err != nil {
 		t.Fatalf("clean restore rejected: %v", err)
+	}
+}
+
+// TestRestoreOntoRunningMachine: Restore onto a machine stopped late in
+// its own run — after a job finished, with the resolved window current —
+// must discard what that machine resolved (its running set, design
+// point and residency cells) and finish bit-identically to a run that
+// never checkpointed.
+func TestRestoreOntoRunningMachine(t *testing.T) {
+	store := tinyStore()
+	cold, err := RunMix(tinyConfig(t, &dtm.NoLimit{Cores: 4}), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st *MEMSpotState
+	leader, err := NewMEMSpot(tinyConfig(t, &dtm.NoLimit{Cores: 4}), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leader.RunHooked(context.Background(), func(m *MEMSpot) error {
+		if st == nil && m.Decisions() == 5 {
+			st, err = m.Snapshot()
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	errStop := errors.New("stop")
+	reused, err := NewMEMSpot(tinyConfig(t, &dtm.NoLimit{Cores: 4}), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reused.RunHooked(context.Background(), func(m *MEMSpot) error {
+		if !m.stale && len(m.running) < 4 {
+			return errStop
+		}
+		return nil
+	}); !errors.Is(err, errStop) {
+		t.Fatalf("stopping run: err = %v", err)
+	}
+	if err := reused.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	res, err := reused.RunCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cold, res) {
+		t.Fatalf("run restored onto a used machine diverged:\ncold:     %+v\nrestored: %+v", cold, res)
 	}
 }
