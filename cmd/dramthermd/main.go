@@ -18,13 +18,14 @@
 // With -peers the node coordinates a cluster: runs are fanned out to the
 // listed dramthermd workers by consistent hashing on the canonical spec
 // key (each worker's cache stays hot for its shard), dead peers are
-// ejected by health probes and failed runs retry on the next ring member,
-// falling back to local execution when every peer is down. Sweeps are
-// dispatched in batches — each peer receives its entire shard of the
-// grid in one /v1/exec/batch request and streams per-spec outcomes back
-// — so a big grid costs one round trip per peer, not per spec. Any node
-// can be a coordinator; workers need no flags at all. See
-// docs/ARCHITECTURE.md.
+// ejected by health probes and failed shards retry on the next ring
+// member, falling back to local execution when every peer is down. All
+// dispatch between nodes is batched: each peer receives its entire shard
+// of a sweep in one /v1/exec/batch request and streams per-spec outcomes
+// back — so a big grid costs one round trip per peer, not per spec — and
+// a single run (POST /v1/exec or /v1/runs on the coordinator) travels as
+// a shard of one. Any node can be a coordinator; workers need no flags
+// at all. See docs/ARCHITECTURE.md.
 //
 // With -gossip the membership is epidemic instead of static: the node
 // keeps a versioned membership table (id, url, incarnation,
@@ -46,8 +47,8 @@
 //	GET    /debug/pprof/         runtime profiles (opt-in via -pprof)
 //	POST   /v1/gossip            anti-entropy membership exchange (with -gossip)
 //	POST   /v1/handoff           cache replication ingest: NDJSON result stream (with -replication)
-//	POST   /v1/exec              synchronous single-run execution (cluster dispatch)
-//	POST   /v1/exec/batch        shard execution: specs in, streamed NDJSON outcomes out
+//	POST   /v1/exec              synchronous single-run execution
+//	POST   /v1/exec/batch        shard execution (cluster dispatch): specs in, streamed NDJSON outcomes out
 //	POST   /v1/runs              async submit: {"mix":"W1","policy":"DTM-ACG"} → {"id":"run-1"}
 //	GET    /v1/runs              job listing (?status=running, ?offset=, ?limit=)
 //	GET    /v1/runs/{id}         job status/result (?traces=1 for temperature traces)
@@ -294,7 +295,6 @@ func main() {
 		bcfg := remote.Config{
 			Peers:       peerList,
 			Key:         eng.Key,
-			Local:       eng.Exec,
 			MaxPerPeer:  *perPeer,
 			ProbeEvery:  probeEvery,
 			Logger:      logger,
@@ -390,7 +390,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("dramthermd listening",
-			"addr", *addr, "workers", *workers, "job_ttl", jobTTL.String(),
+			"addr", *addr, "workers", eng.Workers(), "job_ttl", jobTTL.String(),
 			"max_jobs", *maxJobs, "pprof", *pprofOn, "config", eng.System().ConfigDigest())
 		errc <- srv.ListenAndServe()
 	}()

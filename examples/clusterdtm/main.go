@@ -5,7 +5,9 @@
 // the cluster, and asserts the aggregated report table is byte-identical
 // to a plain single-node sweep. It also counts the cluster's HTTP
 // traffic and asserts the whole sweep cost one /v1/exec/batch request
-// per live peer — not one request per spec. It
+// per live peer — not one request per spec. In every scenario it fails
+// if any worker sees a /v1/exec request: coordinators dispatch only over
+// /v1/exec/batch. It
 // then repeats the sweep on a fresh cluster and kills one worker
 // mid-sweep, exercising the failover path (the dead peer's
 // unacknowledged shard re-plans onto the survivor or runs locally) — and
@@ -96,7 +98,6 @@ type worker struct {
 	eng      *sweep.Engine                  // the worker's own run cache, for build/hit assertions
 	node     *gossip.Node
 	gated    atomic.Bool
-	execs    atomic.Int64 // POST /v1/exec (spec-at-a-time dispatch)
 	batches  atomic.Int64 // POST /v1/exec/batch (one whole shard)
 	handoffs atomic.Int64 // POST /v1/handoff (replication / cache handoff)
 	once     sync.Once
@@ -119,7 +120,7 @@ func startWorker(id string, seeds ...gossip.Member) *worker {
 	w.ts = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case remote.ExecPath:
-			w.execs.Add(1)
+			log.Fatalf("a worker received POST %s; coordinators dispatch only over %s", remote.ExecPath, remote.BatchPath)
 		case remote.HandoffPath:
 			w.handoffs.Add(1)
 		case remote.BatchPath:
@@ -175,14 +176,14 @@ func (w *worker) kill() {
 // clusterSweep runs specs through a fresh two-worker cluster. When
 // killVictim is set, the worker owning the first spec's shard is killed
 // as soon as the sweep starts, so its runs fail over. It returns the
-// rendered report table, how many specs each peer served, the
-// per-endpoint request totals across both workers, and the
-// coordinator's metrics registry so callers can assert on the remote
-// backend's dispatch/failover counters. In the clean run it
-// cross-checks the coordinator's per-peer dispatch counters against
-// each worker's own HTTP request counts — two independent observers of
-// the same traffic must agree exactly.
-func clusterSweep(specs []sweep.Spec, killVictim bool) (table string, served map[string]int, execs, batches int64, reg *obs.Registry) {
+// rendered report table, how many specs each peer served, the batch
+// request total across both workers, and the coordinator's metrics
+// registry so callers can assert on the remote backend's
+// dispatch/failover counters. In the clean run it cross-checks the
+// coordinator's per-peer batch dispatch counters against each worker's
+// own HTTP request counts — two independent observers of the same
+// traffic must agree exactly.
+func clusterSweep(specs []sweep.Spec, killVictim bool) (table string, served map[string]int, batches int64, reg *obs.Registry) {
 	w1, w2 := startWorker(""), startWorker("")
 	defer w1.kill()
 	defer w2.kill()
@@ -194,8 +195,7 @@ func clusterSweep(specs []sweep.Spec, killVictim bool) (table string, served map
 			{ID: "worker-1", URL: w1.ts.URL},
 			{ID: "worker-2", URL: w2.ts.URL},
 		},
-		Key:   coord.Key,
-		Local: coord.Exec,
+		Key: coord.Key,
 		// The demo relies on failover alone; probes would only race the
 		// assertions with readmission attempts.
 		ProbeEvery: -1,
@@ -244,7 +244,6 @@ func clusterSweep(specs []sweep.Spec, killVictim bool) (table string, served map
 	if err != nil {
 		log.Fatalf("cluster sweep: %v", err)
 	}
-	execs = w1.execs.Load() + w2.execs.Load()
 	batches = w1.batches.Load() + w2.batches.Load()
 	if !killVictim {
 		// No kill means no retries on severed connections, so the
@@ -252,15 +251,14 @@ func clusterSweep(specs []sweep.Spec, killVictim bool) (table string, served map
 		// request counts observed identical traffic.
 		for id, w := range workers {
 			db := int64(reg.Sum("dramtherm_remote_dispatch_total", map[string]string{"peer": id, "kind": "batch"}))
-			de := int64(reg.Sum("dramtherm_remote_dispatch_total", map[string]string{"peer": id, "kind": "exec"}))
-			if db != w.batches.Load() || de != w.execs.Load() {
-				log.Fatalf("coordinator dispatch counters for %s (%d batch, %d exec) disagree with its HTTP request counts (%d batch, %d exec)",
-					id, db, de, w.batches.Load(), w.execs.Load())
+			if db != w.batches.Load() {
+				log.Fatalf("coordinator counted %d batch dispatches to %s, but it served %d batch requests",
+					db, id, w.batches.Load())
 			}
 		}
-		fmt.Println("  ✓ dispatch counters match workers' per-endpoint HTTP request counts")
+		fmt.Println("  ✓ batch dispatch counters match workers' batch request counts")
 	}
-	return res.Table("cluster sweep").String(), served, execs, batches, reg
+	return res.Table("cluster sweep").String(), served, batches, reg
 }
 
 // ringHas reports whether the backend's membership currently includes
@@ -302,7 +300,6 @@ func gossipSweep(specs []sweep.Spec) (table string, served map[string]int, joine
 			{ID: "worker-2", URL: w2.ts.URL},
 		},
 		Key:        coord.Key,
-		Local:      coord.Exec,
 		ProbeEvery: -1, // gossip is the membership channel; dispatch failures are the detector
 		OnPeerDown: func(id string, err error) {
 			if n := gnode.Load(); n != nil {
@@ -438,7 +435,6 @@ func pickJoiner(coord *sweep.Engine, peers []remote.Peer, specs []sweep.Spec) st
 		probe, err := remote.New(remote.Config{
 			Peers:      append(append([]remote.Peer{}, peers...), remote.Peer{ID: id, URL: "http://joiner.invalid"}),
 			Key:        coord.Key,
-			Local:      coord.Exec,
 			ProbeEvery: -1,
 		})
 		if err != nil {
@@ -469,7 +465,7 @@ func verifySweep(specs []sweep.Spec, ring []remote.Peer, workers map[string]*wor
 		before[id] = w.eng.Stats().Builds
 	}
 	coord := newEngine()
-	backend, err := remote.New(remote.Config{Peers: ring, Key: coord.Key, Local: coord.Exec, ProbeEvery: -1})
+	backend, err := remote.New(remote.Config{Peers: ring, Key: coord.Key, ProbeEvery: -1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -533,7 +529,6 @@ func replicationSweep(specs []sweep.Spec, refTable string) {
 	backend, err := remote.New(remote.Config{
 		Peers:       peers,
 		Key:         coord.Key,
-		Local:       coord.Exec,
 		ProbeEvery:  -1,
 		Replication: true,
 		Entries:     coord.Range,
@@ -644,9 +639,9 @@ func main() {
 
 	// Cluster: two embedded workers behind a coordinating engine.
 	fmt.Println("\ncluster sweep across 2 embedded workers:")
-	clusterTable, served, execs, batches, _ := clusterSweep(specs, false)
+	clusterTable, served, batches, _ := clusterSweep(specs, false)
 	fmt.Printf("  shard distribution: %v\n", served)
-	fmt.Printf("  HTTP requests: %d batch, %d single-exec, for %d specs\n", batches, execs, len(specs))
+	fmt.Printf("  HTTP requests: %d batch, for %d specs\n", batches, len(specs))
 	if clusterTable != refTable {
 		log.Fatalf("cluster table differs from single-node table:\n--- local ---\n%s--- cluster ---\n%s",
 			refTable, clusterTable)
@@ -655,17 +650,16 @@ func main() {
 	// The whole point of batching: one request per live peer, not one
 	// per spec.
 	want := int64(livePeersServing(served))
-	if batches != want || execs != 0 {
-		log.Fatalf("batched sweep cost %d batch + %d single-exec requests, want exactly %d batch (one per serving peer) and 0 single-exec",
-			batches, execs, want)
+	if batches != want {
+		log.Fatalf("batched sweep cost %d batch requests, want exactly %d (one per serving peer)", batches, want)
 	}
 	fmt.Printf("  ✓ one /v1/exec/batch request per live peer (%d requests for %d specs)\n", batches, len(specs))
 
 	// Failover: fresh cluster, one worker killed as the sweep starts.
 	fmt.Println("\ncluster sweep with one worker killed mid-sweep:")
-	failTable, served, execs, batches, failReg := clusterSweep(specs, true)
+	failTable, served, batches, failReg := clusterSweep(specs, true)
 	fmt.Printf("  shard distribution after failover: %v\n", served)
-	fmt.Printf("  HTTP requests: %d batch, %d single-exec\n", batches, execs)
+	fmt.Printf("  HTTP requests: %d batch\n", batches)
 	if failTable != refTable {
 		log.Fatalf("failover table differs from single-node table:\n--- local ---\n%s--- failover ---\n%s",
 			refTable, failTable)
@@ -701,6 +695,7 @@ func main() {
 	}
 	fmt.Printf("  ✓ mid-sweep joiner worker-3 served %d batch shard(s), %d spec(s)\n",
 		joinerBatches, served["worker-3"])
+	fmt.Printf("\n✓ no worker received a %s request in any scenario\n", remote.ExecPath)
 
 	if *tableOut != "" {
 		if err := os.WriteFile(*tableOut, []byte(clusterTable), 0o644); err != nil {

@@ -9,10 +9,10 @@
 //	GET    /v1/runs/{id}/events  live job progress over SSE
 //	DELETE /v1/runs/{id}         cancel a running job / evict a finished one
 //	POST   /v1/sweeps            spec list or grid; ?async=1 submits a job
-//	POST   /v1/exec              synchronous single-run execution — the
-//	                             endpoint cluster coordinators dispatch to
+//	POST   /v1/exec              synchronous single-run execution
 //	POST   /v1/exec/batch        whole-shard execution: specs in, per-spec
-//	                             outcomes streamed back as NDJSON lines
+//	                             outcomes streamed back as NDJSON lines —
+//	                             the endpoint cluster coordinators dispatch to
 //	GET    /v1/healthz           liveness: version, uptime, job count,
 //	                             cache statistics, peer ring when clustered
 //
@@ -22,6 +22,6 @@
 // with its own cancellable context and a retained event log streamed by
 // the SSE endpoint. In cluster mode the same server plays both roles:
 // a coordinator (its engine routes cache misses through
-// internal/sweep/remote) and a worker (its /v1/exec and /v1/exec/batch
-// serve peers).
+// internal/sweep/remote) and a worker (its /v1/exec/batch serves
+// coordinators).
 package httpapi

@@ -353,9 +353,10 @@ func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExec runs one spec synchronously and returns the full result
-// plus the cache outcome — the endpoint remote.Backend dispatches to.
-// Unlike the job endpoints it blocks for the simulation's duration;
-// cluster coordinators own the timeout via their request context.
+// plus the cache outcome. It is a client endpoint: on a coordinator the
+// run itself reaches its peer as a one-spec /v1/exec/batch shard. Unlike
+// the job endpoints it blocks for the simulation's duration; the client
+// owns the timeout via its request context.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	var spec sweep.Spec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
@@ -370,11 +371,10 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	res, info, err := s.eng.Run(ctx, spec)
 	if err != nil {
-		// The status tells the coordinator whether to fail over. A
-		// cancellation means this node is draining (or the caller hung
-		// up): 503, retryable elsewhere. Any other run error is the
-		// spec's own doing — a 422 is terminal, so one poisoned spec
-		// cannot eject every healthy peer in turn.
+		// The status tells the client whether to retry. A cancellation
+		// means this node is draining (or the caller hung up): 503,
+		// retryable elsewhere. Any other run error is the spec's own
+		// doing — a 422 is terminal.
 		s.log.Warn("httpapi: exec failed", s.reqAttrs(r, "err", err.Error())...)
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			writeErr(w, http.StatusServiceUnavailable, CodeNodeDraining, errors.New("node draining"))
@@ -457,19 +457,14 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	go func() {
-		job.Publish(sweep.JobEventFrom(sweep.Event{Kind: sweep.EventStarted, Spec: spec, Total: 1}))
-		res, info, err := s.eng.Run(job.Context(), spec)
-		ev := sweep.Event{Kind: sweep.EventFinished, Spec: spec, Done: 1, Total: 1,
-			Outcome: info.Outcome, Peer: info.Peer, Seconds: res.Seconds}
-		if err != nil {
-			ev.Kind, ev.Err = sweep.EventError, err
-		}
-		job.Publish(sweep.JobEventFrom(ev))
+		res, err := s.eng.Sweep(job.Context(), []sweep.Spec{spec}, sweep.Options{
+			OnEvent: func(ev sweep.Event) { job.Publish(sweep.JobEventFrom(ev)) },
+		})
 		if err != nil {
 			job.Finish(nil, err)
 			return
 		}
-		job.Finish(res, nil)
+		job.Finish(res.Results[0], nil)
 	}()
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID()})
 }

@@ -16,17 +16,9 @@ import (
 // fakeBatchBackend records every RunSpecs call and serves specs from a
 // programmable function, standing in for the remote cluster backend.
 type fakeBatchBackend struct {
-	mu      sync.Mutex
-	calls   [][]Spec // specs of each RunSpecs invocation
-	singles int      // RunSpec invocations (spec-at-a-time path)
-	serve   func(sp Spec) (sim.MEMSpotResult, RunInfo, error)
-}
-
-func (f *fakeBatchBackend) RunSpec(ctx context.Context, sp Spec) (sim.MEMSpotResult, RunInfo, error) {
-	f.mu.Lock()
-	f.singles++
-	f.mu.Unlock()
-	return f.serve(sp)
+	mu    sync.Mutex
+	calls [][]Spec // specs of each RunSpecs invocation
+	serve func(sp Spec) (sim.MEMSpotResult, RunInfo, error)
 }
 
 func (f *fakeBatchBackend) RunSpecs(ctx context.Context, specs []Spec, deliver func(int, sim.MEMSpotResult, RunInfo, error)) {
@@ -53,7 +45,7 @@ func TestSweepBatchesDistinctSpecs(t *testing.T) {
 	fb := &fakeBatchBackend{serve: peerServe}
 	e.SetBatchBackend(fb)
 
-	// Warm the cache with one spec through the single-run path.
+	// Warm the cache with one spec through Run: a shard of one.
 	warm := Spec{Mix: "W2", Policy: "DTM-TS"}
 	if _, _, err := e.Run(context.Background(), warm); err != nil {
 		t.Fatal(err)
@@ -77,14 +69,14 @@ func TestSweepBatchesDistinctSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fb.calls) != 1 {
-		t.Fatalf("RunSpecs called %d times, want 1", len(fb.calls))
+	if len(fb.calls) != 2 {
+		t.Fatalf("RunSpecs called %d times, want 2 (the warmup, then the sweep)", len(fb.calls))
 	}
-	if got := len(fb.calls[0]); got != 2 {
-		t.Fatalf("batch carried %d specs, want 2 (distinct uncached): %v", got, fb.calls[0])
+	if got := fb.calls[0]; len(got) != 1 || got[0] != warm {
+		t.Fatalf("warmup shard = %v, want just %v", got, warm)
 	}
-	if fb.singles != 1 {
-		t.Fatalf("RunSpec called %d times, want 1 (the warmup only)", fb.singles)
+	if got := len(fb.calls[1]); got != 2 {
+		t.Fatalf("batch carried %d specs, want 2 (distinct uncached): %v", got, fb.calls[1])
 	}
 	for i, r := range res.Results {
 		if r.Seconds != 100 {
@@ -187,14 +179,12 @@ func TestSweepBatchResultsCached(t *testing.T) {
 	if len(fb.calls) != 1 {
 		t.Fatalf("RunSpecs called %d times across two sweeps, want 1 (second sweep all cache hits)", len(fb.calls))
 	}
-	if fb.singles != 0 {
-		t.Errorf("RunSpec called %d times, want 0", fb.singles)
-	}
 }
 
 // TestSweepBatchNormalize: a normalized sweep plans the No-limit
 // baselines into the same batch (deduplicated per mix), never
-// dispatching spec-at-a-time, and the normalized values come out right.
+// dispatching a shard per baseline, and the normalized values come out
+// right.
 func TestSweepBatchNormalize(t *testing.T) {
 	var builds atomic.Int64
 	e := testEngine(4, &builds, 0)
@@ -218,15 +208,12 @@ func TestSweepBatchNormalize(t *testing.T) {
 			t.Errorf("norm %d = %v, want %v", i, res.Norms[i], want)
 		}
 	}
-	if len(fb.calls) != 1 {
-		t.Fatalf("RunSpecs called %d times, want 1", len(fb.calls))
-	}
 	// Two specs plus ONE shared W1 baseline, all in the single batch.
+	if len(fb.calls) != 1 {
+		t.Fatalf("RunSpecs called %d times, want 1 (baselines must ride the batch)", len(fb.calls))
+	}
 	if got := len(fb.calls[0]); got != 3 {
 		t.Errorf("batch carried %d specs, want 3 (2 specs + 1 deduplicated baseline): %v", got, fb.calls[0])
-	}
-	if fb.singles != 0 {
-		t.Errorf("RunSpec calls = %d, want 0 (baselines must ride the batch)", fb.singles)
 	}
 }
 
@@ -298,5 +285,37 @@ func TestBatchLocalFallbackSharesPrefixes(t *testing.T) {
 		if !reflect.DeepEqual(got.Results[i], want.Results[i]) {
 			t.Errorf("%s: fallback result differs from cold replay:\n got %+v\nwant %+v", sp, got.Results[i], want.Results[i])
 		}
+	}
+}
+
+// blockingBackend never delivers: RunSpecs returns once ctx is done.
+type blockingBackend struct{ called chan struct{} }
+
+func (b blockingBackend) RunSpecs(ctx context.Context, _ []Spec, _ func(int, sim.MEMSpotResult, RunInfo, error)) {
+	close(b.called)
+	<-ctx.Done()
+}
+
+// TestBatchRunCancelledBeforeDelivery: Run on a batch-backed engine
+// sends its spec as a shard of one, and when the caller cancels before
+// the backend delivers, Run returns the context's error instead of a
+// result or a local fallback.
+func TestBatchRunCancelledBeforeDelivery(t *testing.T) {
+	var builds atomic.Int64
+	e := testEngine(2, &builds, 0)
+	bb := blockingBackend{called: make(chan struct{})}
+	e.SetBatchBackend(bb)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-bb.called
+		cancel()
+	}()
+	_, _, err := e.Run(ctx, Spec{Mix: "W1", Policy: "DTM-TS"})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run error = %v, want context.Canceled", err)
+	}
+	if builds.Load() != 0 {
+		t.Errorf("local builds = %d, want 0", builds.Load())
 	}
 }

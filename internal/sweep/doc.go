@@ -38,11 +38,14 @@
 //
 // # Cluster mode
 //
-// SetBackend reroutes cache misses through a SpecBackend instead of
-// local execution. The engine still deduplicates locally — the backend
-// sees each distinct key once — and the backend's RunInfo (its outcome
-// plus the executing peer id) flows through Event.Peer into the job
-// event log and out over SSE. The internal/sweep/remote package
-// implements the backend that fans runs out to remote dramthermd peers
-// by consistent hashing on the canonical Key.
+// SetBatchBackend reroutes cache misses through a BatchBackend instead
+// of local execution: Sweep hands it a grid's distinct uncached specs in
+// one call and Run hands it a shard of one. The engine still
+// deduplicates locally — the backend sees each distinct key once — and
+// the backend's RunInfo (its outcome plus the executing peer id) flows
+// through Event.Peer into the job event log and out over SSE. Specs the
+// backend hands back with ErrRunLocal run on the engine's own pool. The
+// internal/sweep/remote package implements the backend that fans runs
+// out to remote dramthermd peers by consistent hashing on the canonical
+// Key. SetBackend installs a spec-at-a-time SpecBackend instead.
 package sweep

@@ -41,7 +41,7 @@ const (
 type Stats = memo.Stats
 
 // RunInfo describes how a run was ultimately served: the cache outcome
-// plus, for runs dispatched through a SpecBackend, the identity of the
+// plus, for runs dispatched through a backend, the identity of the
 // cluster member that executed it.
 type RunInfo struct {
 	// Outcome is how the serving node obtained the result. With a
@@ -54,9 +54,10 @@ type RunInfo struct {
 	Peer string
 }
 
-// SpecBackend executes one validated spec on behalf of the engine — the
-// seam a distributed executor implements (see internal/sweep/remote).
-// The engine still deduplicates through its local cache; the backend is
+// SpecBackend executes one validated spec on behalf of the engine, one
+// spec at a time (SetBackend) — the seam for executors that wrap single
+// runs; the cluster backend implements BatchBackend instead. The engine
+// still deduplicates through its local cache; the backend is
 // only invoked on the leader path, once per distinct key, and its
 // RunInfo replaces the engine's own Built outcome so observers see how
 // the run was really served (built/hit/joined on which peer).
@@ -67,27 +68,31 @@ type SpecBackend interface {
 // ErrRunLocal is the sentinel a BatchBackend delivers for specs no peer
 // could serve: instead of executing the run itself (which would bypass
 // the worker pool), the backend hands it back and the engine executes it
-// locally inside the leader's pool slot — exactly where the
-// spec-at-a-time local fallback runs.
+// locally inside the leader's pool slot.
 var ErrRunLocal = errors.New("sweep: no peer available, execute locally")
 
-// localPeer is the RunInfo.Peer reported for batch specs the engine
-// executed itself after an ErrRunLocal delivery. It matches the remote
-// backend's spec-at-a-time fallback marker.
+// localPeer is the RunInfo.Peer reported for specs the engine executed
+// itself after an ErrRunLocal delivery.
 const localPeer = "local"
 
-// BatchBackend is the grid-at-a-time extension of SpecBackend: Sweep
-// hands it every distinct uncached spec of a grid in one call instead of
-// dispatching spec-at-a-time, so a distributed implementation can send
-// each cluster peer its whole shard in a single request. deliver must be
-// called exactly once per spec index, from any goroutine, as outcomes
-// become available; RunSpecs returns when every index has been delivered
-// or ctx is done. A spec no peer can serve is delivered with ErrRunLocal
-// (the engine runs it on its own pool); any other delivered error is
-// terminal for that spec.
+// BatchBackend executes shards of specs on behalf of the engine — the
+// seam the cluster backend implements (see internal/sweep/remote). Sweep
+// hands it every distinct uncached spec of a grid in one call, so each
+// cluster peer gets its whole shard in a single request, and Run sends
+// it a shard of one. deliver must be called exactly once per spec index,
+// from any goroutine, as outcomes become available; RunSpecs returns
+// when every index has been delivered or ctx is done. A spec no peer can
+// serve is delivered with ErrRunLocal (the engine runs it on its own
+// pool); any other delivered error is terminal for that spec.
 type BatchBackend interface {
-	SpecBackend
 	RunSpecs(ctx context.Context, specs []Spec, deliver func(i int, res sim.MEMSpotResult, info RunInfo, err error))
+}
+
+// delivery is one spec's outcome as a BatchBackend delivered it.
+type delivery struct {
+	res  sim.MEMSpotResult
+	info RunInfo
+	err  error
 }
 
 // Engine serves level-2 runs from a deduplicating cache over one
@@ -196,22 +201,21 @@ func (e *Engine) sliceKey(spec Spec) string {
 	return string(spec.Key(e.digest))
 }
 
-// SetBackend routes cache misses through b instead of local execution
-// (cluster mode). It must be called before the engine is shared across
-// goroutines. Backends that need a local fallback should capture Exec.
-// Single runs always dispatch spec-at-a-time; use SetBatchBackend to
-// additionally batch whole sweeps.
+// SetBackend routes cache misses through b, one spec at a time, instead
+// of local execution. It must be called before the engine is shared
+// across goroutines. Backends that need a local fallback should capture
+// Exec.
 func (e *Engine) SetBackend(b SpecBackend) {
 	e.backend = b
 	e.batch = nil
 }
 
-// SetBatchBackend is SetBackend plus grid batching: Sweep plans each
-// grid's distinct uncached specs into one RunSpecs call (one request per
-// cluster peer) while single runs keep dispatching through RunSpec. It
-// must be called before the engine is shared across goroutines.
+// SetBatchBackend routes cache misses through b (cluster mode): Sweep
+// plans each grid's distinct uncached specs into one RunSpecs call (one
+// request per cluster peer), and Run sends b a shard of one. It must be
+// called before the engine is shared across goroutines.
 func (e *Engine) SetBatchBackend(b BatchBackend) {
-	e.backend = b
+	e.backend = nil
 	e.batch = b
 }
 
@@ -304,28 +308,63 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (sim.MEMSpotResult, RunInfo
 	if err := e.Validate(spec); err != nil {
 		return sim.MEMSpotResult{}, RunInfo{}, err
 	}
-	// The leader runs the builder synchronously inside do, so the
-	// captured backend info is safe to read whenever out == Built.
-	var remote RunInfo
+	return e.serve(ctx, spec, e.lead)
+}
+
+// serve runs spec through the run cache with lead as the leader body.
+// The leader runs synchronously inside do, so its RunInfo is safe to
+// read whenever the outcome is Built; joiners and hits report only
+// their outcome.
+func (e *Engine) serve(ctx context.Context, spec Spec, lead func(context.Context, Spec) (sim.MEMSpotResult, RunInfo, error)) (sim.MEMSpotResult, RunInfo, error) {
+	var served RunInfo
 	res, out, err := e.do(ctx, spec.Key(e.digest), func(ctx context.Context) (sim.MEMSpotResult, error) {
-		if e.backend == nil {
-			return e.Exec(ctx, spec)
-		}
-		r, info, err := e.backend.RunSpec(ctx, spec)
-		remote = info
+		r, info, err := lead(ctx, spec)
+		served = info
 		return r, err
 	})
-	info := RunInfo{Outcome: out}
-	if e.backend != nil && out == Built {
-		info = remote
+	if out != Built {
+		served = RunInfo{Outcome: out}
 	}
-	return res, info, err
+	return res, served, err
+}
+
+// lead is Run's leader body: a shard of one through the batch backend,
+// the spec backend, or local execution.
+func (e *Engine) lead(ctx context.Context, spec Spec) (sim.MEMSpotResult, RunInfo, error) {
+	switch {
+	case e.batch != nil:
+		ch := make(chan delivery, 1)
+		e.batch.RunSpecs(ctx, []Spec{spec}, func(_ int, res sim.MEMSpotResult, info RunInfo, err error) {
+			ch <- delivery{res, info, err}
+		})
+		select {
+		case d := <-ch:
+			return e.settle(ctx, spec, d)
+		default:
+			// RunSpecs returned without delivering: ctx is done.
+			return sim.MEMSpotResult{}, RunInfo{}, ctx.Err()
+		}
+	case e.backend != nil:
+		return e.backend.RunSpec(ctx, spec)
+	}
+	res, err := e.Exec(ctx, spec)
+	return res, RunInfo{Outcome: Built}, err
+}
+
+// settle turns a batch delivery into the leader's result: an ErrRunLocal
+// delivery executes the spec here, inside the leader's pool slot.
+func (e *Engine) settle(ctx context.Context, spec Spec, d delivery) (sim.MEMSpotResult, RunInfo, error) {
+	if errors.Is(d.err, ErrRunLocal) {
+		res, err := e.Exec(ctx, spec)
+		return res, RunInfo{Outcome: Built, Peer: localPeer}, err
+	}
+	return d.res, d.info, d.err
 }
 
 // do serves key from the run cache, running build as the leader body
 // inside a worker-pool slot. The slot is taken after the flight is
-// registered, so joiners wait on it, and the wait for a slot aborts
-// when ctx is done.
+// registered, so joiners wait on it; a leader whose ctx is done before
+// or while it waits for a slot returns ctx.Err() without building.
 func (e *Engine) do(ctx context.Context, key Key, build func(context.Context) (sim.MEMSpotResult, error)) (sim.MEMSpotResult, Outcome, error) {
 	return e.cache.Do(ctx, key, func(ctx context.Context) (sim.MEMSpotResult, error) {
 		select {
@@ -334,6 +373,11 @@ func (e *Engine) do(ctx context.Context, key Key, build func(context.Context) (s
 			return sim.MEMSpotResult{}, ctx.Err()
 		}
 		defer func() { <-e.sem }()
+		if err := ctx.Err(); err != nil {
+			// A free slot and a dead ctx were both ready; select picked
+			// the slot.
+			return sim.MEMSpotResult{}, err
+		}
 		if e.buildDur == nil {
 			return build(ctx)
 		}
@@ -346,9 +390,10 @@ func (e *Engine) do(ctx context.Context, key Key, build func(context.Context) (s
 
 // Exec executes the spec locally, uncached: the leader body behind the
 // cache — prefix sharing when it is enabled and no custom RunFunc is
-// set, the run function otherwise. It is also the local-fallback hook a
-// SpecBackend calls from inside a cache leader, where Run would wait on
-// its own flight. Most callers want Run.
+// set, the run function otherwise. It is also what the engine runs for
+// a batch backend's ErrRunLocal deliveries, and the local-fallback hook
+// a SpecBackend calls from inside a cache leader, where Run would wait
+// on its own flight. Most callers want Run.
 func (e *Engine) Exec(ctx context.Context, spec Spec) (sim.MEMSpotResult, error) {
 	if e.prefix != nil && !e.runCustom {
 		return e.prefix.Run(ctx, e.sliceKey(spec), func() (core.RunSpec, error) {

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 
 	"dramtherm/internal/obs"
@@ -84,10 +82,11 @@ func (b *Backend) PlanShards(specs []sweep.Spec) []Shard {
 // RunSpecs implements sweep.BatchBackend: it plans the specs into one
 // shard per ring owner, sends each peer its entire shard in a single
 // request, and delivers per-spec outcomes as the NDJSON response streams
-// back. When a peer dies mid-stream the specs it had not yet
+// back. When a peer fails or dies mid-stream the specs it had not yet
 // acknowledged are re-planned onto the surviving ring; when no peer is
 // left they are delivered with sweep.ErrRunLocal so the engine executes
-// them on its own pool.
+// them on its own pool. Results built by a peer are queued for RF=2
+// replication (Config.Replication).
 func (b *Backend) RunSpecs(ctx context.Context, specs []sweep.Spec, deliver func(i int, res sim.MEMSpotResult, info sweep.RunInfo, err error)) {
 	// Failover can race a late line from a dying stream; guard delivery
 	// so each spec is reported exactly once.
@@ -158,13 +157,7 @@ func (b *Backend) runBatch(ctx context.Context, specs []sweep.Spec, idxs []int, 
 		wg.Add(1)
 		go func(p *peer, mapped []int) {
 			defer wg.Done()
-			unacked, singles := b.dispatchBatch(ctx, p, specs, mapped, deliver)
-			if singles {
-				// The peer is healthy but cannot take this shard as one
-				// batch: dispatch it spec-at-a-time against the same peer.
-				unacked = b.dispatchSingles(ctx, p, specs, unacked, deliver)
-			}
-			if len(unacked) > 0 {
+			if unacked := b.dispatchBatch(ctx, p, specs, mapped, deliver); len(unacked) > 0 {
 				b.mReplan.Inc()
 				b.runBatch(ctx, specs, unacked, deliver, budget-1)
 			}
@@ -184,15 +177,36 @@ func (b *Backend) peerByID(id string) *peer {
 	return nil // the member left between planning and dispatch
 }
 
-// dispatchBatch sends p its shard in one request and delivers outcomes
-// as the response streams back. It returns the indexes the peer never
-// acknowledged when the peer failed (submit error, 5xx, stream
-// truncation or protocol violation) — the caller's cue to fail them
-// over — and nil when every spec was delivered or the caller's ctx
-// died. singles is set when the peer is healthy but the shard exceeds
-// its batch size limit: the unacked specs should go to the same peer
-// spec-at-a-time.
-func (b *Backend) dispatchBatch(ctx context.Context, p *peer, specs []sweep.Spec, idxs []int, deliver func(int, sim.MEMSpotResult, sweep.RunInfo, error)) (unacked []int, singles bool) {
+// dispatchBatch sends p its shard and delivers outcomes as the response
+// streams back. It returns the indexes the peer never acknowledged when
+// the peer failed (submit error, 5xx, stream truncation or protocol
+// violation) — the caller's cue to fail them over — and nil when every
+// spec was delivered or the caller's ctx died. A shard over the peer's
+// batch limit (413) is split in half and each half re-sent to the same
+// peer: the peer is healthy, so nothing is ejected and no failover
+// budget is spent.
+func (b *Backend) dispatchBatch(ctx context.Context, p *peer, specs []sweep.Spec, idxs []int, deliver func(int, sim.MEMSpotResult, sweep.RunInfo, error)) []int {
+	unacked, tooLarge := b.postBatch(ctx, p, specs, idxs, deliver)
+	if !tooLarge {
+		return unacked
+	}
+	mid := len(idxs) / 2
+	var rest []int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rest = b.dispatchBatch(ctx, p, specs, idxs[mid:], deliver)
+	}()
+	unacked = b.dispatchBatch(ctx, p, specs, idxs[:mid], deliver)
+	<-done
+	return append(unacked, rest...)
+}
+
+// postBatch is one POST /v1/exec/batch of idxs to p, bounded by the
+// peer's request pool. It returns unacked as dispatchBatch does, or
+// tooLarge when the peer rejected a multi-spec shard as over its batch
+// limit; the pool slot is released before the caller splits.
+func (b *Backend) postBatch(ctx context.Context, p *peer, specs []sweep.Spec, idxs []int, deliver func(int, sim.MEMSpotResult, sweep.RunInfo, error)) (unacked []int, tooLarge bool) {
 	var zero sim.MEMSpotResult
 	select {
 	case p.sem <- struct{}{}:
@@ -206,14 +220,11 @@ func (b *Backend) dispatchBatch(ctx context.Context, p *peer, specs []sweep.Spec
 	for j, i := range idxs {
 		breq.Specs[j] = specs[i]
 	}
+	var req *http.Request
 	body, err := json.Marshal(breq)
-	if err != nil {
-		for _, i := range idxs {
-			deliver(i, zero, sweep.RunInfo{}, err)
-		}
-		return nil, false
+	if err == nil {
+		req, err = http.NewRequestWithContext(ctx, http.MethodPost, p.url+BatchPath, bytes.NewReader(body))
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.url+BatchPath, bytes.NewReader(body))
 	if err != nil {
 		for _, i := range idxs {
 			deliver(i, zero, sweep.RunInfo{}, err)
@@ -236,62 +247,24 @@ func (b *Backend) dispatchBatch(ctx context.Context, p *peer, specs []sweep.Spec
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		return b.decodeBatchStream(ctx, p, resp.Body, idxs, deliver), false
-	case resp.StatusCode == http.StatusRequestEntityTooLarge:
-		// The peer is healthy but the shard is over its size limit.
-		// Degrade to spec-at-a-time dispatch instead of failing the
-		// sweep or ejecting a working peer.
+	case resp.StatusCode == http.StatusRequestEntityTooLarge && len(idxs) > 1:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
-		return idxs, true
+		return nil, true
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
 		// The peer is healthy and rejected the batch itself: terminal for
 		// every spec in it (the coordinator validated them, so this is a
 		// version-skew or protocol bug worth surfacing, not retrying).
+		// A single spec over the batch limit ends here too.
 		err := fmt.Errorf("remote: peer %s rejected batch: %s", p.id, errorBody(resp))
 		for _, i := range idxs {
 			deliver(i, zero, sweep.RunInfo{}, err)
 		}
-		return nil, false
 	default:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
 		b.eject(p, fmt.Errorf("batch status %s", resp.Status))
 		return idxs, false
 	}
-}
-
-// dispatchSingles executes idxs against p one spec at a time — the
-// degraded path for a healthy peer whose batch limit the shard
-// exceeds. Concurrency is bounded by the peer's request pool (dispatch
-// acquires a slot per call). Peer failures eject p and return the
-// still-unserved indexes for re-planning; terminal errors are delivered.
-func (b *Backend) dispatchSingles(ctx context.Context, p *peer, specs []sweep.Spec, idxs []int, deliver func(int, sim.MEMSpotResult, sweep.RunInfo, error)) (unacked []int) {
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	for _, i := range idxs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, info, err := b.dispatch(ctx, p, specs[i])
-			var pe *peerError
-			switch {
-			case err == nil:
-				deliver(i, res, info, nil)
-			case errors.As(err, &pe):
-				b.eject(p, pe.err)
-				mu.Lock()
-				unacked = append(unacked, i)
-				mu.Unlock()
-			case ctx.Err() != nil:
-				// The sweep is over; nobody is waiting on the delivery.
-			default:
-				deliver(i, sim.MEMSpotResult{}, sweep.RunInfo{}, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	sort.Ints(unacked)
-	return unacked
+	return nil, false
 }
 
 // decodeBatchStream consumes one batch response, delivering each line's

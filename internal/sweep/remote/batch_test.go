@@ -149,7 +149,6 @@ func TestBatchedSweepMidStreamKill(t *testing.T) {
 			{ID: "victim", URL: victim.ts.URL},
 			{ID: "survivor", URL: survivor.ts.URL},
 		},
-		Local: coord.Exec,
 	})
 	coord.SetBatchBackend(b)
 
@@ -200,9 +199,9 @@ func TestBatchedSweepMidStreamKill(t *testing.T) {
 }
 
 // newStubWorker is an embedded dramthermd with a constant-result run
-// function whose HTTP front counts exec requests by endpoint. With
-// batch404 its batch route answers 404, as if the endpoint were absent.
-func newStubWorker(t *testing.T, cfg httpapi.Config, batch404 bool) *countingWorker {
+// function whose HTTP front counts exec requests by endpoint. A nonzero
+// batchStatus makes its batch route answer with that status instead.
+func newStubWorker(t *testing.T, cfg httpapi.Config, batchStatus int) *countingWorker {
 	t.Helper()
 	w := &countingWorker{gotRun: make(chan struct{})}
 	eng := sweep.NewEngine(core.NewSystem(core.DefaultConfig()), 4)
@@ -221,8 +220,8 @@ func newStubWorker(t *testing.T, cfg httpapi.Config, batch404 bool) *countingWor
 			w.execs.Add(1)
 		case remote.BatchPath:
 			w.batches.Add(1)
-			if batch404 {
-				http.NotFound(rw, r)
+			if batchStatus != 0 {
+				http.Error(rw, http.StatusText(batchStatus), batchStatus)
 				return
 			}
 		}
@@ -233,15 +232,16 @@ func newStubWorker(t *testing.T, cfg httpapi.Config, batch404 bool) *countingWor
 }
 
 // TestBatchFallbackToSingles: a healthy peer whose MaxBatch is smaller
-// than its shard (413) is served spec-at-a-time instead of failing the
-// sweep or being ejected.
+// than its shard (413) gets the shard split in halves, down to one spec
+// per batch request, instead of failing the sweep or being ejected — and
+// never sees a /v1/exec request.
 func TestBatchFallbackToSingles(t *testing.T) {
 	specs := sweep.Grid{
 		Mixes:    []string{"W1", "W2"},
 		Policies: []string{"DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"},
 	}.Expand()
 	// tiny accepts at most one spec per batch, so any real shard 413s.
-	tiny := newStubWorker(t, httpapi.Config{MaxBatch: 1}, false)
+	tiny := newStubWorker(t, httpapi.Config{MaxBatch: 1}, 0)
 
 	coord := fakeEngine(nil, 0)
 	b := newBackend(t, coord, remote.Config{Peers: []remote.Peer{{ID: "tiny", URL: tiny.ts.URL}}})
@@ -254,9 +254,13 @@ func TestBatchFallbackToSingles(t *testing.T) {
 	if got, want := res.Table("t").String(), singleNodeTable(t, specs); got != want {
 		t.Fatalf("fallback table differs from single-node:\n--- single ---\n%s--- fallback ---\n%s", want, got)
 	}
-	// Every spec was served over /v1/exec by the peer that owned it.
-	if got := tiny.execs.Load(); got != int64(len(specs)) {
-		t.Errorf("singles served = %d, want %d", got, len(specs))
+	// Halving a shard of n down to single specs costs 2n-1 requests: the
+	// whole shard, every intermediate half and n one-spec batches.
+	if got, want := tiny.batches.Load(), int64(2*len(specs)-1); got != want {
+		t.Errorf("batch requests = %d, want %d", got, want)
+	}
+	if got := tiny.execs.Load(); got != 0 {
+		t.Errorf("peer served %d single-exec requests, want 0", got)
 	}
 	if st := b.Status()[0]; !st.Up {
 		t.Errorf("peer %s was ejected; a peer over its batch limit must stay in the ring", st.ID)
@@ -265,16 +269,15 @@ func TestBatchFallbackToSingles(t *testing.T) {
 
 // TestBatchRoute404IsTerminal: a healthy peer whose batch route 404s
 // rejected the batch — every spec of its shard gets a terminal error
-// (no spec-at-a-time retry, no local fallback) and the peer stays in
-// the ring.
+// (no retry, no local fallback) and the peer stays in the ring.
 func TestBatchRoute404IsTerminal(t *testing.T) {
 	specs := sweep.Grid{
 		Mixes:    []string{"W1", "W2"},
 		Policies: []string{"DTM-TS", "DTM-BW"},
 	}.Expand()
-	w := newStubWorker(t, httpapi.Config{}, true)
+	w := newStubWorker(t, httpapi.Config{}, http.StatusNotFound)
 	coord := fakeEngine(nil, 0)
-	b := newBackend(t, coord, remote.Config{Peers: []remote.Peer{{ID: "w", URL: w.ts.URL}}, Local: coord.Exec})
+	b := newBackend(t, coord, remote.Config{Peers: []remote.Peer{{ID: "w", URL: w.ts.URL}}})
 
 	errs := make([]error, len(specs))
 	var delivered atomic.Int64
@@ -295,6 +298,57 @@ func TestBatchRoute404IsTerminal(t *testing.T) {
 	}
 	if st := b.Status()[0]; !st.Up {
 		t.Errorf("peer %s was ejected; a rejected batch must not eject a healthy peer", st.ID)
+	}
+}
+
+// TestOneSpecOverBatchLimitIsTerminal: a 413 on a one-spec shard has
+// nothing left to split — the spec fails with a terminal error, and the
+// peer stays in the ring.
+func TestOneSpecOverBatchLimitIsTerminal(t *testing.T) {
+	specs := []sweep.Spec{{Mix: "W1", Policy: "DTM-TS"}, {Mix: "W1", Policy: "DTM-BW"}}
+	w := newStubWorker(t, httpapi.Config{}, http.StatusRequestEntityTooLarge)
+	coord := fakeEngine(nil, 0)
+	b := newBackend(t, coord, remote.Config{Peers: []remote.Peer{{ID: "w", URL: w.ts.URL}}})
+
+	errs := make([]error, len(specs))
+	b.RunSpecs(context.Background(), specs, func(i int, _ sim.MEMSpotResult, _ sweep.RunInfo, err error) {
+		errs[i] = err
+	})
+	for i, err := range errs {
+		if err == nil || errors.Is(err, sweep.ErrRunLocal) || !strings.Contains(err.Error(), "rejected batch") {
+			t.Errorf("spec %d: err = %v, want a terminal rejected-batch error", i, err)
+		}
+	}
+	// The pair, then each half.
+	if got := w.batches.Load(); got != 3 {
+		t.Errorf("batch requests = %d, want 3", got)
+	}
+	if st := b.Status()[0]; !st.Up {
+		t.Errorf("peer %s was ejected; a peer over its batch limit must stay in the ring", st.ID)
+	}
+}
+
+// TestCoordinatorRunIsOneBatchRequest: a single Engine.Run on a
+// coordinator is a shard of one — exactly one /v1/exec/batch request
+// and no /v1/exec — served and attributed like any batched spec.
+func TestCoordinatorRunIsOneBatchRequest(t *testing.T) {
+	w := newCountingWorker(t)
+	coord := fakeEngine(nil, 0)
+	b := newBackend(t, coord, remote.Config{Peers: []remote.Peer{{ID: "w", URL: w.ts.URL}}})
+	coord.SetBatchBackend(b)
+
+	res, info, err := coord.Run(context.Background(), sweep.Spec{Mix: "W1", Policy: "DTM-TS"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Seconds != 150 || info.Peer != "w" || info.Outcome != sweep.Built {
+		t.Fatalf("run = %v s, info %+v; want 150 s built on w", res.Seconds, info)
+	}
+	if got := w.batches.Load(); got != 1 {
+		t.Errorf("batch requests = %d, want 1", got)
+	}
+	if got := w.execs.Load(); got != 0 {
+		t.Errorf("single-exec requests = %d, want 0", got)
 	}
 }
 
@@ -333,7 +387,7 @@ func TestPlanShards(t *testing.T) {
 
 	// No peers at all: everything lands in the local shard.
 	lonely := fakeEngine(nil, 0)
-	lb, err := remote.New(remote.Config{Key: lonely.Key, Local: lonely.Exec, ProbeEvery: -1})
+	lb, err := remote.New(remote.Config{Key: lonely.Key, ProbeEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,46 +3,50 @@
 //
 // # Routing
 //
-// Backend implements sweep.SpecBackend. Each spec is canonicalized into
-// its cache Key (Config.Key, normally Engine.Key) and routed by
-// consistent hashing: every peer contributes Vnodes points to a hash
-// ring, and the spec goes to the first peer clockwise of the key's
-// hash. The same key therefore always lands on the same peer while the
-// membership is stable, so each peer's run cache (and level-1 trace
-// store) stays hot for its shard of the grid — repeated or overlapping
-// sweeps hit warm caches instead of resimulating.
+// Backend implements sweep.BatchBackend; install it with
+// Engine.SetBatchBackend. Each spec is canonicalized into its cache Key
+// (Config.Key, normally Engine.Key) and routed by consistent hashing:
+// every peer contributes Vnodes points to a hash ring, and the spec
+// goes to the first peer clockwise of the key's hash. The same key
+// therefore always lands on the same peer while the membership is
+// stable, so each peer's run cache (and level-1 trace store) stays hot
+// for its shard of the grid — repeated or overlapping sweeps hit warm
+// caches instead of resimulating.
 //
 // # Health and failover
 //
 // Peers start admitted. A failed request or probe ejects a peer from
 // the ring; a periodic /v1/healthz probe readmits it when it answers
 // again, and request routing retries it half-open once its backoff
-// expires. A run whose peer is down or errors fails over to the next
-// ring member, and when no peer is left, executes locally via
-// Config.Local — a cluster degrades to a slower single node, never to
-// an outage. Caller cancellation and 4xx rejections are terminal, not
-// failover triggers: no other peer would do better.
+// expires. A shard whose peer is down or dies re-plans its
+// unacknowledged specs onto the surviving ring, and when no peer is
+// left they are handed back to the engine with sweep.ErrRunLocal and
+// run on its own pool — a cluster degrades to a slower single node,
+// never to an outage. Caller cancellation and 4xx rejections are
+// terminal, not failover triggers: no other peer would do better.
 //
 // # Wire protocol
 //
-// Single runs dispatch as one synchronous POST /v1/exec, bounded by a
-// per-peer request pool: the body is the sweep.Spec JSON and the reply
-// an ExecResponse carrying the full result plus the peer's own cache
+// There is one protocol between nodes: POST /v1/exec/batch, bounded by
+// a per-peer request pool. The body is a BatchRequest (a shard of
+// specs); the reply streams one NDJSON BatchLine per spec as it
+// completes, carrying the full result plus the peer's own cache
 // outcome. That outcome and the peer id flow back through
 // sweep.RunInfo into Event.Peer, the job event log, and the SSE
-// stream, so a cluster-wide sweep is observable per spec.
+// stream, so a cluster-wide sweep is observable per spec. The
+// synchronous POST /v1/exec (ExecPath, ExecResponse) is a client
+// endpoint; coordinators never dispatch to it.
 //
 // # Batched sweeps
 //
-// Backend also implements sweep.BatchBackend: a whole sweep is planned
-// up front (PlanShards groups the grid's distinct uncached specs by
-// ring owner) and each peer receives its entire shard in a single
-// POST /v1/exec/batch, streaming per-spec outcomes back as NDJSON
-// BatchLines — one round trip per peer instead of one per spec, with
-// the same per-spec observability. A peer that dies mid-stream only
-// loses its unacknowledged specs: they re-plan onto the surviving
-// ring, and when no peer is left they are handed back to the engine
-// with sweep.ErrRunLocal for local execution.
+// A whole sweep is planned up front (PlanShards groups the grid's
+// distinct uncached specs by ring owner) and each peer receives its
+// entire shard in a single request — one round trip per peer instead
+// of one per spec, with the same per-spec observability. A single
+// Engine.Run is the degenerate case: a shard of one. A peer that dies
+// mid-stream only loses its unacknowledged specs: they re-plan onto
+// the surviving ring. A healthy peer that answers 413 (the shard is
+// over its batch limit) gets the shard back in halves until they fit.
 //
 // # Dynamic membership
 //

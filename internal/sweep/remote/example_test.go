@@ -8,28 +8,30 @@ import (
 	"net/http/httptest"
 	"time"
 
+	"dramtherm/internal/core"
 	"dramtherm/internal/sim"
 	"dramtherm/internal/sweep"
 	"dramtherm/internal/sweep/remote"
 )
 
-// A Backend fans specs out to dramthermd peers and reports which peer
-// served each run with what cache outcome. Here the single "peer" is a
-// stub /v1/exec handler, so the output is deterministic; in production
-// the peers are real dramthermd instances and Config.Key/Config.Local
-// come from the coordinating engine (Engine.Key, Engine.Exec).
+// A Backend fans a coordinating engine's runs out to dramthermd peers
+// and reports which peer served each run with what cache outcome. Here
+// the single "peer" is a stub /v1/exec/batch handler, so the output is
+// deterministic; in production the peers are real dramthermd instances.
 func ExampleBackend() {
 	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(remote.ExecResponse{
+		json.NewEncoder(w).Encode(remote.BatchLine{
+			Index:   0,
 			Outcome: "hit",
-			Result:  sim.MEMSpotResult{Seconds: 412},
+			Result:  &sim.MEMSpotResult{Seconds: 412},
 		})
 	}))
 	defer worker.Close()
 
+	coord := sweep.NewEngine(core.NewSystem(core.DefaultConfig()), 0)
 	backend, err := remote.New(remote.Config{
 		Peers:      []remote.Peer{{ID: "worker-1", URL: worker.URL}},
-		Key:        func(s sweep.Spec) sweep.Key { return s.Key("example-config") },
+		Key:        coord.Key,
 		ProbeEvery: -1, // no background prober in this example
 	})
 	if err != nil {
@@ -37,10 +39,11 @@ func ExampleBackend() {
 		return
 	}
 	defer backend.Close()
+	coord.SetBatchBackend(backend)
 
 	spec := sweep.Spec{Mix: "W1", Policy: "DTM-ACG"}
 	fmt.Println("owner:", backend.OwnerOf(spec))
-	res, info, err := backend.RunSpec(context.Background(), spec)
+	res, info, err := coord.Run(context.Background(), spec)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -51,19 +54,20 @@ func ExampleBackend() {
 	// served by worker-1 (hit): 412 s
 }
 
-// When every peer is down the backend degrades to local execution
-// rather than failing the sweep: the Local hook (normally Engine.Exec)
-// runs the spec in-process and the run is attributed to "local".
+// When every peer is down the backend hands the run back to the
+// coordinating engine, which executes it on its own pool rather than
+// failing the sweep; the run is attributed to "local".
 func ExampleBackend_failover() {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // the only peer is unreachable
 
+	coord := sweep.NewEngine(core.NewSystem(core.DefaultConfig()), 0)
+	coord.SetRunFunc(func(ctx context.Context, rs core.RunSpec) (sim.MEMSpotResult, error) {
+		return sim.MEMSpotResult{Seconds: 412}, nil // stands in for a simulation
+	})
 	backend, err := remote.New(remote.Config{
-		Peers: []remote.Peer{{ID: "worker-1", URL: dead.URL}},
-		Key:   func(s sweep.Spec) sweep.Key { return s.Key("example-config") },
-		Local: func(ctx context.Context, s sweep.Spec) (sim.MEMSpotResult, error) {
-			return sim.MEMSpotResult{Seconds: 412}, nil
-		},
+		Peers:      []remote.Peer{{ID: "worker-1", URL: dead.URL}},
+		Key:        coord.Key,
 		ProbeEvery: -1,
 		Backoff:    time.Minute,
 	})
@@ -72,8 +76,9 @@ func ExampleBackend_failover() {
 		return
 	}
 	defer backend.Close()
+	coord.SetBatchBackend(backend)
 
-	res, info, err := backend.RunSpec(context.Background(), sweep.Spec{Mix: "W1"})
+	res, info, err := coord.Run(context.Background(), sweep.Spec{Mix: "W1"})
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dramtherm/internal/sim"
 	"dramtherm/internal/sweep"
 	"dramtherm/internal/sweep/remote"
 )
@@ -25,6 +26,23 @@ func specsSample(n int) []sweep.Spec {
 	return out
 }
 
+// serveAll runs specs through b as one batch and returns who served
+// each, failing the test on any delivered error.
+func serveAll(t *testing.T, b *remote.Backend, specs []sweep.Spec) []sweep.RunInfo {
+	t.Helper()
+	infos := make([]sweep.RunInfo, len(specs))
+	errs := make([]error, len(specs))
+	b.RunSpecs(context.Background(), specs, func(i int, _ sim.MEMSpotResult, info sweep.RunInfo, err error) {
+		infos[i], errs[i] = info, err
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("spec %s: %v", specs[i], err)
+		}
+	}
+	return infos
+}
+
 // TestSetMembersJoinAndLeave: a joined member starts serving its share
 // of the key space without a backend restart, and a removed member's
 // share redistributes to the survivors — while the survivors' own keys
@@ -34,28 +52,19 @@ func TestSetMembersJoinAndLeave(t *testing.T) {
 	w1, w2 := fakeWorker(t, nil, 0), fakeWorker(t, nil, 0)
 	b := newBackend(t, coord, remote.Config{
 		Peers: []remote.Peer{{ID: "w1", URL: w1.URL}},
-		Local: coord.Exec,
 	})
 
 	specs := specsSample(40)
-	for _, sp := range specs {
-		_, info, err := b.RunSpec(context.Background(), sp)
-		if err != nil {
-			t.Fatalf("RunSpec(%s): %v", sp, err)
-		}
+	for i, info := range serveAll(t, b, specs) {
 		if info.Peer != "w1" {
-			t.Fatalf("spec %s served by %q before the join, want w1", sp, info.Peer)
+			t.Fatalf("spec %s served by %q before the join, want w1", specs[i], info.Peer)
 		}
 	}
 
 	// Join w2: it must take over part of the key space.
 	b.SetMembers([]remote.Peer{{ID: "w1", URL: w1.URL}, {ID: "w2", URL: w2.URL}})
 	servedBy := map[string]int{}
-	for _, sp := range specs {
-		_, info, err := b.RunSpec(context.Background(), sp)
-		if err != nil {
-			t.Fatalf("RunSpec(%s) after join: %v", sp, err)
-		}
+	for _, info := range serveAll(t, b, specs) {
 		servedBy[info.Peer]++
 	}
 	if servedBy["w2"] == 0 {
@@ -68,13 +77,9 @@ func TestSetMembersJoinAndLeave(t *testing.T) {
 	// Leave w1: everything must flow to w2, with zero failovers (the
 	// plan must not route through the departed member at all).
 	b.SetMembers([]remote.Peer{{ID: "w2", URL: w2.URL}})
-	for _, sp := range specs {
-		_, info, err := b.RunSpec(context.Background(), sp)
-		if err != nil {
-			t.Fatalf("RunSpec(%s) after leave: %v", sp, err)
-		}
+	for i, info := range serveAll(t, b, specs) {
 		if info.Peer != "w2" {
-			t.Fatalf("spec %s served by %q after w1 left, want w2", sp, info.Peer)
+			t.Fatalf("spec %s served by %q after w1 left, want w2", specs[i], info.Peer)
 		}
 	}
 	for _, st := range b.Status() {
@@ -97,15 +102,10 @@ func TestSetMembersRetainsHealthState(t *testing.T) {
 	w1 := fakeWorker(t, nil, 0)
 	b := newBackend(t, coord, remote.Config{
 		Peers: []remote.Peer{{ID: "w1", URL: w1.URL}, {ID: "corpse", URL: dead.URL}},
-		Local: coord.Exec,
 		Now:   time.Now,
 	})
 	// Eject the corpse by failing a dispatch through it.
-	for _, sp := range specsSample(40) {
-		if _, _, err := b.RunSpec(context.Background(), sp); err != nil {
-			t.Fatal(err)
-		}
-	}
+	serveAll(t, b, specsSample(40))
 	down := func() bool {
 		for _, st := range b.Status() {
 			if st.ID == "corpse" {
@@ -147,7 +147,6 @@ func TestDetectorCallbacks(t *testing.T) {
 	coord := fakeEngine(nil, 0)
 	b := newBackend(t, coord, remote.Config{
 		Peers: []remote.Peer{{ID: "flappy", URL: flappy.URL}},
-		Local: coord.Exec,
 		OnPeerDown: func(id string, cause error) {
 			downs.Add(1)
 			lastDown.Store(id)
@@ -190,7 +189,6 @@ func TestCloseDuringChurnNoLeak(t *testing.T) {
 		b, err := remote.New(remote.Config{
 			Peers:        peers,
 			Key:          coord.Key,
-			Local:        coord.Exec,
 			ProbeEvery:   time.Millisecond,
 			ProbeTimeout: 50 * time.Millisecond,
 			Backoff:      time.Microsecond,
@@ -209,7 +207,8 @@ func TestCloseDuringChurnNoLeak(t *testing.T) {
 				for i := 0; ctx.Err() == nil && i < 50; i++ {
 					switch i % 3 {
 					case 0:
-						b.RunSpec(ctx, sweep.Spec{Mix: fmt.Sprintf("W%d", (g+i)%12+1)}) //nolint:errcheck
+						b.RunSpecs(ctx, []sweep.Spec{{Mix: fmt.Sprintf("W%d", (g+i)%12+1)}},
+							func(int, sim.MEMSpotResult, sweep.RunInfo, error) {})
 					case 1:
 						b.SetMembers(peers[:1+(g+i)%3])
 					default:

@@ -21,7 +21,7 @@ var rebalanceProbes = func() []string {
 
 // Instrument registers the backend's metric families on reg and arms
 // its per-event counters: dispatches by peer and kind, peer state
-// transitions, spec failovers, batch re-plan rounds, batch stream
+// transitions, batch re-plan rounds (failover), batch stream
 // traffic, and a sampled estimate of keys moved per ring rebuild. The
 // peer gauge and per-peer failure counters read the same Status()
 // snapshot healthz reports. Like the engine's Instrument, call it once,
@@ -31,13 +31,11 @@ func (b *Backend) Instrument(reg *obs.Registry) {
 		return
 	}
 	b.mDispatch = reg.CounterVec("dramtherm_remote_dispatch_total",
-		"Requests dispatched to peers, by peer id and kind (exec, batch, probe).",
+		"Requests dispatched to peers, by peer id and kind (batch, probe, handoff).",
 		"peer", "kind")
 	b.mTransition = reg.CounterVec("dramtherm_remote_peer_state_transitions_total",
 		"Peer ring-state transitions, by destination state: down (ejected), up (probe readmitted), half_open (backoff-expiry retry).",
 		"peer", "to")
-	b.mFailover = reg.Counter("dramtherm_remote_failover_total",
-		"Spec dispatches that failed over to the next ring candidate after a peer error.")
 	b.mReplan = reg.Counter("dramtherm_remote_replan_rounds_total",
 		"Batch re-plan rounds: a shard's unacknowledged remainder re-planned onto the surviving ring.")
 	b.mMoved = reg.Counter("dramtherm_remote_rebalance_moved_keys_total",

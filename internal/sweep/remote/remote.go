@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,21 +18,17 @@ import (
 	"dramtherm/internal/sweep"
 )
 
-// ExecPath is the synchronous execution endpoint the backend dispatches
-// to on each peer, served by internal/httpapi: POST a sweep.Spec, get an
-// ExecResponse back.
+// ExecPath is the synchronous single-run endpoint served by
+// internal/httpapi: POST a sweep.Spec, get an ExecResponse back. It is
+// a client endpoint; coordinators dispatch to peers over BatchPath.
 const ExecPath = "/v1/exec"
 
 // HealthPath is the endpoint the prober checks on each peer.
 const HealthPath = "/v1/healthz"
 
-// LocalPeer is the RunInfo.Peer value reported when the backend fell
-// back to local execution because no peer could serve the run.
-const LocalPeer = "local"
-
 // ExecResponse is the POST /v1/exec reply: the full simulation result
-// (traces included, so the coordinator's cache entry is complete) plus
-// how the serving node obtained it ("built", "hit" or "joined").
+// (traces included) plus how the serving node obtained it ("built",
+// "hit" or "joined").
 type ExecResponse struct {
 	Outcome string            `json:"outcome"`
 	Result  sim.MEMSpotResult `json:"result"`
@@ -48,8 +43,9 @@ type Peer struct {
 	URL string
 }
 
-// Config tunes a Backend. Key and at least one of Peers/Local are
-// required; every other zero value selects a default.
+// Config tunes a Backend. Key is required; every other zero value
+// selects a default. With no Peers every spec runs locally until
+// SetMembers adds some.
 type Config struct {
 	// Peers is the initial ring membership. Peers start admitted and are
 	// ejected on their first failure (or failed probe).
@@ -58,10 +54,6 @@ type Config struct {
 	// engine's Key method so the ring shards on the same identity the
 	// run caches are keyed by.
 	Key func(sweep.Spec) sweep.Key
-	// Local executes a spec in-process when no peer can: the ring is
-	// empty or every candidate failed. Pass the engine's Exec method.
-	// When nil, exhausting the ring is an error.
-	Local func(ctx context.Context, spec sweep.Spec) (sim.MEMSpotResult, error)
 	// MaxPerPeer bounds concurrent in-flight requests per peer
 	// (default 4); excess dispatches to the same peer queue.
 	MaxPerPeer int
@@ -109,11 +101,14 @@ type Config struct {
 
 // Backend distributes runs across dramthermd peers by consistent
 // hashing on the canonical spec key, so each peer's run cache stays hot
-// for its shard of the grid. It implements sweep.SpecBackend: install it
-// with Engine.SetBackend. Peers are health-checked (periodic probes,
-// eject on failure, readmit on recovery or backoff expiry) and a run
-// whose peer is down or errors fails over around the ring, landing on
-// local execution when no peer is left.
+// for its shard of the grid. It implements sweep.BatchBackend: install
+// it with Engine.SetBatchBackend, and every run the engine does not
+// serve from its cache — a sweep's grid or a single Run's shard of one —
+// reaches the peers as POST /v1/exec/batch requests. Peers are
+// health-checked (periodic probes, eject on failure, readmit on recovery
+// or backoff expiry) and a shard whose peer is down or dies fails over
+// around the ring; when no peer is left its specs are handed back with
+// sweep.ErrRunLocal for local execution.
 type Backend struct {
 	cfg       Config
 	client    *http.Client
@@ -140,7 +135,6 @@ type Backend struct {
 	// Instrumentation; all nil (and therefore no-ops) until Instrument.
 	mDispatch      *obs.CounterVec // {peer, kind}
 	mTransition    *obs.CounterVec // {peer, to}
-	mFailover      *obs.Counter
 	mReplan        *obs.Counter
 	mMoved         *obs.Counter
 	mStreamBytes   *obs.Counter
@@ -179,9 +173,6 @@ type peer struct {
 func New(cfg Config) (*Backend, error) {
 	if cfg.Key == nil {
 		return nil, errors.New("remote: Config.Key is required")
-	}
-	if len(cfg.Peers) == 0 && cfg.Local == nil {
-		return nil, errors.New("remote: need at least one peer or a local fallback")
 	}
 	if cfg.MaxPerPeer <= 0 {
 		cfg.MaxPerPeer = 4
@@ -385,113 +376,6 @@ func (b *Backend) Probe(ctx context.Context) {
 		} else {
 			b.readmit(p)
 		}
-	}
-}
-
-// peerError marks a failure attributable to the peer (unreachable, or a
-// 5xx) — the retryable class that triggers ejection and failover.
-// Client-side errors (a 4xx: the spec itself is bad) and caller
-// cancellation are terminal instead: no other peer would do better.
-type peerError struct {
-	id  string
-	err error
-}
-
-func (e *peerError) Error() string { return fmt.Sprintf("peer %s: %v", e.id, e.err) }
-func (e *peerError) Unwrap() error { return e.err }
-
-// RunSpec implements sweep.SpecBackend: it dispatches the spec to the
-// ring member owning its key, fails over around the ring on peer
-// errors, and falls back to Config.Local when no peer can serve it.
-func (b *Backend) RunSpec(ctx context.Context, spec sweep.Spec) (sim.MEMSpotResult, sweep.RunInfo, error) {
-	b.readmitExpired()
-	key := string(b.cfg.Key(spec))
-	b.mu.RLock()
-	ring, ringPeers := b.ring, b.ringPeers
-	b.mu.RUnlock()
-	var lastErr error
-	for _, idx := range ring.candidates(key) {
-		p := ringPeers[idx]
-		res, info, err := b.dispatch(ctx, p, spec)
-		if err == nil {
-			b.maybeReplicate(spec, res, info)
-			return res, info, nil
-		}
-		var pe *peerError
-		if !errors.As(err, &pe) {
-			return sim.MEMSpotResult{}, sweep.RunInfo{}, err
-		}
-		b.eject(p, pe.err)
-		b.mFailover.Inc()
-		lastErr = pe
-	}
-	if b.cfg.Local == nil {
-		if lastErr == nil {
-			lastErr = errors.New("no live peers")
-		}
-		return sim.MEMSpotResult{}, sweep.RunInfo{}, fmt.Errorf("remote: %s unservable: %w", spec, lastErr)
-	}
-	res, err := b.cfg.Local(ctx, spec)
-	info := sweep.RunInfo{Outcome: sweep.Built, Peer: LocalPeer}
-	if err == nil {
-		// A locally built result still gets a ring copy: its owner is the
-		// first candidate that is not "local", i.e. whoever would serve
-		// the key once a peer comes back.
-		b.maybeReplicate(spec, res, info)
-	}
-	return res, info, err
-}
-
-// dispatch executes spec on p, bounded by the peer's request pool.
-func (b *Backend) dispatch(ctx context.Context, p *peer, spec sweep.Spec) (sim.MEMSpotResult, sweep.RunInfo, error) {
-	var zero sim.MEMSpotResult
-	select {
-	case p.sem <- struct{}{}:
-		defer func() { <-p.sem }()
-	case <-ctx.Done():
-		return zero, sweep.RunInfo{}, ctx.Err()
-	}
-	p.requests.Add(1)
-	b.mDispatch.WithLabelValues(p.id, "exec").Inc()
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return zero, sweep.RunInfo{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.url+ExecPath, bytes.NewReader(body))
-	if err != nil {
-		return zero, sweep.RunInfo{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if id := obs.RequestID(ctx); id != "" {
-		req.Header.Set(obs.RequestIDHeader, id)
-	}
-	resp, err := b.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			// The caller gave up; that is not the peer's fault.
-			return zero, sweep.RunInfo{}, ctx.Err()
-		}
-		return zero, sweep.RunInfo{}, &peerError{p.id, err}
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		var er ExecResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-			return zero, sweep.RunInfo{}, &peerError{p.id, fmt.Errorf("decoding exec response: %w", err)}
-		}
-		return er.Result, sweep.RunInfo{Outcome: parseOutcome(er.Outcome), Peer: p.id}, nil
-	case resp.StatusCode >= 400 && resp.StatusCode < 500:
-		// 4xx is terminal: the spec is invalid (400) or its run fails
-		// deterministically (422) — no other peer would do better, and
-		// the peer itself is healthy.
-		if resp.StatusCode == http.StatusUnprocessableEntity {
-			return zero, sweep.RunInfo{}, fmt.Errorf("remote: run failed on peer %s: %s", p.id, errorBody(resp))
-		}
-		return zero, sweep.RunInfo{}, fmt.Errorf("remote: peer %s rejected spec: %s", p.id, errorBody(resp))
-	default:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
-		return zero, sweep.RunInfo{}, &peerError{p.id, fmt.Errorf("status %s", resp.Status)}
 	}
 }
 

@@ -2,6 +2,7 @@ package remote_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -78,9 +79,8 @@ func TestPeerDownAtSubmit(t *testing.T) {
 	coord := fakeEngine(nil, 0)
 	b := newBackend(t, coord, remote.Config{
 		Peers: []remote.Peer{{ID: "dead", URL: dead.URL}, {ID: "live", URL: live.URL}},
-		Local: coord.Exec,
 	})
-	coord.SetBackend(b)
+	coord.SetBatchBackend(b)
 
 	// Sweep enough specs that the dead peer owns at least one shard.
 	specs := sweep.Grid{Mixes: []string{"W1", "W2", "W3", "W4", "W5", "W6"},
@@ -141,9 +141,8 @@ func TestPeerDiesMidSweep(t *testing.T) {
 	coord := fakeEngine(nil, 0)
 	b := newBackend(t, coord, remote.Config{
 		Peers: []remote.Peer{{ID: "victim", URL: victim.URL}, {ID: "survivor", URL: survivor.URL}},
-		Local: coord.Exec,
 	})
-	coord.SetBackend(b)
+	coord.SetBatchBackend(b)
 
 	specs := sweep.Grid{Mixes: []string{"W1", "W2", "W3", "W4"},
 		Policies: []string{"DTM-TS", "DTM-BW", "DTM-ACG"}}.Expand()
@@ -157,8 +156,8 @@ func TestPeerDiesMidSweep(t *testing.T) {
 		t.Fatal("test needs the victim to own at least one shard")
 	}
 
-	// Kill the victim once the first spec starts: its in-flight exec
-	// requests (the victim's fake sims take 100ms) die mid-simulation
+	// Kill the victim once the first spec starts: its in-flight batch
+	// request (the victim's fake sims take 100ms) die mid-simulation
 	// and must be rerun on the survivor or locally.
 	started := make(chan struct{}, 1)
 	go func() {
@@ -196,14 +195,14 @@ func TestPeerDiesMidSweep(t *testing.T) {
 func TestLocalFallbackWhenRingEmpty(t *testing.T) {
 	var localBuilds atomic.Int64
 	coord := fakeEngine(&localBuilds, 0)
-	b := newBackend(t, coord, remote.Config{Local: coord.Exec})
-	coord.SetBackend(b)
+	b := newBackend(t, coord, remote.Config{})
+	coord.SetBatchBackend(b)
 
 	res, info, err := coord.Run(context.Background(), sweep.Spec{Mix: "W1", Policy: "DTM-TS"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Peer != remote.LocalPeer || info.Outcome != sweep.Built {
+	if info.Peer != "local" || info.Outcome != sweep.Built {
 		t.Fatalf("info = %+v, want local build", info)
 	}
 	if res.Seconds != 150 || localBuilds.Load() != 1 {
@@ -220,13 +219,14 @@ func TestClientErrorDoesNotFailOver(t *testing.T) {
 	coord := fakeEngine(&localBuilds, 0)
 	b := newBackend(t, coord, remote.Config{
 		Peers: []remote.Peer{{ID: "w", URL: worker.URL}},
-		Local: coord.Exec,
 	})
 
 	// Dispatch a bad spec straight at the backend: the engine's own
 	// validation would otherwise reject it before routing.
-	_, _, err := b.RunSpec(context.Background(), sweep.Spec{Mix: "W1", Policy: "DTM-NOPE"})
-	if err == nil || !strings.Contains(err.Error(), "rejected spec") {
+	var err error
+	b.RunSpecs(context.Background(), []sweep.Spec{{Mix: "W1", Policy: "DTM-NOPE"}},
+		func(_ int, _ sim.MEMSpotResult, _ sweep.RunInfo, e error) { err = e })
+	if err == nil || errors.Is(err, sweep.ErrRunLocal) || !strings.Contains(err.Error(), "rejected batch") {
 		t.Fatalf("err = %v, want a peer rejection", err)
 	}
 	if localBuilds.Load() != 0 {
@@ -237,10 +237,10 @@ func TestClientErrorDoesNotFailOver(t *testing.T) {
 	}
 }
 
-// TestRunErrorIsTerminal: a spec that fails deterministically (422
-// from the worker) must surface as an error without ejecting the
-// healthy peer, without trying other peers, and without a local rerun —
-// one poisoned spec must not empty the ring.
+// TestRunErrorIsTerminal: a spec that fails deterministically (an
+// error line on the worker's batch stream) must surface as an error
+// without ejecting the healthy peer, without trying other peers, and
+// without a local rerun — one poisoned spec must not empty the ring.
 func TestRunErrorIsTerminal(t *testing.T) {
 	eng := sweep.NewEngine(core.NewSystem(core.DefaultConfig()), 2)
 	eng.SetRunFunc(func(ctx context.Context, rs core.RunSpec) (sim.MEMSpotResult, error) {
@@ -255,10 +255,10 @@ func TestRunErrorIsTerminal(t *testing.T) {
 	coord := fakeEngine(&localBuilds, 0)
 	b := newBackend(t, coord, remote.Config{
 		Peers: []remote.Peer{{ID: "w", URL: worker.URL}},
-		Local: coord.Exec,
 	})
+	coord.SetBatchBackend(b)
 
-	_, _, err := b.RunSpec(context.Background(), sweep.Spec{Mix: "W1", Policy: "DTM-TS"})
+	_, _, err := coord.Run(context.Background(), sweep.Spec{Mix: "W1", Policy: "DTM-TS"})
 	if err == nil || !strings.Contains(err.Error(), "run failed on peer w") ||
 		!strings.Contains(err.Error(), "synthetic trace-store corruption") {
 		t.Fatalf("err = %v, want a terminal run failure naming the peer", err)
@@ -281,7 +281,7 @@ func TestEjectReadmitFakeClock(t *testing.T) {
 
 	// A worker that fails on demand.
 	var failing atomic.Bool
-	var execs atomic.Int64
+	var batches atomic.Int64
 	inner := httpapi.New(context.Background(), fakeEngine(nil, 0), httpapi.Config{})
 	defer inner.Close()
 	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -289,8 +289,8 @@ func TestEjectReadmitFakeClock(t *testing.T) {
 			http.Error(w, "boom", http.StatusInternalServerError)
 			return
 		}
-		if r.URL.Path == remote.ExecPath {
-			execs.Add(1)
+		if r.URL.Path == remote.BatchPath {
+			batches.Add(1)
 		}
 		inner.ServeHTTP(w, r)
 	}))
@@ -300,16 +300,18 @@ func TestEjectReadmitFakeClock(t *testing.T) {
 	coord := fakeEngine(&localBuilds, 0)
 	b := newBackend(t, coord, remote.Config{
 		Peers:   []remote.Peer{{ID: "w", URL: worker.URL}},
-		Local:   coord.Exec,
 		Backoff: time.Minute,
 		Now:     func() time.Time { return *clock },
 	})
+	coord.SetBatchBackend(b)
 
-	spec := sweep.Spec{Mix: "W1", Policy: "DTM-TS"}
+	// Each step runs a fresh spec, so the coordinator's own cache never
+	// answers in the backend's place.
+	spec := func(policy string) sweep.Spec { return sweep.Spec{Mix: "W1", Policy: policy} }
 
 	// 1. Failure ejects.
 	failing.Store(true)
-	if _, info, err := b.RunSpec(context.Background(), spec); err != nil || info.Peer != remote.LocalPeer {
+	if _, info, err := coord.Run(context.Background(), spec("DTM-TS")); err != nil || info.Peer != "local" {
 		t.Fatalf("failing peer: info=%+v err=%v, want local fallback", info, err)
 	}
 	if st := b.Status()[0]; st.Up || st.DownSince == nil {
@@ -320,17 +322,17 @@ func TestEjectReadmitFakeClock(t *testing.T) {
 	// though it has recovered — only probes can readmit it early.
 	failing.Store(false)
 	now = now.Add(30 * time.Second)
-	if _, info, _ := b.RunSpec(context.Background(), spec); info.Peer != remote.LocalPeer {
+	if _, info, _ := coord.Run(context.Background(), spec("DTM-BW")); info.Peer != "local" {
 		t.Fatalf("run during backoff served by %q, want local", info.Peer)
 	}
-	if execs.Load() != 0 {
+	if batches.Load() != 0 {
 		t.Fatal("ejected peer received traffic during its backoff")
 	}
 
 	// 3. Backoff expiry readmits half-open: the next run routes to the
 	// peer again.
 	now = now.Add(31 * time.Second)
-	if _, info, err := b.RunSpec(context.Background(), spec); err != nil || info.Peer != "w" {
+	if _, info, err := coord.Run(context.Background(), spec("DTM-ACG")); err != nil || info.Peer != "w" {
 		t.Fatalf("after backoff: info=%+v err=%v, want peer w", info, err)
 	}
 	if st := b.Status()[0]; !st.Up {
@@ -340,7 +342,7 @@ func TestEjectReadmitFakeClock(t *testing.T) {
 	// 4. Eject again, then a successful probe readmits immediately,
 	// long before the backoff expires.
 	failing.Store(true)
-	if _, info, _ := b.RunSpec(context.Background(), spec); info.Peer != remote.LocalPeer {
+	if _, info, _ := coord.Run(context.Background(), spec("DTM-CDVFS")); info.Peer != "local" {
 		t.Fatalf("second failure served by %q, want local", info.Peer)
 	}
 	failing.Store(false)
@@ -365,9 +367,8 @@ func TestRemoteOutcomeAndPeerFlowIntoEvents(t *testing.T) {
 	coord := fakeEngine(nil, 0)
 	b := newBackend(t, coord, remote.Config{
 		Peers: []remote.Peer{{ID: "w1", URL: worker.URL}},
-		Local: coord.Exec,
 	})
-	coord.SetBackend(b)
+	coord.SetBatchBackend(b)
 	spec := sweep.Spec{Mix: "W1", Policy: "DTM-TS"}
 
 	var evs []sweep.Event
@@ -386,9 +387,8 @@ func TestRemoteOutcomeAndPeerFlowIntoEvents(t *testing.T) {
 	coord2 := fakeEngine(nil, 0)
 	b2 := newBackend(t, coord2, remote.Config{
 		Peers: []remote.Peer{{ID: "w1", URL: worker.URL}},
-		Local: coord2.Exec,
 	})
-	coord2.SetBackend(b2)
+	coord2.SetBatchBackend(b2)
 	_, info, err := coord2.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)

@@ -187,10 +187,10 @@ func (b *Backend) runReplJob(job replJob) {
 // replicaFor resolves the RF=2 replica destination for key: the first
 // ring candidate that is not the peer that produced the result. When the
 // producer is the key's owner this is exactly the ring successor; when
-// the producer was a failover candidate (or the coordinator itself, via
-// local fallback) it is the owner — either way the result lands on the
-// member that will serve the key if the producer dies. Returns "" when
-// no distinct live candidate exists (single-member ring).
+// the producer was a failover candidate it is the owner — either way the
+// result lands on the member that will serve the key if the producer
+// dies. Returns "" when no distinct live candidate exists (single-member
+// ring).
 func (b *Backend) replicaFor(key, served string) string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()

@@ -157,21 +157,21 @@ func TestReplicaPlacementProperty(t *testing.T) {
 				t.Fatalf("key %s served by %s: no replica destination", key, served)
 			}
 		}
-		// A coordinator-local build replicates to the ring owner itself.
-		if got := b.replicaFor(key, LocalPeer); got != owner {
-			t.Fatalf("key %s: replica of local-built result = %q, want owner %q", key, got, owner)
+		// A producer outside the ring (a departed member) replicates to
+		// the ring owner itself.
+		if got := b.replicaFor(key, "departed"); got != owner {
+			t.Fatalf("key %s: replica of an outsider's result = %q, want owner %q", key, got, owner)
 		}
 	}
 }
 
-// fakeWorker is a minimal peer: it serves /v1/exec with a canned result
-// and records every /v1/handoff line it receives.
+// fakeWorker is a minimal peer: it serves /v1/exec/batch with a canned
+// result per spec and records every /v1/handoff line it receives.
 type fakeWorker struct {
 	id  string
 	srv *httptest.Server
 
 	mu      sync.Mutex
-	execs   int
 	handoff []HandoffLine
 }
 
@@ -179,19 +179,16 @@ func newFakeWorker(t *testing.T, id string) *fakeWorker {
 	t.Helper()
 	w := &fakeWorker{id: id}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+ExecPath, func(rw http.ResponseWriter, req *http.Request) {
-		var spec sweep.Spec
-		if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
+	mux.HandleFunc("POST "+BatchPath, func(rw http.ResponseWriter, req *http.Request) {
+		var breq BatchRequest
+		if err := json.NewDecoder(req.Body).Decode(&breq); err != nil {
 			rw.WriteHeader(http.StatusBadRequest)
 			return
 		}
-		w.mu.Lock()
-		w.execs++
-		w.mu.Unlock()
-		json.NewEncoder(rw).Encode(ExecResponse{ //nolint:errcheck
-			Outcome: "built",
-			Result:  sim.MEMSpotResult{Seconds: 7},
-		})
+		enc := json.NewEncoder(rw)
+		for i := range breq.Specs {
+			enc.Encode(BatchLine{Index: i, Outcome: "built", Result: &sim.MEMSpotResult{Seconds: 7}}) //nolint:errcheck
+		}
 	})
 	mux.HandleFunc("POST "+HandoffPath, func(rw http.ResponseWriter, req *http.Request) {
 		dec := json.NewDecoder(req.Body)
@@ -251,8 +248,10 @@ func TestReplicationEndToEnd(t *testing.T) {
 	}
 	defer b.Close()
 
-	spec := sweep.Spec{Mix: "W1"}
-	_, info, err := b.RunSpec(t.Context(), spec)
+	var info sweep.RunInfo
+	b.RunSpecs(t.Context(), []sweep.Spec{{Mix: "W1"}}, func(_ int, _ sim.MEMSpotResult, i sweep.RunInfo, e error) {
+		info, err = i, e
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -221,11 +222,8 @@ func TestBackendChurnRace(t *testing.T) {
 		// Reserved TEST-NET-1 addresses: dial fails fast or times out.
 		peers[i] = Peer{ID: fmt.Sprintf("p%d", i), URL: fmt.Sprintf("http://192.0.2.%d:9", i+1)}
 	}
-	local := func(ctx context.Context, spec sweep.Spec) (sim.MEMSpotResult, error) {
-		return sim.MEMSpotResult{Seconds: 1}, nil
-	}
 	b, err := New(Config{
-		Peers: peers, Local: local,
+		Peers:      peers,
 		Key:        func(s sweep.Spec) sweep.Key { return sweep.Key(s.String()) },
 		ProbeEvery: -1,
 		Backoff:    time.Microsecond, // immediate half-open readmission → constant ring churn
@@ -245,16 +243,19 @@ func TestBackendChurnRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; ctx.Err() == nil && i < 50; i++ {
 				spec := sweep.Spec{Mix: fmt.Sprintf("W%d", (g*50+i)%12+1)}
-				res, info, err := b.RunSpec(ctx, spec)
+				var err error
+				delivered := false
+				b.RunSpecs(ctx, []sweep.Spec{spec}, func(_ int, _ sim.MEMSpotResult, info sweep.RunInfo, e error) {
+					delivered, err = true, e
+					if e == nil {
+						err = fmt.Errorf("served by %q", info.Peer)
+					}
+				})
 				if ctx.Err() != nil {
 					return
 				}
-				if err != nil {
-					t.Errorf("RunSpec: %v", err)
-					return
-				}
-				if info.Peer != LocalPeer || res.Seconds != 1 {
-					t.Errorf("dead-peer run served by %q", info.Peer)
+				if !delivered || !errors.Is(err, sweep.ErrRunLocal) {
+					t.Errorf("dead-peer run: delivered=%v err=%v, want an ErrRunLocal hand-back", delivered, err)
 					return
 				}
 			}

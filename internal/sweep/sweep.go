@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -106,7 +105,7 @@ type Result struct {
 // cancels the remaining jobs and is returned; ctx cancellation does the
 // same with ctx.Err(). With a BatchBackend installed the grid's distinct
 // uncached specs are handed to the backend in one call (one request per
-// cluster peer) instead of spec-at-a-time; per-spec cache and event
+// cluster peer) instead of one shard per spec; per-spec cache and event
 // semantics are unchanged.
 func (e *Engine) Sweep(ctx context.Context, specs []Spec, opts Options) (*Result, error) {
 	res := &Result{
@@ -125,7 +124,7 @@ func (e *Engine) Sweep(ctx context.Context, specs []Spec, opts Options) (*Result
 	}
 	// normOne computes runtime(spec)/runtime(baseline) through runOne,
 	// so in batched mode the No-limit baselines ride the batch plan too
-	// instead of dispatching spec-at-a-time.
+	// instead of dispatching one shard each.
 	normOne := func(ctx context.Context, spec Spec, r sim.MEMSpotResult) (float64, error) {
 		base, _, err := runOne(ctx, e.BaselineSpec(spec))
 		if err != nil {
@@ -192,17 +191,15 @@ func (e *Engine) Sweep(ctx context.Context, specs []Spec, opts Options) (*Result
 
 // batchRunner plans a sweep's distinct uncached specs — plus their
 // No-limit baselines when normalizing — into one BatchBackend call and
-// returns a Run-equivalent runner whose cache builders wait on
-// the batch stream instead of dispatching spec-at-a-time. Every run
-// still flows through the cache, so duplicate specs join, concurrent
-// sweeps deduplicate, and observers see the same built/hit/joined
-// outcomes and peer ids as the unbatched path.
+// returns a Run-equivalent runner whose cache builders wait on the batch
+// stream instead of dispatching one shard per spec. Every run still
+// flows through the cache, so duplicate specs join, concurrent sweeps
+// deduplicate, and observers see the same built/hit/joined outcomes and
+// peer ids as Run.
 func (e *Engine) batchRunner(ctx context.Context, specs []Spec, normalize bool) func(context.Context, Spec) (sim.MEMSpotResult, RunInfo, error) {
 	type pending struct {
 		done chan struct{}
-		res  sim.MEMSpotResult
-		info RunInfo
-		err  error
+		delivery
 	}
 	pend := make(map[Key]*pending)
 	var batch []Spec
@@ -229,46 +226,25 @@ func (e *Engine) batchRunner(ctx context.Context, specs []Spec, normalize bool) 
 	if len(batch) > 0 {
 		go e.batch.RunSpecs(ctx, batch, func(i int, res sim.MEMSpotResult, info RunInfo, err error) {
 			p := pend[e.Key(batch[i])]
-			p.res, p.info, p.err = res, info, err
+			p.delivery = delivery{res, info, err}
 			close(p.done)
 		})
 	}
 	return func(ctx context.Context, spec Spec) (sim.MEMSpotResult, RunInfo, error) {
-		if err := e.Validate(spec); err != nil {
-			return sim.MEMSpotResult{}, RunInfo{}, err
+		p := pend[e.Key(spec)]
+		if p == nil {
+			// Not planned: invalid or cached at plan time, so Run
+			// rejects or serves it.
+			return e.Run(ctx, spec)
 		}
-		k := e.Key(spec)
-		var served RunInfo
-		res, out, err := e.do(ctx, k, func(bctx context.Context) (sim.MEMSpotResult, error) {
-			p := pend[k]
-			if p == nil {
-				// Not planned (cached at plan time, yet we are the leader —
-				// a concurrent engine user raced us): dispatch the one spec
-				// exactly like Run would.
-				r, info, err := e.backend.RunSpec(bctx, spec)
-				served = info
-				return r, err
-			}
+		return e.serve(ctx, spec, func(ctx context.Context, spec Spec) (sim.MEMSpotResult, RunInfo, error) {
 			select {
 			case <-p.done:
-			case <-bctx.Done():
-				return sim.MEMSpotResult{}, bctx.Err()
+			case <-ctx.Done():
+				return sim.MEMSpotResult{}, RunInfo{}, ctx.Err()
 			}
-			if p.err != nil {
-				if errors.Is(p.err, ErrRunLocal) {
-					served = RunInfo{Outcome: Built, Peer: localPeer}
-					return e.Exec(bctx, spec)
-				}
-				return sim.MEMSpotResult{}, p.err
-			}
-			served = p.info
-			return p.res, nil
+			return e.settle(ctx, spec, p.delivery)
 		})
-		info := RunInfo{Outcome: out}
-		if out == Built {
-			info = served
-		}
-		return res, info, err
 	}
 }
 
