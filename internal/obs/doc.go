@@ -40,6 +40,5 @@
 // X-Request-ID), the engine's contexts carry it into the remote
 // backend, and the backend forwards it to peers, so one id follows a
 // request across every node that touches it. LogfLogger adapts a
-// legacy printf-style sink into a *slog.Logger for packages that still
-// accept Logf callbacks.
+// printf-style sink into a *slog.Logger for httpapi's Logf callback.
 package obs

@@ -47,8 +47,7 @@ func NewRequestID() string {
 
 // LogfLogger adapts a printf-style sink into a *slog.Logger, rendering
 // each record as one logfmt-ish line ("level msg key=value …"). It
-// bridges the legacy Logf seams (httpapi, remote, gossip configs and
-// their tests) onto the structured logging path.
+// bridges httpapi.Config.Logf onto the structured logging path.
 func LogfLogger(logf func(format string, v ...any)) *slog.Logger {
 	return slog.New(&logfHandler{logf: logf})
 }

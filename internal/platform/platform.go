@@ -15,13 +15,10 @@ import (
 	"sort"
 	"strings"
 
-	"dramtherm/internal/cpu"
 	"dramtherm/internal/dtm"
 	"dramtherm/internal/fbconfig"
-	"dramtherm/internal/memctrl"
 	"dramtherm/internal/power"
-	"dramtherm/internal/trace"
-	"dramtherm/internal/workload"
+	"dramtherm/internal/sim"
 )
 
 // Machine describes one server.
@@ -240,121 +237,13 @@ func domainKey(domains [][]string) string {
 	return strings.Join(parts, "/")
 }
 
-// Level1 builds rate records for the platform machine: two L2 domains,
-// Xeon frequencies, platform memory geometry. The design-point Apps key
-// is the domainKey format above.
-type Level1 struct {
-	Machine   Machine
-	WarmupNS  float64
-	MeasureNS float64
-	Seed      int64
-}
-
-// NewLevel1 returns a builder for m.
-func NewLevel1(m Machine, seed int64) *Level1 {
-	return &Level1{Machine: m, WarmupNS: 1.5e6, MeasureNS: 1.5e6, Seed: seed}
-}
-
-// Build implements trace.Builder.
-func (l *Level1) Build(dp trace.DesignPoint) (trace.Rates, error) {
-	if dp.MemOff || dp.Apps == "" || dp.FreqGHz <= 0 {
-		return trace.Zero(dp), nil
-	}
-	params := l.Machine.SimParams
-	mem, err := memctrl.New(memctrl.DefaultConfig(params))
-	if err != nil {
-		return trace.Rates{}, err
-	}
-	cap := dp.BWCapGBps
-	if l.Machine.FSBGBps > 0 && cap > l.Machine.FSBGBps {
-		cap = l.Machine.FSBGBps
-	}
-	mem.SetBandwidthCap(cap)
-
-	domains := strings.Split(dp.Apps, "/")
-	var names []string
-	var l2dom []int
-	for di, d := range domains {
-		if d == "" {
-			continue
-		}
-		for _, a := range strings.Split(d, "|") {
-			names = append(names, a)
-			l2dom = append(l2dom, di)
-		}
-	}
-	if len(names) > params.Cores {
-		return trace.Rates{}, fmt.Errorf("platform: %d apps exceed %d cores", len(names), params.Cores)
-	}
-	for len(l2dom) < params.Cores {
-		l2dom = append(l2dom, 0)
-	}
-	cfg := cpu.Config{
-		Cores:      params.Cores,
-		MaxFreqGHz: l.Machine.CPU.Levels[0].FreqGHz,
-		L2Domain:   l2dom,
-		Params:     params,
-	}
-	mc, err := cpu.New(cfg, mem, l.Seed)
-	if err != nil {
-		return trace.Rates{}, err
-	}
-	mc.SetFreq(dp.FreqGHz)
-	for i, n := range names {
-		p, err := workload.ByName(n)
-		if err != nil {
-			return trace.Rates{}, err
-		}
-		mc.Assign(i, p, 1)
-	}
-	mc.RunFor(l.WarmupNS)
-	mc.ResetStats()
-	mc.RunFor(l.MeasureNS)
-	defer mc.Release()
-	return l.collect(dp, mc, names, l2dom)
-}
-
-func (l *Level1) collect(dp trace.DesignPoint, mc *cpu.Multicore, names []string, l2dom []int) (trace.Rates, error) {
-	secs := l.MeasureNS / 1e9
-	r := trace.Rates{Point: dp, PerApp: make(map[string]trace.AppRates, len(names))}
-	counts := make(map[string]float64, len(names))
-	maxF := l.Machine.CPU.Levels[0].FreqGHz
-	for i, n := range names {
-		cs := mc.Cores()[i].Stats()
-		l2 := mc.L2(l2dom[i]).CoreStats(i)
-		busy := cs.BusyCycles + cs.StallCycles
-		mb := 0.0
-		if busy > 0 {
-			mb = cs.StallCycles / busy
-		}
-		ar := trace.AppRates{
-			InstrPerSec:    cs.Retired / secs,
-			IPCRef:         cs.Retired / (l.MeasureNS * maxF),
-			ReadGBps:       float64(l2.Misses+cs.SpecIssued) * 64 / secs / 1e9,
-			WriteGBps:      float64(l2.Writebacks) * 64 / secs / 1e9,
-			L2MissPerSec:   float64(l2.Misses) / secs,
-			L2AccessPerSec: float64(l2.Accesses) / secs,
-			MemBoundFrac:   mb,
-		}
-		if prev, ok := r.PerApp[n]; ok {
-			c := counts[n]
-			r.PerApp[n] = trace.AppRates{
-				InstrPerSec:    (prev.InstrPerSec*c + ar.InstrPerSec) / (c + 1),
-				IPCRef:         (prev.IPCRef*c + ar.IPCRef) / (c + 1),
-				ReadGBps:       (prev.ReadGBps*c + ar.ReadGBps) / (c + 1),
-				WriteGBps:      (prev.WriteGBps*c + ar.WriteGBps) / (c + 1),
-				L2MissPerSec:   (prev.L2MissPerSec*c + ar.L2MissPerSec) / (c + 1),
-				L2AccessPerSec: (prev.L2AccessPerSec*c + ar.L2AccessPerSec) / (c + 1),
-				MemBoundFrac:   (prev.MemBoundFrac*c + ar.MemBoundFrac) / (c + 1),
-			}
-		} else {
-			r.PerApp[n] = ar
-		}
-		counts[n]++
-	}
-	ms := mc.Mem().Stats()
-	r.TotalReadGBps = float64(ms.ReadBytes) / secs / 1e9
-	r.TotalWriteGBps = float64(ms.WriteBytes) / secs / 1e9
-	r.MeanLatencyNS = ms.MeanLatencyNS()
-	return r, nil
+// NewLevel1 returns the level-1 builder for m: its memory geometry,
+// Xeon frequencies and FSB ceiling. Design points carry the domainKey
+// form above, one L2 domain per socket.
+func NewLevel1(m Machine, seed int64) *sim.Level1 {
+	l := sim.NewLevel1(seed)
+	l.Params = m.SimParams
+	l.MaxFreqGHz = m.CPU.Levels[0].FreqGHz
+	l.FSBGBps = m.FSBGBps
+	return l
 }

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"dramtherm/internal/cpu"
 	"dramtherm/internal/fbconfig"
@@ -19,11 +20,20 @@ import (
 
 // Level1 builds trace.Rates records by direct simulation. It implements
 // trace.Builder.
+//
+// The design point's Apps key names one application per core. Groups
+// separated by "/" run in separate L2 domains, group i in domain i, and
+// an empty group leaves its domain idle: the Chapter 5 platforms key
+// their two sockets as "a|b/c|d". A Chapter 4 key has no "/", so all of
+// its cores share L2 domain 0.
 type Level1 struct {
-	// Params are the Table 4.1 machine parameters.
+	// Params are the machine parameters (Table 4.1 for Chapter 4).
 	Params fbconfig.SimParams
 	// MaxFreqGHz is the top core clock (reference frequency of Eq. 3.6).
 	MaxFreqGHz float64
+	// FSBGBps, when positive, is a front-side-bus ceiling on memory
+	// traffic: it clamps every design point's bandwidth cap.
+	FSBGBps float64
 	// WarmupNS and MeasureNS set the simulation window. The defaults
 	// (1.5 ms + 1.5 ms) warm a 4 MB L2 several times over before
 	// measuring.
@@ -47,10 +57,10 @@ func NewLevel1(seed int64) *Level1 {
 // Build implements trace.Builder: it simulates the design point and
 // returns the measured rates.
 func (l *Level1) Build(dp trace.DesignPoint) (trace.Rates, error) {
-	names := dp.AppNames()
-	if len(names) == 0 || dp.MemOff || dp.FreqGHz <= 0 {
+	if dp.Apps == "" || dp.MemOff || dp.FreqGHz <= 0 {
 		return trace.Zero(dp), nil
 	}
+	names, l2dom := l2Domains(dp.Apps, l.Params.Cores)
 	if len(names) > l.Params.Cores {
 		return trace.Rates{}, fmt.Errorf("sim: %d apps exceed %d cores", len(names), l.Params.Cores)
 	}
@@ -59,12 +69,16 @@ func (l *Level1) Build(dp trace.DesignPoint) (trace.Rates, error) {
 	if err != nil {
 		return trace.Rates{}, err
 	}
-	mem.SetBandwidthCap(dp.BWCapGBps)
+	cap := dp.BWCapGBps
+	if l.FSBGBps > 0 && cap > l.FSBGBps {
+		cap = l.FSBGBps
+	}
+	mem.SetBandwidthCap(cap)
 
 	cfg := cpu.Config{
 		Cores:      l.Params.Cores,
 		MaxFreqGHz: l.MaxFreqGHz,
-		L2Domain:   make([]int, l.Params.Cores),
+		L2Domain:   l2dom,
 		Params:     l.Params,
 	}
 	mc, err := cpu.New(cfg, mem, l.Seed)
@@ -85,19 +99,38 @@ func (l *Level1) Build(dp trace.DesignPoint) (trace.Rates, error) {
 	mc.RunFor(l.MeasureNS)
 
 	defer mc.Release()
-	return l.collect(dp, mc, names)
+	return l.collect(dp, mc, names, l2dom)
+}
+
+// l2Domains splits an Apps key into the application of each core and
+// the L2 domain of every core; cores left without an application sit in
+// domain 0.
+func l2Domains(apps string, cores int) (names []string, l2dom []int) {
+	for di, d := range strings.Split(apps, "/") {
+		if d == "" {
+			continue
+		}
+		for _, a := range strings.Split(d, "|") {
+			names = append(names, a)
+			l2dom = append(l2dom, di)
+		}
+	}
+	for len(l2dom) < cores {
+		l2dom = append(l2dom, 0)
+	}
+	return names, l2dom
 }
 
 // collect turns simulator counters into a Rates record, averaging over
 // instances of the same application name.
-func (l *Level1) collect(dp trace.DesignPoint, mc *cpu.Multicore, names []string) (trace.Rates, error) {
+func (l *Level1) collect(dp trace.DesignPoint, mc *cpu.Multicore, names []string, l2dom []int) (trace.Rates, error) {
 	secs := l.MeasureNS / 1e9
 	r := trace.Rates{Point: dp, PerApp: make(map[string]trace.AppRates, len(names))}
 
 	counts := make(map[string]float64, len(names))
 	for i, n := range names {
 		cs := mc.Cores()[i].Stats()
-		l2 := mc.L2(0).CoreStats(i)
+		l2 := mc.L2(l2dom[i]).CoreStats(i)
 		busy := cs.BusyCycles + cs.StallCycles
 		mb := 0.0
 		if busy > 0 {

@@ -57,11 +57,8 @@ type Config struct {
 	// Seed seeds peer selection; 0 means a time-derived seed. Tests pin
 	// it for reproducible rounds.
 	Seed int64
-	// Logf sinks exchange-failure logs (default: silent). When Logger is
-	// unset, log records are rendered onto Logf one line each.
-	Logf func(format string, v ...any)
 	// Logger, when non-nil, receives structured exchange-failure events
-	// and takes precedence over Logf.
+	// (default: silent).
 	Logger *slog.Logger
 	// Now overrides the clock, for tests.
 	Now func() time.Time
@@ -129,11 +126,7 @@ func NewNode(cfg Config) (*Node, error) {
 		stop: make(chan struct{}),
 	}
 	if n.log == nil {
-		if cfg.Logf != nil {
-			n.log = obs.LogfLogger(cfg.Logf)
-		} else {
-			n.log = slog.New(slog.DiscardHandler)
-		}
+		n.log = slog.New(slog.DiscardHandler)
 	}
 	if n.cfg.Transport == nil {
 		client := cfg.Client

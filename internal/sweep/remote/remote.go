@@ -71,11 +71,8 @@ type Config struct {
 	// Client overrides the HTTP client (default: a client whose
 	// transport keeps MaxPerPeer idle connections per peer).
 	Client *http.Client
-	// Logf sinks ejection/readmission logs (default: silent). When
-	// Logger is unset, log records are rendered onto Logf one line each.
-	Logf func(format string, v ...any)
 	// Logger, when non-nil, receives structured membership and peer
-	// state-transition events and takes precedence over Logf.
+	// state-transition events (default: silent).
 	Logger *slog.Logger
 	// Now overrides the clock, for tests.
 	Now func() time.Time
@@ -204,11 +201,7 @@ func New(cfg Config) (*Backend, error) {
 		b.now = time.Now
 	}
 	if b.log == nil {
-		if cfg.Logf != nil {
-			b.log = obs.LogfLogger(cfg.Logf)
-		} else {
-			b.log = slog.New(slog.DiscardHandler)
-		}
+		b.log = slog.New(slog.DiscardHandler)
 	}
 	seen := make(map[string]bool, len(cfg.Peers))
 	for _, pc := range cfg.Peers {

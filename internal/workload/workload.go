@@ -121,87 +121,21 @@ type Stream struct {
 	prof      *Profile
 	base      uint64
 	rng       *rand.Rand
-	src       *countingSource
-	seed      int64 // combined seed the source was created from
 	streamPos uint64
 	hotLines  uint64
 	strLines  uint64
 }
 
-// countingSource wraps the stream's rand source and counts Int63 draws.
-// Every Stream method reaches the source through rand.Rand paths that
-// call Int63 exactly once per draw, so a snapshot can record the draw
-// count and a restore can replay it against a freshly seeded source,
-// reproducing the generator state — and with it the access sequence —
-// bit for bit.
-type countingSource struct {
-	src rand.Source
-	n   uint64
-}
-
-func (c *countingSource) Int63() int64 { c.n++; return c.src.Int63() }
-
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed); c.n = 0 }
-
 // NewStream returns a stream for p owned by owner (unique per core slot).
 func NewStream(p *Profile, owner int, seed int64) *Stream {
 	combined := seed ^ int64(owner)<<17 ^ hashName(p.Name)
-	src := &countingSource{src: rand.NewSource(combined)}
 	return &Stream{
 		prof:     p,
 		base:     uint64(owner+1) << 40,
-		rng:      rand.New(src),
-		src:      src,
-		seed:     combined,
+		rng:      rand.New(rand.NewSource(combined)),
 		hotLines: uint64(p.HotKB) * 1024 / 64,
 		strLines: uint64(p.StreamKB) * 1024 / 64,
 	}
-}
-
-// StreamState is the restorable state of a Stream.
-type StreamState struct {
-	Name      string // profile name, to rebind on restore
-	Seed      int64  // combined seed (owner and profile already folded in)
-	Base      uint64
-	Draws     uint64
-	StreamPos uint64
-}
-
-// Snapshot captures the stream's generator state.
-func (s *Stream) Snapshot() StreamState {
-	return StreamState{
-		Name:      s.prof.Name,
-		Seed:      s.seed,
-		Base:      s.base,
-		Draws:     s.src.n,
-		StreamPos: s.streamPos,
-	}
-}
-
-// RestoreStream rebuilds a stream from a snapshot: a fresh source is
-// seeded with the combined seed and advanced by the recorded draw
-// count, so the restored stream continues the exact access sequence of
-// the snapshotted one.
-func RestoreStream(st StreamState) (*Stream, error) {
-	p, err := ByName(st.Name)
-	if err != nil {
-		return nil, err
-	}
-	src := &countingSource{src: rand.NewSource(st.Seed)}
-	for i := uint64(0); i < st.Draws; i++ {
-		src.src.Int63()
-	}
-	src.n = st.Draws
-	return &Stream{
-		prof:      p,
-		base:      st.Base,
-		rng:       rand.New(src),
-		src:       src,
-		seed:      st.Seed,
-		streamPos: st.StreamPos,
-		hotLines:  uint64(p.HotKB) * 1024 / 64,
-		strLines:  uint64(p.StreamKB) * 1024 / 64,
-	}, nil
 }
 
 func hashName(s string) int64 {
