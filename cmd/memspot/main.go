@@ -3,13 +3,16 @@
 // run summary plus an ASCII temperature trace. Runs go through the
 // internal/sweep engine, so the spec run and its No-limit normalization
 // baseline share the one deduplicating run cache with every other entry
-// point.
+// point. With -segment-dir the engine replays the level-1 records
+// (cmd/tracegen's output) and cached runs in that segment-log directory
+// first, and appends the run, its baseline and any record it builds, so
+// a second identical run on the same directory is a cache hit.
 //
 // Usage:
 //
 //	memspot -mix W1 -policy DTM-ACG -cooling AOHS_1.5
 //	memspot -mix W2 -policy DTM-CDVFS+PID -model integrated -replicas 4
-//	memspot -traces w1.traces -mix W1 -policy DTM-BW   # reuse dumped traces
+//	memspot -segment-dir w1.d -mix W1 -policy DTM-BW   # reuse tracegen's records
 //	memspot -mix W1 -instrscale 0.05                   # fast demo scale
 package main
 
@@ -32,7 +35,7 @@ func main() {
 		model    = flag.String("model", "isolated", "thermal model: isolated or integrated")
 		replicas = flag.Int("replicas", 8, "batch copies per application")
 		scale    = flag.Float64("instrscale", 0, "application length scale factor (0 = 1.0; small values for demos)")
-		traces   = flag.String("traces", "", "optional gob trace file from tracegen")
+		segDir   = flag.String("segment-dir", "", "optional segment-log directory to replay and append to (see tracegen)")
 	)
 	flag.Parse()
 
@@ -42,11 +45,9 @@ func main() {
 		cfg.InstrScale = *scale
 	}
 	eng := sweep.NewEngine(core.NewSystem(cfg), 0)
-	if *traces != "" {
-		f, err := os.Open(*traces)
-		fail(err)
-		fail(eng.System().Store().Load(f))
-		f.Close()
+	if *segDir != "" {
+		fail(eng.EnableSegmentLog(*segDir, 0))
+		fmt.Printf("replayed %d level-1 records from %s\n", eng.System().Store().Len(), *segDir)
 	}
 
 	spec := sweep.Spec{Mix: *mixName, Policy: *policy, Cooling: *cooling, Model: *model}
@@ -58,6 +59,8 @@ func main() {
 	// The spec run is already cached, so this only adds the baseline.
 	norm, err := eng.Normalized(ctx, spec)
 	fail(err)
+	// Syncs the segment log; a no-op without -segment-dir.
+	fail(eng.Close())
 
 	fmt.Printf("mix %s under %s (%s, %s model)\n", *mixName, *policy, *cooling, *model)
 	fmt.Printf("  running time:     %.0f s  (normalized %.3f vs No-limit)\n", res.Seconds, norm)

@@ -1,11 +1,13 @@
 // Command tracegen runs the level-1 architectural simulator for a set of
-// design points and dumps the resulting rate records (the Wi×D trace set
-// of §4.3.1) to a gob file that cmd/memspot and the library can reload.
+// design points and appends the resulting rate records (the Wi×D trace
+// set of §4.3.1) to a segment-log directory that cmd/memspot,
+// cmd/dramthermd -segment-dir and dramtherm.WithStateDir replay. Points
+// already in the directory are not rebuilt.
 //
 // Usage:
 //
-//	tracegen -mix W1 -out w1.traces
-//	tracegen -mix W1 -freqs 3.2,2.4,1.6,0.8 -caps 19.2,12.8,6.4 -out w1.traces
+//	tracegen -mix W1 -segment-dir w1.d
+//	tracegen -mix W1 -freqs 3.2,2.4,1.6,0.8 -caps 19.2,12.8,6.4 -segment-dir w1.d
 package main
 
 import (
@@ -16,7 +18,8 @@ import (
 	"strconv"
 	"strings"
 
-	"dramtherm/internal/sim"
+	"dramtherm/internal/core"
+	"dramtherm/internal/sweep"
 	"dramtherm/internal/trace"
 	"dramtherm/internal/workload"
 )
@@ -42,10 +45,10 @@ func main() {
 		freqs   = flag.String("freqs", "3.2,2.4,1.6,0.8", "core frequencies (GHz)")
 		caps    = flag.String("caps", "19.2,12.8,6.4", "bandwidth caps (GB/s); uncapped always included")
 		seed    = flag.Int64("seed", 1, "stream seed")
-		out     = flag.String("out", "", "output file (required)")
+		segDir  = flag.String("segment-dir", "", "segment-log directory to append the records to (required)")
 	)
 	flag.Parse()
-	if *out == "" {
+	if *segDir == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -57,7 +60,12 @@ func main() {
 	fail(err)
 	cs = append(cs, math.Inf(1))
 
-	store := sim.NewStore(*seed)
+	cfg := core.DefaultConfig()
+	cfg.Seed = *seed
+	eng := sweep.NewEngine(core.NewSystem(cfg), 0)
+	// Every freshly built record is appended to the log as it completes.
+	fail(eng.EnableSegmentLog(*segDir, 0))
+	store := eng.System().Store()
 	apps := trace.CanonApps(mix.Apps)
 	n := 0
 	for _, f := range fs {
@@ -84,11 +92,12 @@ func main() {
 		}
 	}
 
-	f, err := os.Create(*out)
-	fail(err)
-	defer f.Close()
-	fail(store.Save(f))
-	fmt.Printf("wrote %d design points (%d records) to %s\n", n, store.Len(), *out)
+	if st, _ := eng.StateStats(); st.AppendErrors > 0 {
+		fail(fmt.Errorf("%d records were not appended to %s", st.AppendErrors, *segDir))
+	}
+	fail(eng.Close())
+	builds, _ := store.Counts()
+	fmt.Printf("%d design points, %d built; %s holds %d level-1 records\n", n, builds, *segDir, store.Len())
 }
 
 func fail(err error) {

@@ -266,7 +266,9 @@ func (s *System) NormalizedRuntime(mix workload.Mix, policyName string, cooling 
 	return res.Seconds / base.Seconds, nil
 }
 
-// Baseline runs (and memoizes per mix/cooling/model) the No-limit run.
+// Baseline runs the No-limit run for mix/cooling/model. It simulates
+// afresh on every call (only level-1 records are shared through the
+// store); the sweep engine's run cache is what memoizes baselines.
 func (s *System) Baseline(mix workload.Mix, cooling fbconfig.Cooling, model ThermalModelKind) (sim.MEMSpotResult, error) {
 	return s.Run(RunSpec{
 		Mix:     mix,

@@ -22,12 +22,12 @@ import (
 
 // Timing collects the DDR2/FBDIMM latencies in nanoseconds.
 type Timing struct {
-	TRCD, TCL, TRP, TRAS, TRC float64
-	ClockNS                   float64 // DDR2 clock period (3 ns at 667 MT/s)
-	HopNS                     float64 // AMB forward latency per chain hop
-	ReadBurstNS               float64 // northbound occupancy per 64B line
-	WriteBurstNS              float64 // southbound occupancy per 64B line
-	CtrlOverheadNS            float64
+	TRCD, TCL, TRC float64
+	ClockNS        float64 // DDR2 clock period (3 ns at 667 MT/s)
+	HopNS          float64 // AMB forward latency per chain hop
+	ReadBurstNS    float64 // northbound occupancy per 64B line
+	WriteBurstNS   float64 // southbound occupancy per 64B line
+	CtrlOverheadNS float64
 	// AMBFixedNS is the AMB serialization/deserialization overhead of the
 	// narrow-link protocol: FBDIMM reads pay roughly 20–30 ns over a raw
 	// DDR2 access even to the first DIMM (§3.2's increased-latency cost).
@@ -43,7 +43,7 @@ func TimingFrom(p fbconfig.SimParams) Timing {
 	// align with simulation ticks (667 is the marketing name of 666.67).
 	clock := math.Round(2000.0/float64(p.ChannelMTps)*4) / 4
 	return Timing{
-		TRCD: p.TRCD, TCL: p.TCL, TRP: p.TRP, TRAS: p.TRAS, TRC: p.TRC,
+		TRCD: p.TRCD, TCL: p.TCL, TRC: p.TRC,
 		ClockNS:        clock,
 		HopNS:          4,
 		ReadBurstNS:    2 * clock,
@@ -72,13 +72,6 @@ type Channel struct {
 	traffic    []DIMMTrafficBytes
 	readBytes  uint64
 	writeBytes uint64
-
-	// Row-buffer state (openpage.go); unused in ClosePage mode.
-	pageMode     PageMode
-	openRow      []int64
-	rowHits      uint64
-	rowMisses    uint64
-	rowConflicts uint64
 }
 
 // NewChannel builds a channel with the given DIMM/bank geometry.
@@ -86,18 +79,13 @@ func NewChannel(t Timing, dimms, banks int) (*Channel, error) {
 	if dimms <= 0 || banks <= 0 {
 		return nil, fmt.Errorf("fbdimm: invalid geometry %d DIMMs × %d banks", dimms, banks)
 	}
-	c := &Channel{
+	return &Channel{
 		timing:   t,
 		dimms:    dimms,
 		banks:    banks,
 		bankFree: make([]float64, dimms*banks),
 		traffic:  make([]DIMMTrafficBytes, dimms),
-		openRow:  make([]int64, dimms*banks),
-	}
-	for i := range c.openRow {
-		c.openRow[i] = -1
-	}
-	return c, nil
+	}, nil
 }
 
 // DIMMs returns the number of DIMMs on the channel.

@@ -23,7 +23,6 @@ type Request struct {
 	Speculative bool
 
 	channel, dimm, bank int
-	row                 int64
 	enqueued            float64
 }
 
@@ -147,14 +146,6 @@ func (c *Controller) BandwidthCap() float64 {
 	return c.capBytesPerSec / 1e9
 }
 
-// SetPageMode switches every channel's row-buffer policy (the paper's
-// close-page default vs. the open-page ablation).
-func (c *Controller) SetPageMode(m fbdimm.PageMode) {
-	for _, ch := range c.channels {
-		ch.SetPageMode(m)
-	}
-}
-
 // SetShutdown stops (true) or resumes (false) all memory transactions,
 // the DTM-TS actuator. Queued requests stay queued while shut down.
 func (c *Controller) SetShutdown(down bool) { c.shutdown = down }
@@ -189,7 +180,6 @@ func (c *Controller) Enqueue(r *Request, now float64) bool {
 		return false
 	}
 	r.channel, r.dimm, r.bank = c.Map(r.Addr)
-	r.row = int64(r.Addr >> 15) // 32 KB row per bank across the ganged pair
 	r.enqueued = now
 	c.queue = append(c.queue, r)
 	c.stats.Enqueued++
@@ -240,7 +230,7 @@ func (c *Controller) TickAppend(now float64, out []Completion) []Completion {
 			if !ch.CanIssue(now, r.dimm, r.bank, r.Write) {
 				continue
 			}
-			done := ch.IssueRow(now, r.dimm, r.bank, r.row, r.Write)
+			done := ch.Issue(now, r.dimm, r.bank, r.Write)
 			if !math.IsInf(c.windowBudget, 1) {
 				c.windowBudget--
 			}

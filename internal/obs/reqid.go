@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"log/slog"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -101,15 +100,4 @@ func (h *logfHandler) WithGroup(name string) slog.Handler {
 	}
 	n.group += name
 	return &n
-}
-
-// SortedLabelNames returns the label names of a gathered series in
-// sorted order — a small helper for cardinality assertions in tests.
-func SortedLabelNames(s Series) []string {
-	out := make([]string, len(s.Labels))
-	for i, l := range s.Labels {
-		out[i] = l.Name
-	}
-	sort.Strings(out)
-	return out
 }

@@ -300,42 +300,3 @@ func seriesNames(ss []Series) []string {
 	}
 	return out
 }
-
-// Bars renders a grouped bar dataset (categories × groups) as a table plus
-// a per-category ASCII bar strip. values[i][j] is category i, group j.
-func Bars(caption string, categories, groups []string, values [][]float64) string {
-	t := NewTable(caption, append([]string{""}, groups...)...)
-	for i, c := range categories {
-		row := []string{c}
-		for j := range groups {
-			row = append(row, FormatFloat(values[i][j]))
-		}
-		t.AddRow(row...)
-	}
-	var maxV float64
-	for _, row := range values {
-		for _, v := range row {
-			if v > maxV {
-				maxV = v
-			}
-		}
-	}
-	var b strings.Builder
-	b.WriteString(t.String())
-	if maxV <= 0 {
-		return b.String()
-	}
-	const barW = 40
-	for i, c := range categories {
-		for j, g := range groups {
-			n := int(values[i][j] / maxV * barW)
-			if n < 0 {
-				n = 0
-			}
-			fmt.Fprintf(&b, "%-6s %-14s %s %s\n", c, g,
-				strings.Repeat("=", n), FormatFloat(values[i][j]))
-		}
-	}
-	b.WriteByte('\n')
-	return b.String()
-}

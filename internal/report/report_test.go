@@ -86,21 +86,6 @@ func TestFigureDataTable(t *testing.T) {
 	}
 }
 
-func TestBars(t *testing.T) {
-	s := Bars("cap", []string{"W1", "W2"}, []string{"TS", "BW"},
-		[][]float64{{1, 2}, {3, 4}})
-	for _, want := range []string{"cap", "W1", "BW", "="} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("missing %q:\n%s", want, s)
-		}
-	}
-	// All-zero values: no bars but no panic.
-	z := Bars("z", []string{"a"}, []string{"g"}, [][]float64{{0}})
-	if !strings.Contains(z, "a") {
-		t.Fatal("zero bars broken")
-	}
-}
-
 func TestWriteTo(t *testing.T) {
 	tb := NewTable("c", "h")
 	tb.AddRow("v")

@@ -171,8 +171,3 @@ func (l *Level1) collect(dp trace.DesignPoint, mc *cpu.Multicore, names []string
 	r.MeanLatencyNS = ms.MeanLatencyNS()
 	return r, nil
 }
-
-// NewStore returns a trace store backed by a fresh Level1 builder.
-func NewStore(seed int64) *trace.Store {
-	return trace.NewStore(NewLevel1(seed))
-}

@@ -628,20 +628,3 @@ func RunMixCtx(ctx context.Context, cfg MEMSpotConfig, store *trace.Store) (MEMS
 	}
 	return ms.RunCtx(ctx)
 }
-
-// NoLimitRuntime runs the mix with the No-limit pseudo-policy and an
-// artificially cold ambient so no thermal constraint binds; it is the
-// normalization baseline of the paper's figures.
-func NoLimitRuntime(cfg MEMSpotConfig, store *trace.Store) (MEMSpotResult, error) {
-	cfg.Policy = &dtm.NoLimit{Cores: coresOf(cfg)}
-	// The baseline machine is identical; only the thermal response is
-	// ignored, which NoLimit already guarantees (it never throttles).
-	return RunMix(cfg, store)
-}
-
-func coresOf(cfg MEMSpotConfig) int {
-	if cfg.Params.Cores > 0 {
-		return cfg.Params.Cores
-	}
-	return fbconfig.DefaultSimParams.Cores
-}

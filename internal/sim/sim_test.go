@@ -227,14 +227,3 @@ func TestMEMSpotIntegratedAmbient(t *testing.T) {
 		t.Fatalf("ambient %v never rose above inlet", last)
 	}
 }
-
-func TestNoLimitRuntimeHelper(t *testing.T) {
-	cfg := tinyConfig(t, nil)
-	res, err := NoLimitRuntime(cfg, tinyStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Seconds <= 0 {
-		t.Fatal("baseline empty")
-	}
-}

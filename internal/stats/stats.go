@@ -1,17 +1,12 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment drivers: means, normalization against a baseline, Pearson
-// correlation (used in §5.4.3 of the paper to correlate L2-miss reduction
-// with speedup), and simple series utilities.
+// experiment drivers: the mean of a series, and the spike trimming the
+// paper applies to sensor readings.
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrEmpty is returned by reductions over empty inputs.
-var ErrEmpty = errors.New("stats: empty input")
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -23,135 +18,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs. All values must be positive;
-// non-positive entries make the result NaN.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Pearson returns the Pearson correlation coefficient between xs and ys.
-// It returns an error if the lengths differ, fewer than two samples are
-// given, or either series has zero variance.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, errors.New("stats: need at least two samples")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Normalize divides each element of xs by the corresponding element of
-// baseline. Lengths must match; zero baseline entries yield +Inf/NaN as in
-// ordinary float division.
-func Normalize(xs, baseline []float64) ([]float64, error) {
-	if len(xs) != len(baseline) {
-		return nil, errors.New("stats: length mismatch")
-	}
-	out := make([]float64, len(xs))
-	for i := range xs {
-		out[i] = xs[i] / baseline[i]
-	}
-	return out, nil
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. xs is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0], nil
-	}
-	if p >= 100 {
-		return cp[len(cp)-1], nil
-	}
-	pos := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return cp[lo], nil
-	}
-	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac, nil
 }
 
 // TrimTop returns a copy of xs with the top frac fraction (by value) of
@@ -168,36 +34,4 @@ func TrimTop(xs []float64, frac float64) []float64 {
 	cp := append([]float64(nil), xs...)
 	sort.Float64s(cp)
 	return cp[:len(cp)-n]
-}
-
-// Downsample reduces xs to at most n points by averaging fixed-size
-// buckets. It is used when rendering long temperature traces as figures.
-func Downsample(xs []float64, n int) []float64 {
-	if n <= 0 || len(xs) <= n {
-		return append([]float64(nil), xs...)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		lo := i * len(xs) / n
-		hi := (i + 1) * len(xs) / n
-		if hi <= lo {
-			hi = lo + 1
-		}
-		out[i] = Mean(xs[lo:hi])
-	}
-	return out
-}
-
-// EWMA returns the exponentially weighted moving average of xs with
-// smoothing factor alpha in (0,1].
-func EWMA(xs []float64, alpha float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	out[0] = xs[0]
-	for i := 1; i < len(xs); i++ {
-		out[i] = alpha*xs[i] + (1-alpha)*out[i-1]
-	}
-	return out
 }

@@ -17,100 +17,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); !almost(got, 2) {
-		t.Fatalf("GeoMean = %v, want 2", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Fatalf("GeoMean(nil) = %v", got)
-	}
-}
-
-func TestMinMaxSum(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	mn, err := Min(xs)
-	if err != nil || mn != -1 {
-		t.Fatalf("Min = %v, %v", mn, err)
-	}
-	mx, err := Max(xs)
-	if err != nil || mx != 7 {
-		t.Fatalf("Max = %v, %v", mx, err)
-	}
-	if s := Sum(xs); !almost(s, 11) {
-		t.Fatalf("Sum = %v", s)
-	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Fatalf("Min(nil) err = %v", err)
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Fatalf("Max(nil) err = %v", err)
-	}
-}
-
-func TestVarianceStddev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if v := Variance(xs); !almost(v, 4) {
-		t.Fatalf("Variance = %v, want 4", v)
-	}
-	if s := Stddev(xs); !almost(s, 2) {
-		t.Fatalf("Stddev = %v, want 2", s)
-	}
-	if v := Variance(nil); v != 0 {
-		t.Fatalf("Variance(nil) = %v", v)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(xs, ys)
-	if err != nil || !almost(r, 1) {
-		t.Fatalf("Pearson = %v, %v", r, err)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, err = Pearson(xs, neg)
-	if err != nil || !almost(r, -1) {
-		t.Fatalf("Pearson = %v, %v", r, err)
-	}
-	if _, err := Pearson(xs, ys[:3]); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := Pearson([]float64{1}, []float64{2}); err == nil {
-		t.Fatal("single sample accepted")
-	}
-	if _, err := Pearson([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Fatal("zero variance accepted")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out, err := Normalize([]float64{2, 6}, []float64{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(out[0], 1) || !almost(out[1], 2) {
-		t.Fatalf("Normalize = %v", out)
-	}
-	if _, err := Normalize([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	for _, tc := range []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2},
-	} {
-		got, err := Percentile(xs, tc.p)
-		if err != nil || !almost(got, tc.want) {
-			t.Fatalf("Percentile(%v) = %v, %v", tc.p, got, err)
-		}
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Fatal("Percentile(nil) accepted")
-	}
-}
-
 func TestTrimTop(t *testing.T) {
 	xs := []float64{5, 1, 9, 2, 8, 3, 7, 4, 6, 100}
 	got := TrimTop(xs, 0.1)
@@ -130,35 +36,6 @@ func TestTrimTop(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	got := Downsample(xs, 10)
-	if len(got) != 10 {
-		t.Fatalf("len = %d", len(got))
-	}
-	if !almost(got[0], 4.5) {
-		t.Fatalf("first bucket = %v", got[0])
-	}
-	if got := Downsample(xs, 200); len(got) != 100 {
-		t.Fatal("upsampling should be identity")
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	got := EWMA([]float64{1, 1, 1}, 0.5)
-	for _, v := range got {
-		if !almost(v, 1) {
-			t.Fatalf("EWMA of constant = %v", got)
-		}
-	}
-	if len(EWMA(nil, 0.5)) != 0 {
-		t.Fatal("EWMA(nil) not empty")
-	}
-}
-
 // Property: the mean lies between min and max.
 func TestMeanBoundsProperty(t *testing.T) {
 	f := func(xs []float64) bool {
@@ -171,37 +48,12 @@ func TestMeanBoundsProperty(t *testing.T) {
 		if len(clean) == 0 {
 			return true
 		}
+		mn, mx := clean[0], clean[0]
+		for _, x := range clean {
+			mn, mx = math.Min(mn, x), math.Max(mx, x)
+		}
 		m := Mean(clean)
-		mn, _ := Min(clean)
-		mx, _ := Max(clean)
 		return m >= mn-1e-6 && m <= mx+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Pearson is always within [-1, 1] when defined.
-func TestPearsonRangeProperty(t *testing.T) {
-	f := func(xs, ys []int8) bool {
-		n := len(xs)
-		if len(ys) < n {
-			n = len(ys)
-		}
-		if n < 2 {
-			return true
-		}
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for i := 0; i < n; i++ {
-			a[i] = float64(xs[i])
-			b[i] = float64(ys[i])
-		}
-		r, err := Pearson(a, b)
-		if err != nil {
-			return true // zero variance, fine
-		}
-		return r >= -1-1e-9 && r <= 1+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -6,8 +6,12 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +20,7 @@ import (
 
 	"dramtherm/internal/core"
 	"dramtherm/internal/sim"
+	"dramtherm/internal/trace"
 )
 
 // logKeys replays l and returns the run-record keys in replay order.
@@ -393,5 +398,113 @@ func TestEngineCompactState(t *testing.T) {
 	}
 	if builds.Load() != 0 {
 		t.Fatal("compaction lost live records")
+	}
+}
+
+// traceBits renders every field of a level-1 record — float fields as
+// IEEE bit patterns, PerApp in name order — so two records compare equal
+// only when they are bit-identical.
+func traceBits(r trace.Rates) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%q f=%x cap=%x off=%v rd=%x wr=%x lat=%x", r.Point.Apps,
+		math.Float64bits(r.Point.FreqGHz), math.Float64bits(r.Point.BWCapGBps), r.Point.MemOff,
+		math.Float64bits(r.TotalReadGBps), math.Float64bits(r.TotalWriteGBps), math.Float64bits(r.MeanLatencyNS))
+	names := make([]string, 0, len(r.PerApp))
+	for n := range r.PerApp {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(&b, " %s:", n)
+		v := reflect.ValueOf(r.PerApp[n])
+		for i := 0; i < v.NumField(); i++ {
+			fmt.Fprintf(&b, " %x", math.Float64bits(v.Field(i).Float()))
+		}
+	}
+	return b.String()
+}
+
+// TestTraceRecordsRoundTripBitExact appends level-1 records through the
+// engine's build hook path and checks a fresh engine replays every one
+// bit-identically, with zero level-1 builds, both from the appended log
+// and from the compacted snapshot.
+func TestTraceRecordsRoundTripBitExact(t *testing.T) {
+	uncapped := trace.Zero(trace.DesignPoint{Apps: "applu|swim", FreqGHz: 3.2, BWCapGBps: math.Inf(1)})
+	uncapped.PerApp["applu"] = trace.AppRates{InstrPerSec: 1.7e9 / 3, IPCRef: 0.1, ReadGBps: 2.6, WriteGBps: 1e-300,
+		L2MissPerSec: 3.3e7, L2AccessPerSec: math.Nextafter(9e7, 1e8), MemBoundFrac: 0.73}
+	uncapped.PerApp["swim"] = trace.AppRates{InstrPerSec: 2.2e9, IPCRef: 2.0 / 3, ReadGBps: 4.1, WriteGBps: 2.3,
+		L2MissPerSec: 5e-324, L2AccessPerSec: 1.25e8, MemBoundFrac: 1}
+	uncapped.TotalReadGBps, uncapped.TotalWriteGBps, uncapped.MeanLatencyNS = 6.7, 2.3+1e-15, 151.3
+
+	capped := trace.Zero(trace.DesignPoint{Apps: "galgel|mgrid|mgrid", FreqGHz: 1.6, BWCapGBps: 6.4})
+	capped.PerApp["mgrid"] = trace.AppRates{InstrPerSec: 8e8, IPCRef: 0.55, ReadGBps: 2.9, WriteGBps: 0.3,
+		L2MissPerSec: 4.4e7, L2AccessPerSec: 6.1e7, MemBoundFrac: 0.41}
+	// galgel keeps its all-zero rates.
+	capped.TotalReadGBps, capped.TotalWriteGBps, capped.MeanLatencyNS = 5.8, 0.6, 212.9
+
+	off := trace.Zero(trace.DesignPoint{Apps: "swim", FreqGHz: 3.2, BWCapGBps: 12.8, MemOff: true})
+	recs := []trace.Rates{uncapped, capped, off}
+
+	dir := t.TempDir()
+	e := NewEngine(core.NewSystem(core.DefaultConfig()), 1)
+	if err := e.EnableSegmentLog(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		e.appendTrace(r)
+	}
+	if st, _ := e.StateStats(); st.Appends != int64(len(recs)) || st.AppendErrors != 0 {
+		t.Fatalf("state stats = %+v, want %d appends", st, len(recs))
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(stage string) *Engine {
+		t.Helper()
+		e := NewEngine(core.NewSystem(core.DefaultConfig()), 1)
+		if err := e.EnableSegmentLog(dir, 0); err != nil {
+			t.Fatal(err)
+		}
+		store := e.System().Store()
+		if store.Len() != len(recs) {
+			t.Fatalf("%s: replayed %d records, want %d", stage, store.Len(), len(recs))
+		}
+		got := map[trace.DesignPoint]trace.Rates{}
+		store.Range(func(r trace.Rates) bool {
+			got[r.Point] = r
+			return true
+		})
+		for _, want := range recs {
+			r, ok := got[want.Point]
+			if !ok {
+				t.Fatalf("%s: %v not replayed", stage, want.Point)
+			}
+			if traceBits(r) != traceBits(want) {
+				t.Fatalf("%s: replayed record differs:\n got %s\nwant %s", stage, traceBits(r), traceBits(want))
+			}
+			r, err := store.Get(want.Point)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if traceBits(r) != traceBits(want) {
+				t.Fatalf("%s: Get(%v) differs:\n got %s\nwant %s", stage, want.Point, traceBits(r), traceBits(want))
+			}
+		}
+		if builds, _ := store.Counts(); builds != 0 {
+			t.Fatalf("%s: %d level-1 builds, want 0", stage, builds)
+		}
+		return e
+	}
+
+	e2 := check("appended log")
+	if err := e2.CompactState(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := check("compacted log").Close(); err != nil {
+		t.Fatal(err)
 	}
 }

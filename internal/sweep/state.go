@@ -53,16 +53,7 @@ func (e *Engine) EnableSegmentLog(dir string, compactEvery time.Duration) error 
 	if e.prefix != nil {
 		e.prefix.OnGroupComplete(e.appendCheckpoint)
 	}
-	e.sys.Store().SetOnBuild(func(r trace.Rates) {
-		var buf bytes.Buffer
-		if gob.NewEncoder(&buf).Encode(traceRecord{Rates: r}) == nil {
-			if e.seglog.Append(recordTrace, buf.Bytes()) != nil {
-				e.appendErrs.Add(1)
-			}
-		} else {
-			e.appendErrs.Add(1)
-		}
-	})
+	e.sys.Store().SetOnBuild(e.appendTrace)
 	if compactEvery > 0 {
 		e.compactStop = make(chan struct{})
 		e.compactDone = make(chan struct{})
@@ -79,6 +70,19 @@ func (e *Engine) appendRun(k Key, v sim.MEMSpotResult) {
 		return
 	}
 	if err := e.seglog.Append(recordRun, buf.Bytes()); err != nil {
+		e.appendErrs.Add(1)
+	}
+}
+
+// appendTrace frames one freshly built level-1 record into the segment
+// log.
+func (e *Engine) appendTrace(r trace.Rates) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(traceRecord{Rates: r}); err != nil {
+		e.appendErrs.Add(1)
+		return
+	}
+	if err := e.seglog.Append(recordTrace, buf.Bytes()); err != nil {
 		e.appendErrs.Add(1)
 	}
 }
@@ -238,12 +242,6 @@ func (e *Engine) ImportResult(key Key, res sim.MEMSpotResult) bool {
 		e.appendRun(key, res)
 	}
 	return true
-}
-
-// HasResult reports whether key is already cached.
-func (e *Engine) HasResult(key Key) bool {
-	_, ok := e.cache.Get(key)
-	return ok
 }
 
 // Range iterates the completed run cache (see memo.Table.Range) — the export

@@ -4,15 +4,14 @@
 // throughput for one combination of running applications under one DTM
 // design point — and the level-2 simulator (MEMSpot) consumes them in
 // 10 ms windows. A Store memoizes records on a memo.Table — one level-1
-// build per design point, however many level-2 runs ask for it — and
-// can persist them in the framed binary format of codec.go, mirroring
-// the paper's precomputed trace sets Wi×D.
+// build per design point, however many level-2 runs ask for it. The
+// sweep engine's segment log persists them, mirroring the paper's
+// precomputed trace sets Wi×D.
 package trace
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -132,7 +131,7 @@ type Store struct {
 }
 
 // NewStore returns a store backed by b (may be nil for a read-only store
-// filled via Load or Put).
+// filled via Put).
 func NewStore(b Builder) *Store {
 	return &Store{builder: b, recs: memo.New[DesignPoint, Rates](0)}
 }
@@ -157,7 +156,7 @@ func (s *Store) Get(dp DesignPoint) (Rates, error) {
 }
 
 // SetOnBuild registers fn to run after every successful level-1 build —
-// freshly simulated records, not entries restored via Put/Load (so
+// freshly simulated records, not entries restored via Put (so
 // replaying a persisted log does not re-persist every record). fn runs
 // outside the store lock on the builder's goroutine. Call before the
 // store is in use; not synchronized with concurrent Get.
@@ -171,7 +170,7 @@ func (s *Store) Range(fn func(Rates) bool) {
 	s.recs.Range(func(_ DesignPoint, r Rates) bool { return fn(r) })
 }
 
-// Put inserts a record directly (used by tests, Load and log replay).
+// Put inserts a record directly (used by tests and log replay).
 func (s *Store) Put(r Rates) { s.recs.Put(r.Point, r) }
 
 // Len returns the number of memoized records.
@@ -182,70 +181,4 @@ func (s *Store) Len() int { return s.recs.Len() }
 func (s *Store) Counts() (builds, hits int) {
 	st := s.recs.Stats()
 	return int(st.Builds), int(st.Hits)
-}
-
-// Save writes all records to w in the framed binary format (codec.go).
-// Records are sorted by design point so the same record set always
-// produces the same bytes.
-func (s *Store) Save(w io.Writer) error {
-	var recs []Rates
-	s.Range(func(r Rates) bool {
-		recs = append(recs, r)
-		return true
-	})
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i].Point, recs[j].Point
-		if a.Apps != b.Apps {
-			return a.Apps < b.Apps
-		}
-		if a.FreqGHz != b.FreqGHz {
-			return a.FreqGHz < b.FreqGHz
-		}
-		if a.BWCapGBps != b.BWCapGBps {
-			return a.BWCapGBps < b.BWCapGBps
-		}
-		return !a.MemOff && b.MemOff
-	})
-	buf := []byte(codecMagic)
-	for _, r := range recs {
-		buf = appendRecord(buf, r)
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-// loadChunkBytes sizes the Load read buffer; a var so tests can shrink
-// it to force records to span chunk boundaries.
-var loadChunkBytes = 64 << 10
-
-// Load reads records written by Save and inserts them. The stream
-// decodes incrementally in fixed-size chunks, each decoded batch
-// inserted as it completes.
-func (s *Store) Load(r io.Reader) error {
-	var dec ChunkDecoder
-	chunk := make([]byte, loadChunkBytes)
-	var batch []Rates
-	for {
-		n, rerr := r.Read(chunk)
-		if n > 0 {
-			var err error
-			batch, err = dec.Feed(chunk[:n], batch[:0])
-			if err != nil {
-				return fmt.Errorf("trace: load: %w", err)
-			}
-			for _, r := range batch {
-				s.Put(r)
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return fmt.Errorf("trace: load: %w", rerr)
-		}
-	}
-	if err := dec.Finish(); err != nil {
-		return fmt.Errorf("trace: load: %w", err)
-	}
-	return nil
 }

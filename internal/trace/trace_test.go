@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -141,46 +140,6 @@ func TestStoreBuilderError(t *testing.T) {
 	s := NewStore(failingBuilder{})
 	if _, err := s.Get(DesignPoint{Apps: "swim", FreqGHz: 3.2}); err == nil {
 		t.Fatal("builder error swallowed")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	s := NewStore(nil)
-	inf := DesignPoint{Apps: "a|b", FreqGHz: 3.2, BWCapGBps: math.Inf(1)}
-	capped := DesignPoint{Apps: "a", FreqGHz: 2.4, BWCapGBps: 6.4}
-	r1 := Zero(inf)
-	r1.TotalReadGBps = 12.5
-	r1.PerApp["a"] = AppRates{InstrPerSec: 1e9, MemBoundFrac: 0.8}
-	r2 := Zero(capped)
-	r2.MeanLatencyNS = 150
-	s.Put(r1)
-	s.Put(r2)
-
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewStore(nil)
-	if err := s2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s2.Get(inf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TotalReadGBps != 12.5 || got.PerApp["a"].InstrPerSec != 1e9 {
-		t.Fatalf("round trip lost data: %+v", got)
-	}
-	if !math.IsInf(got.Point.BWCapGBps, 1) {
-		t.Fatal("Inf cap not restored")
-	}
-	got2, err := s2.Get(capped)
-	if err != nil || got2.MeanLatencyNS != 150 {
-		t.Fatalf("capped record: %+v, %v", got2, err)
-	}
-	// Corrupt input errors cleanly.
-	if err := NewStore(nil).Load(bytes.NewBufferString("garbage")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 
