@@ -424,11 +424,10 @@ func traceBits(r trace.Rates) string {
 	return b.String()
 }
 
-// TestTraceRecordsRoundTripBitExact appends level-1 records through the
-// engine's build hook path and checks a fresh engine replays every one
-// bit-identically, with zero level-1 builds, both from the appended log
-// and from the compacted snapshot.
-func TestTraceRecordsRoundTripBitExact(t *testing.T) {
+// roundTripRecords returns level-1 records covering an uncapped point, a
+// capped point, a multi-app PerApp, an app whose rates are all zero and a
+// MemOff point, with float values chosen to expose any lossy encoding.
+func roundTripRecords() []trace.Rates {
 	uncapped := trace.Zero(trace.DesignPoint{Apps: "applu|swim", FreqGHz: 3.2, BWCapGBps: math.Inf(1)})
 	uncapped.PerApp["applu"] = trace.AppRates{InstrPerSec: 1.7e9 / 3, IPCRef: 0.1, ReadGBps: 2.6, WriteGBps: 1e-300,
 		L2MissPerSec: 3.3e7, L2AccessPerSec: math.Nextafter(9e7, 1e8), MemBoundFrac: 0.73}
@@ -443,9 +442,13 @@ func TestTraceRecordsRoundTripBitExact(t *testing.T) {
 	capped.TotalReadGBps, capped.TotalWriteGBps, capped.MeanLatencyNS = 5.8, 0.6, 212.9
 
 	off := trace.Zero(trace.DesignPoint{Apps: "swim", FreqGHz: 3.2, BWCapGBps: 12.8, MemOff: true})
-	recs := []trace.Rates{uncapped, capped, off}
+	return []trace.Rates{uncapped, capped, off}
+}
 
-	dir := t.TempDir()
+// writeTraceLog appends recs to a segment log in dir through the engine's
+// build hook path and closes it.
+func writeTraceLog(t *testing.T, dir string, recs []trace.Rates) {
+	t.Helper()
 	e := NewEngine(core.NewSystem(core.DefaultConfig()), 1)
 	if err := e.EnableSegmentLog(dir, 0); err != nil {
 		t.Fatal(err)
@@ -459,52 +462,75 @@ func TestTraceRecordsRoundTripBitExact(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	check := func(stage string) *Engine {
-		t.Helper()
-		e := NewEngine(core.NewSystem(core.DefaultConfig()), 1)
-		if err := e.EnableSegmentLog(dir, 0); err != nil {
+// checkTraceReplay opens dir in a fresh engine and requires its store to
+// hold exactly recs, bit-identical through both Range and Get, with zero
+// level-1 builds. The caller closes the returned engine.
+func checkTraceReplay(t *testing.T, dir, stage string, recs []trace.Rates) *Engine {
+	t.Helper()
+	e := NewEngine(core.NewSystem(core.DefaultConfig()), 1)
+	if err := e.EnableSegmentLog(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	store := e.System().Store()
+	if store.Len() != len(recs) {
+		t.Fatalf("%s: replayed %d records, want %d", stage, store.Len(), len(recs))
+	}
+	got := map[trace.DesignPoint]trace.Rates{}
+	store.Range(func(r trace.Rates) bool {
+		got[r.Point] = r
+		return true
+	})
+	for _, want := range recs {
+		r, ok := got[want.Point]
+		if !ok {
+			t.Fatalf("%s: %v not replayed", stage, want.Point)
+		}
+		if traceBits(r) != traceBits(want) {
+			t.Fatalf("%s: replayed record differs:\n got %s\nwant %s", stage, traceBits(r), traceBits(want))
+		}
+		r, err := store.Get(want.Point)
+		if err != nil {
 			t.Fatal(err)
 		}
-		store := e.System().Store()
-		if store.Len() != len(recs) {
-			t.Fatalf("%s: replayed %d records, want %d", stage, store.Len(), len(recs))
+		if traceBits(r) != traceBits(want) {
+			t.Fatalf("%s: Get(%v) differs:\n got %s\nwant %s", stage, want.Point, traceBits(r), traceBits(want))
 		}
-		got := map[trace.DesignPoint]trace.Rates{}
-		store.Range(func(r trace.Rates) bool {
-			got[r.Point] = r
-			return true
-		})
-		for _, want := range recs {
-			r, ok := got[want.Point]
-			if !ok {
-				t.Fatalf("%s: %v not replayed", stage, want.Point)
-			}
-			if traceBits(r) != traceBits(want) {
-				t.Fatalf("%s: replayed record differs:\n got %s\nwant %s", stage, traceBits(r), traceBits(want))
-			}
-			r, err := store.Get(want.Point)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if traceBits(r) != traceBits(want) {
-				t.Fatalf("%s: Get(%v) differs:\n got %s\nwant %s", stage, want.Point, traceBits(r), traceBits(want))
-			}
-		}
-		if builds, _ := store.Counts(); builds != 0 {
-			t.Fatalf("%s: %d level-1 builds, want 0", stage, builds)
-		}
-		return e
 	}
+	if builds, _ := store.Counts(); builds != 0 {
+		t.Fatalf("%s: %d level-1 builds, want 0", stage, builds)
+	}
+	return e
+}
 
-	e2 := check("appended log")
-	if err := e2.CompactState(); err != nil {
+// TestTraceRecordsRoundTripBitExact appends level-1 records to the segment
+// log and checks a fresh engine replays every one bit-identically from the
+// appended frames, with zero level-1 builds.
+func TestTraceRecordsRoundTripBitExact(t *testing.T) {
+	recs := roundTripRecords()
+	dir := t.TempDir()
+	writeTraceLog(t, dir, recs)
+	if err := checkTraceReplay(t, dir, "appended log", recs).Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.Close(); err != nil {
+}
+
+// TestTraceRecordsReplayAfterCompact checks level-1 records survive
+// compaction: after CompactState rewrites the log as a snapshot, a fresh
+// engine still replays every record bit-identically with zero builds.
+func TestTraceRecordsReplayAfterCompact(t *testing.T) {
+	recs := roundTripRecords()
+	dir := t.TempDir()
+	writeTraceLog(t, dir, recs)
+	e := checkTraceReplay(t, dir, "appended log", recs)
+	if err := e.CompactState(); err != nil {
 		t.Fatal(err)
 	}
-	if err := check("compacted log").Close(); err != nil {
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkTraceReplay(t, dir, "compacted log", recs).Close(); err != nil {
 		t.Fatal(err)
 	}
 }
