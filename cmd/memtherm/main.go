@@ -15,9 +15,16 @@
 //	memtherm -run all -segment-dir s.d
 //	                               # durable cache: results persist to the
 //	                               # s.d segment log as they complete
-//	memtherm -search halving -quick # adaptive search for the best DTM
-//	                               # policy: cheap fidelity rungs prune
-//	                               # candidates before full simulation
+//	memtherm -search -quick        # adaptive search for the best DTM
+//	                               # policy by successive halving over
+//	                               # cheap fidelity rungs
+//
+// Search against the full grid of the 32 Chapter 4 candidates (W1–W8 ×
+// DTM-TS/BW/ACG/CDVFS, normalized, 2 workers, 2-CPU host, medians of 5
+// paired runs): on warm level-1 traces it takes 0.65 s against the
+// grid's 1.05 s, about 1.6× faster. On cold traces it takes 67.4 s
+// against 62.3 s, about 8% slower, because a rung shortens only the
+// level-2 simulation and the level-1 builds cost the same.
 package main
 
 import (
@@ -41,9 +48,14 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit tables as CSV")
 		parallel = flag.Int("parallel", 1, "experiments to run concurrently; also sizes the simulation worker pool and the fan-out of each Chapter 5 figure's platform runs (0 = GOMAXPROCS)")
 		segDir   = flag.String("segment-dir", "", "durable state: results append to the segment-log directory as they complete and replay on the next run")
-		search   = flag.String("search", "", "adaptive search instead of an experiment: \"halving\" or \"bounds\" finds the best DTM policy per Chapter 4 mix, pruning on cheap fidelity rungs")
+		search   = flag.Bool("search", false, "adaptive search instead of an experiment: successive halving over cheap fidelity rungs finds the best (mix, DTM policy) of the Chapter 4 grid; faster than the grid on warm level-1 traces, slower on cold ones")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "memtherm: unexpected arguments %q\n", flag.Args())
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, d := range exp.All() {
@@ -51,7 +63,7 @@ func main() {
 		}
 		return
 	}
-	if *run == "" && *search == "" {
+	if *run == "" && !*search {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -67,8 +79,8 @@ func main() {
 	}
 	defer eng.Close()
 
-	if *search != "" {
-		if err := runSearch(eng, *search, *quick, *csv); err != nil {
+	if *search {
+		if err := runSearch(eng, *quick, *csv); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			eng.Close() //nolint:errcheck // os.Exit skips the deferred close
 			os.Exit(1)
@@ -96,7 +108,7 @@ func main() {
 	// that order aborts the run, as in serial mode.
 	width := *parallel
 	if width < 1 {
-		width = len(ids)
+		width = eng.Workers()
 	}
 	type outcome struct {
 		text string
@@ -150,7 +162,7 @@ func main() {
 // runSearch finds the best Chapter 4 DTM policy adaptively: every
 // (mix, policy) candidate is measured at cheap fidelity rungs first,
 // and only the survivors pay for full-length simulation.
-func runSearch(eng *dramtherm.Engine, strategy string, quick, csv bool) error {
+func runSearch(eng *dramtherm.Engine, quick, csv bool) error {
 	mixes := []string{"W1", "W2", "W3", "W4", "W5", "W6", "W7", "W8"}
 	if quick {
 		mixes = mixes[:2]
@@ -160,23 +172,13 @@ func runSearch(eng *dramtherm.Engine, strategy string, quick, csv bool) error {
 		Policies: []string{"DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"},
 	}.Expand()
 
-	var strat dramtherm.Strategy
-	switch strategy {
-	case "halving":
-		strat = &dramtherm.Halving{Candidates: candidates}
-	case "bounds":
-		strat = &dramtherm.BoundPrune{Candidates: candidates}
-	default:
-		return fmt.Errorf("unknown -search strategy %q (want halving or bounds)", strategy)
-	}
-
 	start := time.Now()
-	res, err := eng.Search(context.Background(), strat, dramtherm.SearchOptions{Normalize: true})
+	res, err := eng.Search(context.Background(), candidates, dramtherm.SearchOptions{Normalize: true})
 	if err != nil {
 		return err
 	}
-	tab := res.Table(fmt.Sprintf("adaptive %s search over %d candidates, %.1fs wall",
-		strategy, len(candidates), time.Since(start).Seconds()))
+	tab := res.Table(fmt.Sprintf("adaptive halving search over %d candidates, %.1fs wall",
+		len(candidates), time.Since(start).Seconds()))
 	if csv {
 		fmt.Print(tab.CSV())
 	} else {

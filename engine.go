@@ -1,12 +1,10 @@
 package dramtherm
 
 import (
-	"context"
 	"time"
 
 	"dramtherm/internal/core"
 	"dramtherm/internal/sweep"
-	"dramtherm/internal/sweep/search"
 )
 
 // Re-exported sweep types: the concurrent engine's vocabulary, usable
@@ -61,33 +59,27 @@ const (
 	Joined = sweep.Joined
 )
 
-// Re-exported adaptive-search types: plan sweeps round by round
-// instead of exhaustively (internal/sweep/search).
+// Re-exported adaptive-search types (see Engine.Search).
 type (
-	// Strategy plans an adaptive search: Next(completed rounds) →
-	// next round's specs, done (search.Strategy).
-	Strategy = search.Strategy
-	// SearchOptions configures Engine.Search (search.Options).
-	SearchOptions = search.Options
+	// SearchOptions configures Engine.Search: normalization, events,
+	// the fidelity ladder and the keep fraction (sweep.SearchOptions).
+	SearchOptions = sweep.SearchOptions
 	// SearchResult is a completed adaptive search: rounds, winner,
-	// full-fidelity run count (search.Result).
-	SearchResult = search.Result
-	// SearchRound is one completed round of a search (search.Round).
-	SearchRound = search.Round
-	// Halving is the successive-halving strategy (search.Halving).
-	Halving = search.Halving
-	// BoundPrune is the bound-driven refinement strategy
-	// (search.BoundPrune).
-	BoundPrune = search.BoundPrune
+	// full-fidelity run count (sweep.SearchResult).
+	SearchResult = sweep.SearchResult
+	// SearchRound is one completed round of a search (sweep.SearchRound).
+	SearchRound = sweep.SearchRound
 )
 
 // Engine is the public handle on the concurrent sweep engine: a
 // deduplicating, memoizing run cache over a bounded simulation worker
 // pool, with optional durable state. It embeds *sweep.Engine, so the
 // full engine surface is available directly: Run and Sweep execute
-// through the cache, Exec runs one spec uncached, Normalized divides by
-// the No-limit baseline, and Stats, PrefixStats and StateStats report
-// the cache, prefix-sharing and segment-log counters.
+// through the cache, Search finds the best candidate by successive
+// halving over cheap fidelity rungs, Exec runs one spec uncached,
+// Normalized divides by the No-limit baseline, and Stats, PrefixStats
+// and StateStats report the cache, prefix-sharing and segment-log
+// counters.
 //
 //	eng, err := dramtherm.NewEngine(dramtherm.DefaultConfig(),
 //		dramtherm.WithWorkers(8),
@@ -99,21 +91,6 @@ type (
 //	}.Expand(), dramtherm.SweepOptions{Normalize: true})
 type Engine struct {
 	*sweep.Engine
-}
-
-// Search runs an adaptive multi-round sweep: the strategy plans each
-// round from the completed ones, every round executes through the
-// regular Sweep path (worker pool, run cache, batch backend, events),
-// and the final full-fidelity round's best candidate wins.
-//
-//	res, err := eng.Search(ctx, &dramtherm.Halving{
-//		Candidates: dramtherm.Grid{
-//			Mixes:    []string{"W1", "W2"},
-//			Policies: []string{"DTM-TS", "DTM-ACG"},
-//		}.Expand(),
-//	}, dramtherm.SearchOptions{Normalize: true})
-func (e *Engine) Search(ctx context.Context, strat Strategy, opts SearchOptions) (*SearchResult, error) {
-	return search.Run(ctx, e.Engine, strat, opts)
 }
 
 // engineOptions collects NewEngine's functional options.

@@ -77,13 +77,12 @@ func ExampleEngine_Search() {
 	}
 	defer eng.Close()
 
-	res, err := eng.Search(context.Background(), &dramtherm.Halving{
-		Candidates: dramtherm.Grid{
-			Mixes:    []string{"W1", "W2"},
-			Policies: []string{"DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"},
-		}.Expand(),
-		Rungs: []float64{0.25, 1},
-	}, dramtherm.SearchOptions{Normalize: true})
+	candidates := dramtherm.Grid{
+		Mixes:    []string{"W1", "W2"},
+		Policies: []string{"DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"},
+	}.Expand()
+	res, err := eng.Search(context.Background(), candidates,
+		dramtherm.SearchOptions{Normalize: true, Rungs: []float64{0.25, 1}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,20 +1,26 @@
-// searchdtm demonstrates adaptive search end to end and checks its two
-// promises against an exhaustive grid sweep of the same candidates:
-//
-//  1. Fidelity: the search finds the same best DTM configuration as the
-//     exhaustive sweep.
-//  2. Economy: at most half the candidates reach full-fidelity
-//     simulation — the rest are pruned on cheap fidelity rungs.
-//
-// It also proves determinism (two independent searches render
-// byte-identical report tables) and drives the HTTP surface: an
+// searchdtm demonstrates adaptive search (successive halving over
+// cheap fidelity rungs) end to end against an exhaustive grid sweep of
+// the same candidates. It checks that the search finds the same best
+// DTM configuration as the grid, and that two independent searches
+// render byte-identical report tables. It prints the wall time of both
+// but asserts nothing about it. It also drives the HTTP surface: an
 // embedded dramthermd runs the same search as an async job whose SSE
 // stream carries round-boundary events.
+//
+// What search buys is wall-clock time on warm level-1 traces. Over the
+// 32 Chapter 4 candidates at full scale (W1–W8 × DTM-TS/BW/ACG/CDVFS,
+// normalized, 2 workers, 2-CPU host, medians of 5 paired runs), search
+// took 0.65 s against the grid's 1.05 s on warm traces, about 1.6×
+// faster, and 67.4 s against 62.3 s on cold traces, about 8% slower.
+// A rung shortens only the level-2 simulation; the level-1 builds that
+// dominate a cold run cost the same at every rung. Each run here starts
+// on cold traces at demo scale, so its timings do not stand in for the
+// full-scale ones above.
 //
 // Usage:
 //
 //	go run ./examples/searchdtm
-//	go run ./examples/searchdtm -strategy bounds -instrscale 0.02
+//	go run ./examples/searchdtm -instrscale 0.02
 package main
 
 import (
@@ -28,6 +34,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"time"
 
 	"dramtherm"
 	"dramtherm/internal/core"
@@ -37,10 +44,9 @@ import (
 
 func main() {
 	var (
-		workers  = flag.Int("workers", 0, "simulation worker pool width (0 = GOMAXPROCS)")
-		strategy = flag.String("strategy", "halving", "search strategy: halving or bounds")
-		full     = flag.Bool("full", false, "full-scale batches (default is a fast demo scale)")
-		scale    = flag.Float64("instrscale", 0, "override the application length scale factor")
+		workers = flag.Int("workers", 0, "simulation worker pool width (0 = GOMAXPROCS)")
+		full    = flag.Bool("full", false, "full-scale batches (default is a fast demo scale)")
+		scale   = flag.Float64("instrscale", 0, "override the application length scale factor")
 	)
 	flag.Parse()
 
@@ -62,29 +68,33 @@ func main() {
 	}.Expand()
 
 	// Exhaustive baseline: sweep every candidate at full fidelity.
+	start := time.Now()
 	gridBest, gridObj, err := exhaustive(cfg, *workers, candidates)
 	if err != nil {
 		log.Fatalf("exhaustive sweep: %v", err)
 	}
-	fmt.Printf("exhaustive grid: %d full-fidelity simulations, best %s (%.3f)\n\n",
-		len(candidates), gridBest, gridObj)
+	gridWall := time.Since(start)
+	fmt.Printf("exhaustive grid: %d full-fidelity simulations in %.1fs, best %s (%.3f)\n\n",
+		len(candidates), gridWall.Seconds(), gridBest, gridObj)
 
 	// The same space, searched adaptively — twice, on cold engines, to
 	// prove the rounds and tables are deterministic. Both runs must
 	// succeed before their tables are compared: diffing against a
 	// half-finished second search would report nondeterminism where the
 	// real story is a failed run.
-	res, err := search(cfg, *workers, *strategy, candidates)
+	start = time.Now()
+	res, err := search(cfg, *workers, candidates)
 	if err != nil {
 		log.Fatalf("adaptive search: %v", err)
 	}
-	again, err := search(cfg, *workers, *strategy, candidates)
+	searchWall := time.Since(start)
+	again, err := search(cfg, *workers, candidates)
 	if err != nil {
 		log.Fatalf("adaptive search (determinism re-run): %v", err)
 	}
 	fmt.Print(res.Table("adaptive search").String())
-	fmt.Printf("\nadaptive %s search: %d of %d candidates reached full fidelity, best %s (%.3f)\n",
-		*strategy, res.FullFidelityRuns, len(candidates), res.Best, res.BestObjective)
+	fmt.Printf("\nadaptive search in %.1fs (grid %.1fs, both on cold traces): best %s (%.3f)\n",
+		searchWall.Seconds(), gridWall.Seconds(), res.Best, res.BestObjective)
 
 	if t1, t2 := res.Table("t").String(), again.Table("t").String(); t1 != t2 {
 		log.Fatalf("nondeterministic search: two cold runs rendered different tables:\n%s\nvs\n%s", t1, t2)
@@ -97,18 +107,11 @@ func main() {
 		log.Fatalf("search best %s != exhaustive best %s", res.Best, gridBest)
 	}
 	fmt.Println("fidelity: search winner matches the exhaustive winner")
-	// Halving's economy holds by construction (each rung keeps half);
-	// bound pruning adapts to the landscape — a flat one is correctly
-	// kept whole rather than pruned at the risk of the optimum.
-	if *strategy == "halving" && 2*res.FullFidelityRuns > len(candidates) {
-		log.Fatalf("economy violated: %d of %d candidates simulated at full fidelity (want <= 50%%)",
-			res.FullFidelityRuns, len(candidates))
-	}
-	fmt.Printf("economy: %d/%d candidates fully simulated\n\n", res.FullFidelityRuns, len(candidates))
+	fmt.Println()
 
 	// The HTTP surface: the same search as an async job on an embedded
 	// server, with round boundaries visible on the SSE stream.
-	if err := serverSearch(cfg, *strategy); err != nil {
+	if err := serverSearch(cfg); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -132,28 +135,19 @@ func exhaustive(cfg dramtherm.Config, workers int, specs []dramtherm.Spec) (dram
 	return specs[best], res.Norms[best], nil
 }
 
-func search(cfg dramtherm.Config, workers int, strategy string, candidates []dramtherm.Spec) (*dramtherm.SearchResult, error) {
+func search(cfg dramtherm.Config, workers int, candidates []dramtherm.Spec) (*dramtherm.SearchResult, error) {
 	eng, err := dramtherm.NewEngine(cfg, dramtherm.WithWorkers(workers))
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	defer eng.Close()
-	var strat dramtherm.Strategy
-	switch strategy {
-	case "halving":
-		strat = &dramtherm.Halving{Candidates: candidates}
-	case "bounds":
-		strat = &dramtherm.BoundPrune{Candidates: candidates}
-	default:
-		return nil, fmt.Errorf("unknown -strategy %q (want halving or bounds)", strategy)
-	}
-	return eng.Search(context.Background(), strat, dramtherm.SearchOptions{Normalize: true})
+	return eng.Search(context.Background(), candidates, dramtherm.SearchOptions{Normalize: true})
 }
 
 // serverSearch submits the search as an async job against an embedded
 // httpapi server and follows its SSE stream, expecting round-boundary
 // events between the per-spec ones.
-func serverSearch(cfg dramtherm.Config, strategy string) error {
+func serverSearch(cfg dramtherm.Config) error {
 	eng := sweep.NewEngine(core.NewSystem(cfg), 0)
 	api := httpapi.New(context.Background(), eng, httpapi.Config{})
 	defer api.Close()
@@ -167,7 +161,7 @@ func serverSearch(cfg dramtherm.Config, strategy string) error {
 			Policies: []string{"DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"},
 		},
 		"normalize": true,
-		"search":    map[string]any{"strategy": strategy},
+		"search":    map[string]any{},
 	})
 	if err != nil {
 		return err

@@ -1,60 +1,19 @@
 package httpapi
 
 import (
-	"fmt"
-	"math"
-
 	"dramtherm/internal/sweep"
-	"dramtherm/internal/sweep/search"
 )
 
 // searchRequest is the "search" block of POST /v1/sweeps: instead of
-// sweeping every spec exhaustively, a strategy plans rounds over the
-// same candidates (specs + expanded grid), pruning on cheap fidelity
-// rungs before any full-cost simulation.
+// sweeping every spec exhaustively, successive halving runs rounds over
+// the same candidates (specs + expanded grid), pruning on cheap
+// fidelity rungs before any full-cost simulation.
 type searchRequest struct {
-	// Strategy is "halving" (successive halving) or "bounds"
-	// (bound-driven refinement).
-	Strategy string `json:"strategy"`
 	// Rungs is the ascending fidelity ladder; the last entry must be 1.
-	// Empty selects the strategy default (0.25, 0.5, 1).
+	// Empty selects the default ladder 0.25, 0.5, 1.
 	Rungs []float64 `json:"rungs,omitempty"`
-	// Eta is halving's keep-fraction denominator (default 2).
+	// Eta is the keep-fraction denominator (default 2).
 	Eta float64 `json:"eta,omitempty"`
-	// Slack is bounds' relative low-fidelity uncertainty (default 0.1).
-	Slack float64 `json:"slack,omitempty"`
-	// MaxRounds aborts a runaway strategy (default 32).
-	MaxRounds int `json:"max_rounds,omitempty"`
-}
-
-// strategy builds the named Strategy over the candidates, validating
-// everything a client could get wrong before any simulation starts.
-func (sr *searchRequest) strategy(candidates []sweep.Spec) (search.Strategy, error) {
-	for i, rung := range sr.Rungs {
-		if !(rung > 0) || rung > 1 || math.IsInf(rung, 1) {
-			return nil, fmt.Errorf("search rung %d is %g: rungs must be in (0, 1]", i, rung)
-		}
-		if i > 0 && rung <= sr.Rungs[i-1] {
-			return nil, fmt.Errorf("search rungs must strictly ascend: rung %d (%g) <= rung %d (%g)", i, rung, i-1, sr.Rungs[i-1])
-		}
-	}
-	if n := len(sr.Rungs); n > 0 && sr.Rungs[n-1] != 1 {
-		return nil, fmt.Errorf("the last search rung must be 1 (full fidelity), got %g", sr.Rungs[n-1])
-	}
-	switch sr.Strategy {
-	case "halving":
-		if sr.Eta < 0 || sr.Eta == 1 {
-			return nil, fmt.Errorf("halving eta %g out of range: want 0 (default) or >= 2", sr.Eta)
-		}
-		return &search.Halving{Candidates: candidates, Rungs: sr.Rungs, Eta: sr.Eta}, nil
-	case "bounds":
-		if sr.Slack < 0 || sr.Slack >= 1 {
-			return nil, fmt.Errorf("bounds slack %g out of range: want [0, 1)", sr.Slack)
-		}
-		return &search.BoundPrune{Candidates: candidates, Rungs: sr.Rungs, Slack: sr.Slack}, nil
-	default:
-		return nil, fmt.Errorf("unknown search strategy %q (want %q or %q)", sr.Strategy, "halving", "bounds")
-	}
 }
 
 // searchRound is the wire form of one completed round.
@@ -72,7 +31,6 @@ type searchRound struct {
 
 // searchResponse reports one completed adaptive search.
 type searchResponse struct {
-	Strategy         string        `json:"strategy"`
 	Rounds           []searchRound `json:"rounds"`
 	Best             sweep.Spec    `json:"best"`
 	BestObjective    float64       `json:"best_objective"`
@@ -85,13 +43,12 @@ type searchResponse struct {
 
 // searchPayload is what a finished search job stores in the registry.
 type searchPayload struct {
-	res  *search.Result
+	res  *sweep.SearchResult
 	wall float64
 }
 
-func (s *Server) searchResponseOf(res *search.Result, wall float64, perSpec bool) *searchResponse {
+func (s *Server) searchResponseOf(res *sweep.SearchResult, wall float64, perSpec bool) *searchResponse {
 	out := &searchResponse{
-		Strategy:         res.Strategy,
 		Rounds:           make([]searchRound, 0, len(res.Rounds)),
 		Best:             res.Best,
 		BestObjective:    res.BestObjective,
@@ -101,12 +58,7 @@ func (s *Server) searchResponseOf(res *search.Result, wall float64, perSpec bool
 		Wall:             wall,
 	}
 	for _, rd := range res.Rounds {
-		best := 0
-		for i := 1; i < len(rd.Objectives); i++ {
-			if rd.Objectives[i] < rd.Objectives[best] {
-				best = i
-			}
-		}
+		best := rd.Best()
 		jr := searchRound{
 			Index:      rd.Index,
 			Rung:       rd.Scale,

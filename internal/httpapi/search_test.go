@@ -52,15 +52,12 @@ func TestSweepSearchSync(t *testing.T) {
 	ts, fullFid := newSearchServer(t)
 	resp := postJSON(t, ts.URL+"/v1/sweeps", sweepRequest{
 		Grid:   &searchGrid,
-		Search: &searchRequest{Strategy: "halving", Rungs: []float64{0.25, 1}},
+		Search: &searchRequest{Rungs: []float64{0.25, 1}},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	res := decode[searchResponse](t, resp)
-	if res.Strategy != "halving" {
-		t.Errorf("strategy %q", res.Strategy)
-	}
 	if len(res.Rounds) != 2 {
 		t.Fatalf("rounds = %d, want 2: %+v", len(res.Rounds), res.Rounds)
 	}
@@ -91,7 +88,7 @@ func TestSweepSearchAsync(t *testing.T) {
 	ts, _ := newSearchServer(t)
 	resp := postJSON(t, ts.URL+"/v1/sweeps?async=1", sweepRequest{
 		Grid:   &searchGrid,
-		Search: &searchRequest{Strategy: "bounds", Rungs: []float64{0.25, 1}},
+		Search: &searchRequest{Rungs: []float64{0.25, 1}},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async submit status %d", resp.StatusCode)
@@ -116,6 +113,9 @@ func TestSweepSearchAsync(t *testing.T) {
 		case string(sweep.EventRoundFinished):
 			if ev.data.Round != roundFinishes {
 				t.Errorf("round_finished out of order: %+v", ev.data)
+			}
+			if ev.data.Round == 0 && (ev.data.Survivors != 2 || ev.data.Pruned != 2) {
+				t.Errorf("round 0 finished with %d survivors / %d pruned, want 2/2", ev.data.Survivors, ev.data.Pruned)
 			}
 			roundFinishes++
 		}
@@ -152,12 +152,10 @@ func TestSweepSearchValidation(t *testing.T) {
 		search searchRequest
 		want   string
 	}{
-		{"unknown strategy", searchRequest{Strategy: "anneal"}, "unknown search strategy"},
-		{"rung out of range", searchRequest{Strategy: "halving", Rungs: []float64{0, 1}}, "rungs must be in (0, 1]"},
-		{"rungs not ascending", searchRequest{Strategy: "halving", Rungs: []float64{0.5, 0.5, 1}}, "strictly ascend"},
-		{"last rung not full", searchRequest{Strategy: "halving", Rungs: []float64{0.25, 0.5}}, "last search rung must be 1"},
-		{"bad eta", searchRequest{Strategy: "halving", Eta: 1}, "eta"},
-		{"bad slack", searchRequest{Strategy: "bounds", Slack: 1.5}, "slack"},
+		{"rung out of range", searchRequest{Rungs: []float64{0, 1}}, "rungs must be in (0, 1]"},
+		{"rungs not ascending", searchRequest{Rungs: []float64{0.5, 0.5, 1}}, "strictly ascend"},
+		{"last rung not full", searchRequest{Rungs: []float64{0.25, 0.5}}, "last search rung must be 1"},
+		{"bad eta", searchRequest{Eta: 1}, "eta"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,7 +18,6 @@ import (
 	"dramtherm/internal/sweep"
 	"dramtherm/internal/sweep/remote"
 	"dramtherm/internal/sweep/remote/gossip"
-	"dramtherm/internal/sweep/search"
 )
 
 // Config tunes a Server. The zero value selects the defaults.
@@ -88,7 +87,6 @@ type Server struct {
 	mSSESubs    *obs.Gauge
 	mSSEDropped *obs.Counter
 	mHandoff    *obs.CounterVec // {result}
-	search      *search.Metrics
 
 	// Handoff ingestion counters; also surfaced without Metrics.
 	handoffAccepted atomic.Int64
@@ -150,7 +148,6 @@ func New(base context.Context, eng *sweep.Engine, cfg Config) *Server {
 		s.mHandoff = reg.CounterVec("dramtherm_handoff_received_total",
 			"Results received via POST /v1/handoff, by disposition (accepted: imported into the cache; skipped: already present or wrong config digest).",
 			"result")
-		s.search = search.Instrument(reg)
 		s.jobs.Instrument(reg)
 		s.handle("GET /metrics", reg.Handler().ServeHTTP)
 	}
@@ -359,7 +356,7 @@ func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
 // owns the timeout via its request context.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	var spec sweep.Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := decodeStrict(r.Body, &spec); err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("decoding spec: %w", err))
 		return
 	}
@@ -439,7 +436,7 @@ func (s *Server) viewJob(snap sweep.JobSnapshot, traces bool) jobView {
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var spec sweep.Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := decodeStrict(r.Body, &spec); err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("decoding spec: %w", err))
 		return
 	}
@@ -590,7 +587,7 @@ func (s *Server) sweepResponseOf(specs []sweep.Spec, res *sweep.Result, normaliz
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("decoding sweep: %w", err))
 		return
 	}
@@ -609,10 +606,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	kind := sweep.JobSweep
-	var strat search.Strategy
+	var search *sweep.SearchOptions
 	if req.Search != nil {
-		var err error
-		if strat, err = req.Search.strategy(specs); err != nil {
+		search = &sweep.SearchOptions{Normalize: req.Normalize, Rungs: req.Search.Rungs, Eta: req.Search.Eta}
+		if err := search.Validate(); err != nil {
 			writeErr(w, http.StatusBadRequest, CodeBadSearch, err)
 			return
 		}
@@ -628,13 +625,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			start := time.Now()
 			onEvent := func(ev sweep.Event) { job.Publish(sweep.JobEventFrom(ev)) }
-			if strat != nil {
-				res, err := search.Run(job.Context(), s.eng, strat, search.Options{
-					Normalize: req.Normalize,
-					OnEvent:   onEvent,
-					MaxRounds: req.Search.MaxRounds,
-					Metrics:   s.search,
-				})
+			if search != nil {
+				search.OnEvent = onEvent
+				res, err := s.eng.Search(job.Context(), specs, *search)
 				if err != nil {
 					job.Finish(nil, err)
 					return
@@ -661,12 +654,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := mergeDone(r.Context(), s.base)
 	defer cancel()
 	start := time.Now()
-	if strat != nil {
-		res, err := search.Run(ctx, s.eng, strat, search.Options{
-			Normalize: req.Normalize,
-			MaxRounds: req.Search.MaxRounds,
-			Metrics:   s.search,
-		})
+	if search != nil {
+		res, err := s.eng.Search(ctx, specs, *search)
 		if err != nil {
 			s.writeServerErr(w, r, err)
 			return
@@ -680,6 +669,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.sweepResponseOf(specs, res, req.Normalize, time.Since(start).Seconds(), wantFlag(r, "traces")))
+}
+
+// decodeStrict decodes a client request body, rejecting fields the
+// endpoint does not know: a misspelled or retired field must be a 400,
+// not a silently different run. Node-to-node endpoints (batch, handoff,
+// gossip) decode leniently so mixed-version clusters keep working.
+func decodeStrict(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // mergeDone returns a context that is cancelled when either parent is.

@@ -690,6 +690,39 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
+// TestClientBodiesStrict: the client endpoints reject unknown body
+// fields — retired search keys and misspelled spec or grid fields —
+// with 400 bad_request before any simulation runs.
+func TestClientBodiesStrict(t *testing.T) {
+	ts, builds, _ := newTestServer(t, 2, 0, Config{})
+	grid := `"grid":{"mixes":["W1"],"policies":["DTM-TS","DTM-BW"]}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/sweeps", `{` + grid + `,"search":{"strategy":"halving"}}`},
+		{"/v1/sweeps", `{` + grid + `,"search":{"rungs":[0.25,1],"slack":0.1}}`},
+		{"/v1/sweeps?async=1", `{` + grid + `,"search":{"max_rounds":3}}`},
+		{"/v1/sweeps", `{"grid":{"mixes":["W1"],"polices":["DTM-TS"]}}`},
+		{"/v1/sweeps", `{"specs":[{"mix":"W1","policy":"DTM-TS","instrscale":0.25}]}`},
+		{"/v1/runs", `{"mix":"W1","polcy":"DTM-TS"}`},
+		{"/v1/exec", `{"mix":"W1","policy":"DTM-TS","limits":{"AMBTDP":100,"AMBTRPX":99}}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
+			t.Errorf("POST %s %s: status %d, want 400", tc.path, tc.body, resp.StatusCode)
+			continue
+		}
+		if e := decode[errorEnvelope](t, resp); e.Error.Code != CodeBadRequest || !strings.Contains(e.Error.Message, "unknown field") {
+			t.Errorf("POST %s %s: error %+v, want bad_request naming the unknown field", tc.path, tc.body, e.Error)
+		}
+	}
+	if n := builds.Load(); n != 0 {
+		t.Fatalf("rejected bodies reached the run function %d times, want 0", n)
+	}
+}
+
 // TestServerShutdownCancelsJobs checks async jobs abort when the server
 // base context is cancelled (graceful shutdown path).
 func TestServerShutdownCancelsJobs(t *testing.T) {

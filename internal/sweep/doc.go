@@ -28,6 +28,16 @@
 // (Options.OnEvent) and report-table aggregation, and
 // EnableSegmentLog makes completed entries durable.
 //
+// # Adaptive search
+//
+// Engine.Search runs successive halving over the same candidates a
+// Sweep would take: each round is one Sweep at a fractional
+// Spec.InstrScale rung, and the better 1/eta advance to the next rung
+// until one full-fidelity round names the winner. A rung shortens only
+// level 2, so search pays on warm level-1 traces (about 1.6x faster
+// than the full grid over the 32 Chapter 4 candidates) and costs about
+// 8% more than the grid on cold ones.
+//
 // # Jobs
 //
 // Jobs is the asynchronous job registry between the engine and a front

@@ -104,6 +104,7 @@ type Engine struct {
 	cache    *memo.Table[Key, sim.MEMSpotResult]
 	sem      chan struct{}  // worker pool: one slot per leader build
 	buildDur *obs.Histogram // leader build latency; nil until Instrument
+	search   *searchMetrics // nil until Instrument
 	run      RunFunc
 	backend  SpecBackend
 	batch    BatchBackend

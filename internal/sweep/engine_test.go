@@ -131,6 +131,27 @@ func TestEngineSweepCancel(t *testing.T) {
 	}
 }
 
+// TestEngineSweepPreCancelled: a sweep on a context that is already
+// done runs nothing. Each leader finds a free pool slot and a dead
+// context ready at once; select picks either, so without the ctx.Err()
+// re-check after taking the slot about half the leaders would run.
+func TestEngineSweepPreCancelled(t *testing.T) {
+	var n atomic.Int64
+	e := testEngine(4, &n, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	specs := Grid{Mixes: AllMixes(), Policies: core.PolicyNames()}.Expand()
+	if len(specs) < 64 {
+		t.Fatalf("%d specs, want at least 64", len(specs))
+	}
+	if _, err := e.Sweep(ctx, specs, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := n.Load(); got != 0 {
+		t.Fatalf("run function called %d times on a cancelled context, want 0", got)
+	}
+}
+
 // TestEngineSweepFirstErrorCancels checks a failing job aborts the rest.
 func TestEngineSweepFirstErrorCancels(t *testing.T) {
 	e := NewEngine(core.NewSystem(core.DefaultConfig()), 2)

@@ -19,7 +19,7 @@ const (
 	// JobSweep is one asynchronous multi-spec sweep.
 	JobSweep JobKind = "sweep"
 	// JobSearch is one asynchronous adaptive search: rounds of sweeps
-	// planned by a strategy (internal/sweep/search). Its Total is the
+	// run by Engine.Search. Its Total is the
 	// candidate count; Done counts spec executions across all rounds,
 	// so it can exceed Total when survivors re-run at higher rungs.
 	JobSearch JobKind = "search"

@@ -1,18 +1,21 @@
 package sweep
 
 import (
+	"fmt"
+	"time"
+
 	"dramtherm/internal/obs"
 )
 
 // Instrument registers the engine's metric families on reg: run-cache
-// lookup outcomes, completed entries, worker-pool saturation and the
-// leader build-latency histogram, plus the prefix-sharing families when
-// EnablePrefixSharing has been called. The counter and gauge families
-// read the cache's own counters and the pool channel, so /metrics and
-// Stats report identical numbers by construction. Like SetRunFunc,
-// Instrument must be called before the engine is shared across
-// goroutines; a nil reg is a no-op (the uninstrumented hot path pays
-// one nil check).
+// lookup outcomes, completed entries, worker-pool saturation, the
+// leader build-latency histogram and the adaptive-search families, plus
+// the prefix-sharing families when EnablePrefixSharing has been called.
+// The counter and gauge families read the cache's own counters and the
+// pool channel, so /metrics and Stats report identical numbers by
+// construction. Like SetRunFunc, Instrument must be called before the
+// engine is shared across goroutines; a nil reg is a no-op (the
+// uninstrumented hot path pays one nil check).
 func (e *Engine) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -39,9 +42,43 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("dramtherm_pool_busy",
 		"Worker-pool slots currently held by leader builds.",
 		func() float64 { return float64(len(e.sem)) })
+	e.search = &searchMetrics{
+		rounds: reg.Counter("dramtherm_search_rounds_total",
+			"Adaptive-search rounds executed (one multi-spec sweep each)."),
+		pruned: reg.Counter("dramtherm_search_specs_pruned_total",
+			"Candidates discarded by successive halving before full fidelity."),
+		fullFid: reg.Counter("dramtherm_search_full_fidelity_runs_total",
+			"Search specs executed at full fidelity (InstrScale 1)."),
+		roundDur: reg.HistogramVec("dramtherm_search_round_seconds",
+			"Wall-clock seconds per search round, by fidelity rung.",
+			obs.DefBuckets, "rung"),
+	}
 	if e.prefix != nil {
 		e.prefix.Instrument(reg)
 	}
+}
+
+// searchMetrics are the adaptive-search instruments. The counters
+// register at zero, so a scrape sees them before the first search. A
+// nil *searchMetrics is a no-op.
+type searchMetrics struct {
+	rounds   *obs.Counter
+	pruned   *obs.Counter
+	fullFid  *obs.Counter
+	roundDur *obs.HistogramVec // by rung
+}
+
+// roundDone records one completed round of n specs.
+func (m *searchMetrics) roundDone(rung float64, dur time.Duration, n, pruned int) {
+	if m == nil {
+		return
+	}
+	m.rounds.Inc()
+	m.pruned.Add(float64(pruned))
+	if rung == 1 {
+		m.fullFid.Add(float64(n))
+	}
+	m.roundDur.WithLabelValues(fmt.Sprintf("%g", rung)).Observe(dur.Seconds())
 }
 
 // Instrument registers the job registry's metric families on reg: jobs

@@ -33,9 +33,8 @@ type Spec struct {
 	Limits fbconfig.ThermalLimits `json:"limits,omitempty"`
 	// InstrScale is the run's fidelity: a multiplier on the system's
 	// base application-length scale. Zero and 1 both mean full fidelity
-	// (and share a cache key); adaptive search strategies use fractional
-	// rungs (e.g. 0.25) as cheap approximations, each a distinct cache
-	// entry.
+	// (and share a cache key); Engine.Search uses fractional rungs
+	// (e.g. 0.25) as cheap approximations, each a distinct cache entry.
 	InstrScale float64 `json:"instr_scale,omitempty"`
 }
 

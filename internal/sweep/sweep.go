@@ -29,13 +29,12 @@ const (
 	EventFinished EventKind = "spec_finished"
 	// EventError fires when a spec's run fails or is cancelled.
 	EventError EventKind = "spec_error"
-	// EventRoundStarted marks an adaptive-search round boundary: the
-	// strategy has planned the round's specs and the engine is about to
-	// sweep them (internal/sweep/search).
+	// EventRoundStarted marks an adaptive-search round boundary:
+	// Engine.Search is about to sweep the round's specs.
 	EventRoundStarted EventKind = "round_started"
 	// EventRoundFinished fires when a search round's sweep completes
-	// and the strategy has planned the next round, carrying how many
-	// candidates survived and how many were pruned.
+	// and the survivors are chosen, carrying how many candidates
+	// survived and how many were pruned.
 	EventRoundFinished EventKind = "round_finished"
 )
 
@@ -64,7 +63,7 @@ type Event struct {
 	// Round-boundary payload (EventRoundStarted/EventRoundFinished only).
 	// Round is the zero-based round index, Rung the round's fidelity
 	// multiplier; Survivors counts candidates advancing past the round
-	// and Pruned the candidates the strategy discarded after it.
+	// and Pruned the candidates discarded after it.
 	Round     int
 	Rung      float64
 	Survivors int
