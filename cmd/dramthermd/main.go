@@ -12,46 +12,51 @@
 //	dramthermd -job-ttl 1h -max-jobs 4096
 //	dramthermd -peers http://w1:8080,http://w2:8080   # cluster coordinator
 //	dramthermd -peers @/etc/dramtherm/peers            # one URL per line
-//	dramthermd -gossip -peers http://w1:8080 -advertise http://coord:8080
-//	dramthermd -gossip -join http://coord:8080 -advertise http://w3:8080
+//	dramthermd -addr :8080 -join http://w1:8080 -advertise http://w3:8080
 //
-// With -peers the node coordinates a cluster: runs are fanned out to the
-// listed dramthermd workers by consistent hashing on the canonical spec
-// key (each worker's cache stays hot for its shard), dead peers are
-// ejected by health probes and failed shards retry on the next ring
-// member, falling back to local execution when every peer is down. All
-// dispatch between nodes is batched: each peer receives its entire shard
-// of a sweep in one /v1/exec/batch request and streams per-spec outcomes
-// back — so a big grid costs one round trip per peer, not per spec — and
-// a single run (POST /v1/exec or /v1/runs on the coordinator) travels as
-// a shard of one. Any node can be a coordinator; workers need no flags
-// at all. See docs/ARCHITECTURE.md.
+// Every dramthermd gossips its cluster membership: it keeps a versioned
+// table (id, url, incarnation, alive/suspect/dead), serves
+// POST /v1/gossip, and anti-entropy syncs the table with a few random
+// members every gossip interval, so workers join and leave a running
+// cluster without restarting anything. A worker needs no flags at all:
+// it answers whoever dials it.
 //
-// With -gossip the membership is epidemic instead of static: the node
-// keeps a versioned membership table (id, url, incarnation,
-// alive/suspect/dead) and anti-entropy syncs it with a few random
-// members per interval over POST /v1/gossip, so workers join and leave
-// a running cluster without a coordinator restart. -peers becomes the
-// seed list (and the coordinator's initial ring); a worker joins an
-// existing cluster with -join <seed-url> and needs no restart of
-// anything else. Ring-probe ejections feed the table as suspicions; a
-// falsely suspected node refutes by bumping its incarnation, and
-// confirmed-dead members are quarantined, then forgotten. Without
-// -gossip the static -peers list behaves exactly as before (legacy
-// mode).
+// With -peers the node coordinates a cluster. The -peers URLs are seed
+// addresses: the coordinator dials each one until a member answers
+// from it, learns the rest of the cluster from the reply, and reaches
+// that member at the URL it dialled — whatever address the member
+// advertises. Runs are fanned out to the live members by consistent
+// hashing on the canonical spec key (each worker's cache stays hot for
+// its shard); a failed dispatch ejects the member, suspects it in the
+// gossip table and retries the shard on the next ring member, falling
+// back to local execution when every member is down. A member that
+// stops answering gossip is suspected, declared dead and dropped from
+// the ring even when no run is dispatched to it; a dead seed is dialled
+// again until it answers, so a restarted seed worker rejoins on its
+// own. A coordinator gossips as an observer with no URL, so no ring
+// ever holds a coordinator. All dispatch between nodes is batched: each
+// member receives its entire shard of a sweep in one /v1/exec/batch
+// request and streams per-spec outcomes back, and a single run (POST
+// /v1/exec or /v1/runs on the coordinator) travels as a shard of one.
+//
+// A worker started with -join dials those seed addresses until a
+// member answers and so enters the cluster without appearing in any
+// -peers list. It is reached at its -advertise URL, which defaults to
+// http://127.0.0.1<addr> for a host-less -addr: set -advertise when
+// the cluster spans hosts. See docs/ARCHITECTURE.md.
 //
 // Endpoints:
 //
 //	GET    /v1/healthz           version, uptime, run-cache statistics, peer ring, membership
-//	GET    /metrics              Prometheus text exposition (cache, pool, jobs, HTTP, ring, gossip)
+//	GET    /metrics              Prometheus text exposition (cache, pool, jobs, HTTP, gossip, ring)
 //	GET    /debug/pprof/         runtime profiles (opt-in via -pprof)
-//	POST   /v1/gossip            anti-entropy membership exchange (with -gossip)
+//	POST   /v1/gossip            anti-entropy membership exchange
 //	POST   /v1/handoff           cache replication ingest: NDJSON result stream (with -replication)
 //	POST   /v1/exec              synchronous single-run execution
 //	POST   /v1/exec/batch        shard execution (cluster dispatch): specs in, streamed NDJSON outcomes out
 //	POST   /v1/runs              async submit: {"mix":"W1","policy":"DTM-ACG"} → {"id":"run-1"}
 //	GET    /v1/runs              job listing (?status=running, ?offset=, ?limit=)
-//	GET    /v1/runs/{id}         job status/result (?traces=1 for temperature traces)
+//	GET    /v1/runs/{id}         job status/result (?traces=1 for temperature traces, ?specs=1 for search rounds)
 //	GET    /v1/runs/{id}/events  live per-spec progress over SSE
 //	DELETE /v1/runs/{id}         cancel in-flight / evict finished
 //	POST   /v1/sweeps            sync grid sweep (?async=1 submits a job), e.g.
@@ -63,9 +68,10 @@
 // finishes (not on shutdown), replayed at boot, and compacted in the
 // background. With -replication each completed result is also pushed
 // to its key's ring successor over POST /v1/handoff (RF=2), cached
-// shards stream to new owners on membership changes, and a dead
-// primary's replica holder is promoted in place — so a worker crash
-// loses no cached result.
+// shards — results the coordinator built itself included — stream to
+// every member the ring admits (a join or a half-open readmission),
+// and a dead primary's replica holder is promoted in place — so a
+// worker crash loses no cached result.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: it stops
 // accepting requests and cancels in-flight simulations.
@@ -80,11 +86,11 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -99,10 +105,11 @@ import (
 // version is reported by GET /v1/healthz.
 const version = "0.10.0"
 
-// parsePeers expands the -peers flag: either a comma-separated list of
-// entries or @path naming a file with one entry per line (blank lines
-// and #-comments skipped). Each entry is a bare URL or id=url.
-func parsePeers(arg string) ([]remote.Peer, error) {
+// parseSeeds expands a -peers or -join value: either a comma-separated
+// list of base URLs or @path naming a file with one URL per line (blank
+// lines and #-comments skipped). Seeds are addresses only: member ids
+// come from the members that answer there.
+func parseSeeds(arg string) ([]string, error) {
 	var entries []string
 	if rest, ok := strings.CutPrefix(arg, "@"); ok {
 		data, err := os.ReadFile(rest)
@@ -122,33 +129,16 @@ func parsePeers(arg string) ([]remote.Peer, error) {
 		}
 	}
 	if len(entries) == 0 {
-		return nil, fmt.Errorf("no peers in %q", arg)
+		return nil, fmt.Errorf("no seed URLs in %q", arg)
 	}
-	out := make([]remote.Peer, len(entries))
 	for i, e := range entries {
-		if id, url, ok := strings.Cut(e, "="); ok {
-			out[i] = remote.Peer{ID: id, URL: url}
-		} else {
-			out[i] = remote.Peer{URL: e}
+		u, err := url.Parse(e)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("seed %q is not an http(s) base URL", e)
 		}
+		entries[i] = strings.TrimRight(e, "/")
 	}
-	return out, nil
-}
-
-// seedMembers converts configured peers into gossip seed members,
-// deriving ids through remote.DeriveID so the ring and gossip layers
-// agree on member identity.
-func seedMembers(peers []remote.Peer) []gossip.Member {
-	out := make([]gossip.Member, 0, len(peers))
-	for _, p := range peers {
-		url := strings.TrimRight(p.URL, "/")
-		id := p.ID
-		if id == "" {
-			id = remote.DeriveID(url)
-		}
-		out = append(out, gossip.Member{ID: id, URL: url})
-	}
-	return out
+	return entries, nil
 }
 
 // advertiseURL resolves the base URL other members reach this node at:
@@ -173,17 +163,15 @@ func main() {
 		segDir   = flag.String("segment-dir", "", "durable state: append-only segment-log directory; results persist as they complete and replay on boot")
 		compact  = flag.Duration("compact-interval", 10*time.Minute, "segment-log compaction period (0 disables background compaction)")
 		prefixOn = flag.Bool("prefix-share", false, "prefix-state checkpointing: specs differing only in DTM policy share their warm-up prefix — one leader run records decisions and checkpoints, later policies resume from the checkpoint before their first divergent decision (results stay bit-identical to cold replay)")
-		replicat = flag.Bool("replication", false, "with -peers: replicate each completed result to its key's ring successor (RF=2) and hand cached shards to new owners on membership changes")
+		replicat = flag.Bool("replication", false, "with -peers: replicate each completed result to its key's ring successor (RF=2) and hand cached shards to every member the ring admits")
 		jobTTL   = flag.Duration("job-ttl", 15*time.Minute, "evict finished jobs this long after completion (0 disables eviction)")
 		maxJobs  = flag.Int("max-jobs", sweep.DefaultMaxJobs, "job registry bound; submissions beyond it are rejected while all jobs run")
-		peers    = flag.String("peers", "", "cluster mode: comma-separated peer URLs (optionally id=url), or @file with one per line")
-		probe    = flag.Duration("peer-probe", 5*time.Second, "peer health-probe period (<=0 disables active probing)")
+		peers    = flag.String("peers", "", "coordinate a cluster: comma-separated seed URLs of its workers, or @file with one per line")
 		perPeer  = flag.Int("peer-conns", 4, "max concurrent requests per peer")
 
-		gossipOn  = flag.Bool("gossip", false, "epidemic membership: gossip the peer table over POST /v1/gossip so workers join/leave without coordinator restarts (-peers becomes the seed list)")
-		join      = flag.String("join", "", "with -gossip: seed member URLs (optionally id=url, or @file) to join an existing cluster through, without coordinating")
-		advertise = flag.String("advertise", "", "with -gossip: base URL other members reach this node at (default http://127.0.0.1<addr>)")
-		nodeID    = flag.String("id", "", "with -gossip: stable member id (default derived from the advertised URL)")
+		join      = flag.String("join", "", "seed URLs (comma-separated, or @file) of members to join an existing cluster through, without coordinating")
+		advertise = flag.String("advertise", "", "base URL other members reach this node at (default http://127.0.0.1<addr>; coordinators advertise none)")
+		nodeID    = flag.String("id", "", "stable member id (default derived from the advertised URL)")
 		gossipInt = flag.Duration("gossip-interval", time.Second, "gossip round period")
 
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
@@ -208,8 +196,8 @@ func main() {
 	}
 
 	// One registry covers every layer: the engine's cache and worker
-	// pool, the HTTP middleware, and (when enabled) the remote backend
-	// and gossip node all register here, and GET /metrics renders it.
+	// pool, the HTTP middleware, the gossip node and (on a coordinator)
+	// the remote backend all register here, and GET /metrics renders it.
 	reg := obs.NewRegistry()
 	reg.SampleFunc(obs.KindGauge, "dramtherm_build_info",
 		"Build metadata; the value is always 1.", []string{"version"},
@@ -225,29 +213,26 @@ func main() {
 		cfg.InstrScale = *scale
 	}
 
-	var peerList []remote.Peer
+	var peerSeeds, seeds []string
 	if *peers != "" {
 		var err error
-		if peerList, err = parsePeers(*peers); err != nil {
+		if peerSeeds, err = parseSeeds(*peers); err != nil {
 			fatalf("-peers: %v", err)
 		}
 	}
-	var joinList []remote.Peer
 	if *join != "" {
-		if !*gossipOn {
-			fatalf("-join requires -gossip")
-		}
 		var err error
-		if joinList, err = parsePeers(*join); err != nil {
+		if seeds, err = parseSeeds(*join); err != nil {
 			fatalf("-join: %v", err)
 		}
 	}
+	seeds = append(seeds, peerSeeds...)
 	poolWidth := *workers
-	if poolWidth == 0 && len(peerList) > 0 {
+	if poolWidth == 0 && len(peerSeeds) > 0 {
 		// A coordinator's pool slots mostly wait on the network, not the
 		// CPU: size for the cluster's capacity plus local-fallback
 		// headroom instead of local cores. -workers overrides.
-		poolWidth = len(peerList)**perPeer + runtime.GOMAXPROCS(0)
+		poolWidth = len(peerSeeds)**perPeer + runtime.GOMAXPROCS(0)
 	}
 	eng := sweep.NewEngine(core.NewSystem(cfg), poolWidth)
 	if *prefixOn {
@@ -281,89 +266,45 @@ func main() {
 		apiCfg.JobTTL = -1 // flag convention: 0 disables; Config uses <0 for that
 	}
 
-	// gnode late-binds the gossip node into the backend's detector
-	// callbacks: the backend must exist before the node (the node's
-	// membership deltas drive SetMembers), so the callbacks may fire
-	// before the node is stored.
-	var gnode atomic.Pointer[gossip.Node]
-	var backend *remote.Backend
-	if len(peerList) > 0 {
-		probeEvery := *probe
-		if probeEvery <= 0 {
-			probeEvery = -1 // flag convention: 0 disables; Config uses <0 for that
-		}
-		bcfg := remote.Config{
-			Peers:       peerList,
+	self := gossip.Member{ID: *nodeID, URL: advertiseURL(*advertise, *addr)}
+	if self.ID == "" {
+		self.ID = remote.DeriveID(self.URL)
+	}
+	gcfg := gossip.Config{Self: self, Seeds: seeds, Interval: *gossipInt, Logger: logger, Metrics: reg}
+	var node *gossip.Node
+	if len(peerSeeds) > 0 {
+		backend, err := remote.New(remote.Config{
 			Key:         eng.Key,
 			MaxPerPeer:  *perPeer,
-			ProbeEvery:  probeEvery,
 			Logger:      logger,
 			Replication: *replicat,
 			Entries:     eng.Range,
-		}
-		if *gossipOn {
-			// Ring-probe ejections are the local failure detector behind
-			// gossip suspicion; probe-confirmed recoveries clear it.
-			bcfg.OnPeerDown = func(id string, err error) {
-				if n := gnode.Load(); n != nil {
-					n.Suspect(id)
-				}
-			}
-			bcfg.OnPeerUp = func(id string) {
-				if n := gnode.Load(); n != nil {
-					n.Alive(id)
-				}
-			}
-		}
-		var err error
-		if backend, err = remote.New(bcfg); err != nil {
+		})
+		if err != nil {
 			fatalf("-peers: %v", err)
 		}
 		defer backend.Close()
 		backend.Instrument(reg)
+		if node, err = backend.Follow(gcfg); err != nil {
+			fatalf("gossip: %v", err)
+		}
 		eng.SetBatchBackend(backend)
 		apiCfg.ClusterStatus = func() any { return backend.Status() }
 		if *replicat {
 			apiCfg.ReplicationStatus = func() any { return backend.ReplicationStatus() }
 		}
-		logger.Info("cluster mode: coordinating peers",
-			"peers", len(peerList), "replication", *replicat)
+		self.URL = "" // Follow gossips as an observer
+	} else {
+		var err error
+		if node, err = gossip.NewNode(gcfg); err != nil {
+			fatalf("gossip: %v", err)
+		}
 	}
-
-	if *gossipOn {
-		self := gossip.Member{ID: *nodeID, URL: advertiseURL(*advertise, *addr)}
-		if self.ID == "" {
-			self.ID = remote.DeriveID(self.URL)
-		}
-		gcfg := gossip.Config{
-			Self:     self,
-			Seeds:    seedMembers(append(append([]remote.Peer(nil), peerList...), joinList...)),
-			Interval: *gossipInt,
-			Logger:   logger,
-		}
-		if backend != nil {
-			selfID := self.ID
-			gcfg.OnChange = func(ms []gossip.Member) {
-				var ring []remote.Peer
-				for _, m := range ms {
-					if m.ID != selfID && m.State != gossip.Dead && m.URL != "" {
-						ring = append(ring, remote.Peer{ID: m.ID, URL: m.URL})
-					}
-				}
-				backend.SetMembers(ring)
-			}
-		}
-		node, err := gossip.NewNode(gcfg)
-		if err != nil {
-			fatalf("-gossip: %v", err)
-		}
-		defer node.Close()
-		node.Instrument(reg)
-		gnode.Store(node)
-		apiCfg.Gossip = node
-		logger.Info("gossip mode: joined membership",
-			"member", self.ID, "url", self.URL, "seeds", len(gcfg.Seeds), "interval", gossipInt.String())
-	}
+	defer node.Close()
+	apiCfg.Gossip = node
+	logger.Info("gossip membership", "member", self.ID, "url", self.URL,
+		"seeds", len(seeds), "coordinator", len(peerSeeds) > 0,
+		"replication", *replicat, "interval", gossipInt.String())
 
 	api := httpapi.New(ctx, eng, apiCfg)
 	defer api.Close()

@@ -46,7 +46,7 @@ func main() {
 		run      = flag.String("run", "", "experiment ID(s), comma separated, or \"all\"")
 		quick    = flag.Bool("quick", false, "reduced-scale mode (smaller batches, fewer mixes)")
 		csv      = flag.Bool("csv", false, "emit tables as CSV")
-		parallel = flag.Int("parallel", 1, "experiments to run concurrently; also sizes the simulation worker pool and the fan-out of each Chapter 5 figure's platform runs (0 = GOMAXPROCS)")
+		parallel = flag.Int("parallel", 0, "experiments to run concurrently; also sizes the simulation worker pool and the fan-out of each Chapter 5 figure's platform runs (0 = GOMAXPROCS)")
 		segDir   = flag.String("segment-dir", "", "durable state: results append to the segment-log directory as they complete and replay on the next run")
 		search   = flag.Bool("search", false, "adaptive search instead of an experiment: successive halving over cheap fidelity rungs finds the best (mix, DTM policy) of the Chapter 4 grid; faster than the grid on warm level-1 traces, slower on cold ones")
 	)

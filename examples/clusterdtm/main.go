@@ -23,13 +23,14 @@
 // byte-identical tables.
 //
 // Finally it proves gossip-based membership under churn: every node
-// runs a gossip.Node, a third worker joins the running cluster
-// mid-sweep through a seed member, the coordinator's ring re-forms from
-// the membership delta without any restart, one of the original workers
-// is killed, and the dead worker's shard re-plans across the survivor
-// AND the newly joined worker — per-endpoint request counts prove the
-// joiner served batch shards, and the report table still comes out
-// byte-identical to the single-node run.
+// runs a gossip.Node, the coordinator learns its ring from seed URLs,
+// a third worker joins the running cluster mid-sweep through a seed
+// member, the coordinator's ring re-forms from the membership delta
+// without any restart, one of the original workers is killed, and the
+// dead worker's shard re-plans across the survivor AND the newly
+// joined worker — per-endpoint request counts prove the joiner served
+// batch shards, and the report table still comes out byte-identical to
+// the single-node run.
 //
 // Usage:
 //
@@ -114,8 +115,8 @@ func gossipTimings(cfg *gossip.Config) {
 
 // startWorker brings up one embedded dramthermd. With an id it also
 // joins the gossip plane: the worker serves POST /v1/gossip and
-// anti-entropy syncs its membership table through the seed members.
-func startWorker(id string, seeds ...gossip.Member) *worker {
+// anti-entropy syncs its membership table through the seed URLs.
+func startWorker(id string, seeds ...string) *worker {
 	w := &worker{}
 	w.ts = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -196,9 +197,6 @@ func clusterSweep(specs []sweep.Spec, killVictim bool) (table string, served map
 			{ID: "worker-2", URL: w2.ts.URL},
 		},
 		Key: coord.Key,
-		// The demo relies on failover alone; probes would only race the
-		// assertions with readmission attempts.
-		ProbeEvery: -1,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -273,68 +271,47 @@ func ringHas(b *remote.Backend, id string) bool {
 }
 
 // gossipSweep runs specs through a gossiping cluster under churn. Every
-// node runs a gossip.Node: two workers seed off each other, the
-// coordinator (an observer member with no inbound server) seeds off
-// both and re-forms its ring from membership deltas. The worker owning
-// the first spec's shard is gated — it accepts its batch request and
-// never answers — so the sweep stalls on it while a third worker joins
-// the running cluster through a seed member. Once the coordinator's
+// node runs a gossip.Node: two workers seed off each other, and the
+// coordinator (an observer member) follows the gossip membership from
+// both workers' seed URLs, re-forming its ring from every delta. The
+// worker owning the first spec's shard is gated — it accepts its batch
+// request and never answers — so the sweep stalls on it while a third
+// worker joins the running cluster through a seed member. Once the coordinator's
 // ring includes the joiner, the gated worker is killed: its whole
 // unacknowledged shard re-plans across the survivor AND worker-3, with
 // zero coordinator restarts. Returns the report table, who served what,
 // and the joiner's batch-request count (the proof it took real shards).
 func gossipSweep(specs []sweep.Spec) (table string, served map[string]int, joinerBatches int64) {
 	w1 := startWorker("worker-1")
-	w2 := startWorker("worker-2", gossip.Member{ID: "worker-1", URL: w1.ts.URL})
+	w2 := startWorker("worker-2", w1.ts.URL)
 	defer w1.kill()
 	defer w2.kill()
 	workers := map[string]*worker{"worker-1": w1, "worker-2": w2}
 
 	coord := newEngine()
-	// The backend exists before the gossip node (membership deltas drive
-	// SetMembers), so the detector callback late-binds the node.
-	var gnode atomic.Pointer[gossip.Node]
-	backend, err := remote.New(remote.Config{
-		Peers: []remote.Peer{
-			{ID: "worker-1", URL: w1.ts.URL},
-			{ID: "worker-2", URL: w2.ts.URL},
-		},
-		Key:        coord.Key,
-		ProbeEvery: -1, // gossip is the membership channel; dispatch failures are the detector
-		OnPeerDown: func(id string, err error) {
-			if n := gnode.Load(); n != nil {
-				n.Suspect(id)
-			}
-		},
-	})
+	backend, err := remote.New(remote.Config{Key: coord.Key})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer backend.Close()
 	gcfg := gossip.Config{
-		Self: gossip.Member{ID: "coordinator"}, // observer: initiates exchanges, serves none
-		Seeds: []gossip.Member{
-			{ID: "worker-1", URL: w1.ts.URL},
-			{ID: "worker-2", URL: w2.ts.URL},
-		},
-		OnChange: func(ms []gossip.Member) {
-			var ring []remote.Peer
-			for _, m := range ms {
-				if m.ID != "coordinator" && m.State != gossip.Dead && m.URL != "" {
-					ring = append(ring, remote.Peer{ID: m.ID, URL: m.URL})
-				}
-			}
-			backend.SetMembers(ring)
-		},
+		Self:  gossip.Member{ID: "coordinator"},
+		Seeds: []string{w1.ts.URL, w2.ts.URL},
 	}
 	gossipTimings(&gcfg)
-	node, err := gossip.NewNode(gcfg)
+	node, err := backend.Follow(gcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer node.Close()
-	gnode.Store(node)
 	coord.SetBatchBackend(backend)
+	deadline := time.Now().Add(30 * time.Second)
+	for !ringHas(backend, "worker-1") || !ringHas(backend, "worker-2") {
+		if time.Now().After(deadline) {
+			log.Fatal("the seed workers never reached the coordinator's ring")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	victim := backend.OwnerOf(specs[0])
 	survivor := "worker-2"
@@ -354,7 +331,7 @@ func gossipSweep(specs []sweep.Spec) (table string, served map[string]int, joine
 	go func() {
 		defer close(churned)
 		<-started
-		w3 = startWorker("worker-3", gossip.Member{ID: survivor, URL: workers[survivor].ts.URL})
+		w3 = startWorker("worker-3", workers[survivor].ts.URL)
 		deadline := time.Now().Add(30 * time.Second)
 		for !ringHas(backend, "worker-3") {
 			if time.Now().After(deadline) {
@@ -396,7 +373,7 @@ func gossipSweep(specs []sweep.Spec) (table string, served map[string]int, joine
 	// The dead worker must also leave the membership — suspicion from
 	// the failed dispatch, confirmed dead by timeout, evicted from the
 	// ring by the gossip delta, all without restarting anything.
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for ringHas(backend, victim) {
 		if time.Now().After(deadline) {
 			log.Fatalf("dead %s never left the coordinator's ring", victim)
@@ -433,9 +410,8 @@ func pickJoiner(coord *sweep.Engine, peers []remote.Peer, specs []sweep.Spec) st
 	for i := 3; ; i++ {
 		id := fmt.Sprintf("worker-%d", i)
 		probe, err := remote.New(remote.Config{
-			Peers:      append(append([]remote.Peer{}, peers...), remote.Peer{ID: id, URL: "http://joiner.invalid"}),
-			Key:        coord.Key,
-			ProbeEvery: -1,
+			Peers: append(append([]remote.Peer{}, peers...), remote.Peer{ID: id, URL: "http://joiner.invalid"}),
+			Key:   coord.Key,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -465,7 +441,7 @@ func verifySweep(specs []sweep.Spec, ring []remote.Peer, workers map[string]*wor
 		before[id] = w.eng.Stats().Builds
 	}
 	coord := newEngine()
-	backend, err := remote.New(remote.Config{Peers: ring, Key: coord.Key, ProbeEvery: -1})
+	backend, err := remote.New(remote.Config{Peers: ring, Key: coord.Key})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -529,7 +505,6 @@ func replicationSweep(specs []sweep.Spec, refTable string) {
 	backend, err := remote.New(remote.Config{
 		Peers:       peers,
 		Key:         coord.Key,
-		ProbeEvery:  -1,
 		Replication: true,
 		Entries:     coord.Range,
 	})

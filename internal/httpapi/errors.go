@@ -29,7 +29,7 @@ const (
 	// job; retry later.
 	CodeRegistryFull = "registry_full"
 	// CodeNotEnabled: the endpoint exists but is switched off on this
-	// node (e.g. gossip without -gossip).
+	// node (e.g. gossip on an embedded server built without a node).
 	CodeNotEnabled = "not_enabled"
 	// CodeNodeDraining: the node is shutting down (or the caller hung
 	// up); the work is retryable elsewhere.

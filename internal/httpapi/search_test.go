@@ -143,6 +143,46 @@ func TestSweepSearchAsync(t *testing.T) {
 	}
 }
 
+// TestSearchJobFetchFlags: on a finished search job, ?specs=1 inlines
+// each round's specs and objectives, as on the synchronous response,
+// while ?traces=1 (a run-summary flag) leaves the rounds scalar.
+func TestSearchJobFetchFlags(t *testing.T) {
+	ts, _ := newSearchServer(t)
+	resp := postJSON(t, ts.URL+"/v1/sweeps?async=1", sweepRequest{
+		Grid:   &searchGrid,
+		Search: &searchRequest{Rungs: []float64{0.25, 1}},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async submit status %d", resp.StatusCode)
+	}
+	id := decode[map[string]string](t, resp)["id"]
+	pollJob(t, ts.URL, id, func(j jobView) bool { return j.Status == sweep.JobDone })
+
+	fetch := func(query string) []searchRound {
+		t.Helper()
+		r, err := http.Get(ts.URL + "/v1/runs/" + id + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := decode[jobView](t, r)
+		if job.Search == nil || len(job.Search.Rounds) != 2 {
+			t.Fatalf("GET %s: search = %+v, want 2 rounds", query, job.Search)
+		}
+		return job.Search.Rounds
+	}
+	for _, rd := range fetch("?traces=1") {
+		if rd.Specs != nil || rd.Objectives != nil {
+			t.Fatalf("?traces=1 inlined round %d's specs: %+v", rd.Index, rd)
+		}
+	}
+	for _, rd := range fetch("?specs=1") {
+		if len(rd.Specs) != rd.Candidates || len(rd.Objectives) != rd.Candidates {
+			t.Fatalf("?specs=1: round %d has %d specs / %d objectives, want %d each",
+				rd.Index, len(rd.Specs), len(rd.Objectives), rd.Candidates)
+		}
+	}
+}
+
 // TestSweepSearchValidation: every malformed search block is a 400 with
 // the bad_search code, before any simulation starts.
 func TestSweepSearchValidation(t *testing.T) {

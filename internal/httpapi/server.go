@@ -57,8 +57,8 @@ type Config struct {
 	ReplicationStatus func() any
 	// Gossip, when non-nil, serves POST /v1/gossip exchanges against
 	// this node and adds its membership table to the healthz body —
-	// gossip-mode dramthermd passes its gossip.Node here. When nil the
-	// endpoint answers 404.
+	// every dramthermd passes its gossip.Node here. When nil (an
+	// embedded server without one) the endpoint answers 404.
 	Gossip *gossip.Node
 }
 
@@ -240,8 +240,8 @@ func wantFlag(r *http.Request, name string) bool {
 }
 
 // healthzResponse is the GET /v1/healthz body: enough for liveness
-// probes (status), operators (version, uptime, cache traffic) and the
-// cluster prober (peers, when clustered).
+// probes (status) and operators (version, uptime, cache traffic, and
+// the cluster's ring and membership).
 type healthzResponse struct {
 	Status        string      `json:"status"`
 	Version       string      `json:"version"`
@@ -251,7 +251,8 @@ type healthzResponse struct {
 	Cache         sweep.Stats `json:"cache"`
 	Peers         any         `json:"peers,omitempty"` // []remote.PeerStatus when clustered
 	// Membership is this node's gossip view of the cluster (id, url,
-	// incarnation, alive/suspect/dead), present only in gossip mode.
+	// incarnation, alive/suspect/dead), present when the server has a
+	// gossip node (every dramthermd does).
 	Membership []gossip.Member `json:"membership,omitempty"`
 	// Replication is the coordinator's RF=2 replication/handoff state
 	// (remote.ReplicationStatus), present only when replication is on.
@@ -409,7 +410,10 @@ type sweepPayload struct {
 	wall      float64
 }
 
-func (s *Server) viewJob(snap sweep.JobSnapshot, traces bool) jobView {
+// viewJob renders a job snapshot. traces inlines temperature traces
+// (?traces=1); specs inlines a search's per-round specs and objectives
+// (?specs=1), as on the synchronous search response.
+func (s *Server) viewJob(snap sweep.JobSnapshot, traces, specs bool) jobView {
 	v := jobView{
 		ID:        snap.ID,
 		Kind:      snap.Kind,
@@ -429,7 +433,7 @@ func (s *Server) viewJob(snap sweep.JobSnapshot, traces bool) jobView {
 	case *sweepPayload:
 		v.Sweep = s.sweepResponseOf(snap.Specs, res.res, res.normalize, res.wall, traces)
 	case *searchPayload:
-		v.Search = s.searchResponseOf(res.res, res.wall, traces)
+		v.Search = s.searchResponseOf(res.res, res.wall, specs)
 	}
 	return v
 }
@@ -501,7 +505,7 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 	out := listResponse{Jobs: make([]jobView, 0, len(snaps)), Total: total, Offset: offset, Limit: limit}
 	for _, snap := range snaps {
 		// Listings stay scalar: traces are per-job fetches only.
-		out.Jobs = append(out.Jobs, s.viewJob(snap, false))
+		out.Jobs = append(out.Jobs, s.viewJob(snap, false, false))
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -523,7 +527,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, CodeJobNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.viewJob(job.Snapshot(), wantFlag(r, "traces")))
+	writeJSON(w, http.StatusOK, s.viewJob(job.Snapshot(), wantFlag(r, "traces"), wantFlag(r, "specs")))
 }
 
 func (s *Server) handleDeleteRun(w http.ResponseWriter, r *http.Request) {

@@ -387,7 +387,7 @@ func TestPlanShards(t *testing.T) {
 
 	// No peers at all: everything lands in the local shard.
 	lonely := fakeEngine(nil, 0)
-	lb, err := remote.New(remote.Config{Key: lonely.Key, ProbeEvery: -1})
+	lb, err := remote.New(remote.Config{Key: lonely.Key})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,11 @@
 //
 // # Health and failover
 //
-// Peers start admitted. A failed request or probe ejects a peer from
-// the ring; a periodic /v1/healthz probe readmits it when it answers
-// again, and request routing retries it half-open once its backoff
-// expires. A shard whose peer is down or dies re-plans its
+// Peers start admitted. A failed request ejects a peer from the ring,
+// and request routing retries it half-open once its backoff expires.
+// Under Follow the ejection is also a gossip suspicion, and gossip's own
+// failed exchanges remove a silent member from the ring with no
+// dispatch traffic at all. A shard whose peer is down or dies re-plans its
 // unacknowledged specs onto the surviving ring, and when no peer is
 // left they are handed back to the engine with sweep.ErrRunLocal and
 // run on its own pool — a cluster degrades to a slower single node,
@@ -53,10 +54,12 @@
 // The ring is not fixed at construction: SetMembers reconciles the
 // peer set in place — joiners enter admitted, leavers drop out (their
 // in-flight requests fail over), retained members keep their health
-// state and counters — so a membership layer can re-form the ring on
-// join/leave without restarting the coordinator. The gossip
-// subpackage (internal/sweep/remote/gossip) provides that layer:
-// Config.OnPeerDown/OnPeerUp expose the backend's probe verdicts as
-// the local failure detector gossip suspicion feeds on, and the
-// gossip node's OnChange deltas drive SetMembers.
+// state and counters — so the ring re-forms on join/leave without
+// restarting the coordinator. Follow makes the gossip subpackage
+// (internal/sweep/remote/gossip) that membership source: the node's
+// view changes drive SetMembers, dispatch-failure ejections become
+// gossip suspicions, and a coordinator gossips as an observer with no
+// URL, so no ring ever holds a coordinator. Every rebuild that admits a
+// member — a join or a half-open readmission — hands the cached results
+// it became responsible for over to it when Replication is on.
 package remote

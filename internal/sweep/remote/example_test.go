@@ -30,9 +30,8 @@ func ExampleBackend() {
 
 	coord := sweep.NewEngine(core.NewSystem(core.DefaultConfig()), 0)
 	backend, err := remote.New(remote.Config{
-		Peers:      []remote.Peer{{ID: "worker-1", URL: worker.URL}},
-		Key:        coord.Key,
-		ProbeEvery: -1, // no background prober in this example
+		Peers: []remote.Peer{{ID: "worker-1", URL: worker.URL}},
+		Key:   coord.Key,
 	})
 	if err != nil {
 		fmt.Println(err)
@@ -66,10 +65,9 @@ func ExampleBackend_failover() {
 		return sim.MEMSpotResult{Seconds: 412}, nil // stands in for a simulation
 	})
 	backend, err := remote.New(remote.Config{
-		Peers:      []remote.Peer{{ID: "worker-1", URL: dead.URL}},
-		Key:        coord.Key,
-		ProbeEvery: -1,
-		Backoff:    time.Minute,
+		Peers:   []remote.Peer{{ID: "worker-1", URL: dead.URL}},
+		Key:     coord.Key,
+		Backoff: time.Minute,
 	})
 	if err != nil {
 		fmt.Println(err)

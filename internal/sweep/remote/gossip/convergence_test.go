@@ -44,9 +44,9 @@ func newMesh(t *testing.T, n int, dropPercent int, seed int64) *mesh {
 // add joins a node to the mesh, seeded with node-0 (the join pattern:
 // every newcomer knows one seed, gossip spreads the rest).
 func (m *mesh) add(id string, seedIdx int) *Node {
-	var seeds []Member
+	var seeds []string
 	if id != "node-0" {
-		seeds = []Member{{ID: "node-0", URL: m.url("node-0")}}
+		seeds = []string{m.url("node-0")}
 	}
 	node, err := NewNode(Config{
 		Self:         Member{ID: id, URL: m.url(id)},

@@ -10,7 +10,9 @@
 // so a slow peer that learns it is suspected refutes by bumping its
 // own incarnation instead of being falsely evicted. Confirmed-dead
 // members linger in a quarantine state (so the death outlives stale
-// alive rumors) and are forgotten after a TTL.
+// alive rumors) and are forgotten after a TTL. Seeds are addresses: a
+// node dials each seed URL until a member answers from it and reaches
+// that member at the dialled URL from then on.
 package gossip
 
 import (
@@ -85,9 +87,8 @@ type Member struct {
 	// ID identifies the node across the cluster; it must be unique and
 	// stable (dramthermd derives it from the advertised URL).
 	ID string `json:"id"`
-	// URL is the node's advertised base URL; empty for observer members
-	// that initiate exchanges but serve none (a coordinator without an
-	// inbound server).
+	// URL is the node's advertised base URL; empty for observers (a
+	// coordinator), which gossip but must never enter a ring.
 	URL string `json:"url,omitempty"`
 	// Incarnation is the member's self-asserted version: only the
 	// member itself bumps it, to refute a suspicion or death rumor.
@@ -114,7 +115,7 @@ type entry struct {
 
 // Table is one node's versioned membership view. It is safe for
 // concurrent use; the Node gossips it, and local failure detectors
-// (ring probes, failed exchanges) feed it via Suspect.
+// (dispatch-failure ejections, failed exchanges) feed it via Suspect.
 type Table struct {
 	mu           sync.Mutex
 	self         string
@@ -126,7 +127,7 @@ type Table struct {
 	suspectAfter time.Duration
 	quarantine   time.Duration
 
-	transitions *obs.CounterVec // {to}; nil (no-op) until Node.Instrument
+	transitions *obs.CounterVec // {to}; nil (no-op) without Config.Metrics
 }
 
 // NewTable builds a table containing only self, alive at incarnation 0.
@@ -269,8 +270,8 @@ func (t *Table) Suspect(id string) (changed bool) {
 	return true
 }
 
-// Alive records direct positive contact with a member (a probe or
-// exchange answered): a Suspect member returns to Alive at the same
+// Alive records direct positive contact with a member (an exchange
+// answered): a Suspect member returns to Alive at the same
 // incarnation. Dead members are not resurrected — only the member's own
 // incarnation bump (via Merge) can do that, so a stale detector cannot
 // fight the quarantine.

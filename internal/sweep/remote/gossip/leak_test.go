@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"dramtherm/internal/obs"
 )
 
 // TestNodeCloseNoLeak: Close must stop the gossip loop even while a
@@ -19,7 +21,7 @@ func TestNodeCloseNoLeak(t *testing.T) {
 		block := make(chan struct{})
 		n, err := NewNode(Config{
 			Self:     Member{ID: "self", URL: "mesh://self"},
-			Seeds:    []Member{{ID: "a", URL: "mesh://a"}, {ID: "b", URL: "mesh://b"}},
+			Seeds:    []string{"mesh://a", "mesh://b"},
 			Interval: time.Millisecond,
 			Transport: func(ctx context.Context, url string, msg Message) (Message, error) {
 				// A hung member: never answers until the node gives up.
@@ -57,5 +59,35 @@ func TestNodeCloseNoLeak(t *testing.T) {
 				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMetricsBeforeLoop: Config.Metrics is wired before the background
+// loop starts, so a node gossiping from its first tick counts every
+// round without a data race (run with -race).
+func TestMetricsBeforeLoop(t *testing.T) {
+	reg := obs.NewRegistry()
+	n, err := NewNode(Config{
+		Self:     Member{ID: "self", URL: "mesh://self"},
+		Seeds:    []string{"mesh://a"},
+		Interval: time.Millisecond,
+		Metrics:  reg,
+		Transport: func(ctx context.Context, url string, msg Message) (Message, error) {
+			return Message{}, context.Canceled
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Sum("dramtherm_gossip_rounds_total", nil) < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("the gossip loop never counted its rounds")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if reg.Sum("dramtherm_gossip_exchanges_total", map[string]string{"result": "error"}) == 0 {
+		t.Fatal("unanswered seed dials were not counted")
 	}
 }

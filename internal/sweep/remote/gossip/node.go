@@ -25,12 +25,14 @@ type Transport func(ctx context.Context, url string, msg Message) (Message, erro
 // selects a default.
 type Config struct {
 	// Self names this node in every table it touches. An empty URL makes
-	// it an observer: it initiates exchanges but advertises no address.
+	// it an observer: it gossips, but advertises no address, so no ring
+	// built from the table can hold it.
 	Self Member
-	// Seeds are merged into the table at construction, alive at
-	// incarnation 0 — the static -peers/-join list that bootstraps an
-	// empty table.
-	Seeds []Member
+	// Seeds are base URLs dialled every round until a member answers
+	// from one, and again whenever that member is dead or forgotten. The
+	// node then reaches the member at the URL it dialled, whatever
+	// address the member advertises.
+	Seeds []string
 	// Interval is the gossip round period (default 1s; < 0 disables the
 	// background loop — Round can still be called directly).
 	Interval time.Duration
@@ -60,6 +62,11 @@ type Config struct {
 	// Logger, when non-nil, receives structured exchange-failure events
 	// (default: silent).
 	Logger *slog.Logger
+	// Metrics, when non-nil, receives the node's metric families, before
+	// the gossip loop starts: gossip rounds and exchanges, membership
+	// state transitions, the table version, and members by state
+	// (counted from the same snapshot healthz membership reports).
+	Metrics *obs.Registry
 	// Now overrides the clock, for tests.
 	Now func() time.Time
 }
@@ -73,15 +80,19 @@ type Node struct {
 	table *Table
 	log   *slog.Logger
 
-	// Instrumentation; nil (no-op) until Instrument.
+	// Instrumentation; nil (no-op) without Config.Metrics.
 	mRounds    *obs.Counter
 	mExchanges *obs.CounterVec // {direction, result}
 
 	rndMu sync.Mutex
 	rnd   *rand.Rand
 
+	seedMu      sync.Mutex
+	seeds       map[string]string // seed URL → id of the member that last answered there
+	seedAnswers uint64            // bumped when a seed URL answers as a new member; guarded by seedMu
+
 	notifyMu sync.Mutex
-	notified uint64 // table version last delivered to OnChange
+	notified uint64 // table version + seedAnswers last delivered to OnChange
 
 	stop chan struct{}
 	once sync.Once
@@ -120,10 +131,11 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg.Seed = time.Now().UnixNano()
 	}
 	n := &Node{
-		cfg:  cfg,
-		log:  cfg.Logger,
-		rnd:  rand.New(rand.NewSource(cfg.Seed)),
-		stop: make(chan struct{}),
+		cfg:   cfg,
+		log:   cfg.Logger,
+		rnd:   rand.New(rand.NewSource(cfg.Seed)),
+		seeds: make(map[string]string, len(cfg.Seeds)),
+		stop:  make(chan struct{}),
 	}
 	if n.log == nil {
 		n.log = slog.New(slog.DiscardHandler)
@@ -136,13 +148,7 @@ func NewNode(cfg Config) (*Node, error) {
 		n.cfg.Transport = httpTransport(client)
 	}
 	n.table = NewTable(cfg.Self, cfg.SuspectAfter, cfg.Quarantine, cfg.Now)
-	seeds := make([]Member, 0, len(cfg.Seeds))
-	for _, s := range cfg.Seeds {
-		if s.ID != cfg.Self.ID {
-			seeds = append(seeds, Member{ID: s.ID, URL: s.URL})
-		}
-	}
-	n.table.Merge(seeds)
+	n.instrument(cfg.Metrics)
 	if cfg.Interval > 0 {
 		n.wg.Add(1)
 		go n.loop()
@@ -157,22 +163,44 @@ func (n *Node) Close() {
 	n.wg.Wait()
 }
 
-// Members returns the current table snapshot, sorted by id.
-func (n *Node) Members() []Member { return n.table.Snapshot() }
+// Members returns the current table snapshot, sorted by id, as this
+// node reaches it: a member that answered at a seed URL is listed at
+// that URL. Observers keep their empty URL.
+func (n *Node) Members() []Member { return n.reachedAt(n.table.Snapshot()) }
 
-// Suspect feeds a local failure detector's verdict into the table — the
-// sweep ring's probe ejections plug in here. Unrefuted suspicions turn
-// Dead after the suspicion timeout.
-func (n *Node) Suspect(id string) {
-	if n.table.Suspect(id) {
-		n.notify()
+// reachedAt rewrites the URL of every addressed member that answered at
+// a seed URL to that URL.
+func (n *Node) reachedAt(ms []Member) []Member {
+	at := n.reached()
+	for i := range ms {
+		if url, ok := at[ms[i].ID]; ok && ms[i].URL != "" {
+			ms[i].URL = url
+		}
 	}
+	return ms
 }
 
-// Alive feeds a local detector's recovery verdict into the table — the
-// sweep ring's probe readmissions plug in here.
-func (n *Node) Alive(id string) {
-	if n.table.Alive(id) {
+// reached maps each other member that answered at a seed URL to the
+// first such URL in configuration order.
+func (n *Node) reached() map[string]string {
+	n.seedMu.Lock()
+	defer n.seedMu.Unlock()
+	at := make(map[string]string, len(n.seeds))
+	for _, url := range n.cfg.Seeds {
+		if id := n.seeds[url]; id != "" && id != n.cfg.Self.ID {
+			if _, ok := at[id]; !ok {
+				at[id] = url
+			}
+		}
+	}
+	return at
+}
+
+// Suspect feeds a local failure detector's verdict into the table — the
+// sweep ring's dispatch-failure ejections plug in here. Unrefuted
+// suspicions turn Dead after the suspicion timeout.
+func (n *Node) Suspect(id string) {
+	if n.table.Suspect(id) {
 		n.notify()
 	}
 }
@@ -189,45 +217,84 @@ func (n *Node) HandleExchange(msg Message) Message {
 }
 
 // Round performs one gossip round synchronously: advance time-driven
-// transitions, then push-pull with Fanout random dialable members. The
-// background loop calls it every Interval; tests drive it directly.
+// transitions, dial every seed URL with no live member behind it, then
+// push-pull with Fanout random dialable members. The background loop
+// calls it every Interval; tests drive it directly.
 func (n *Node) Round(ctx context.Context) {
 	n.mRounds.Inc()
 	if n.table.Tick() {
 		n.notify()
 	}
-	targets := n.pickTargets()
-	for _, m := range targets {
-		tctx, cancel := context.WithTimeout(ctx, n.cfg.Timeout)
-		reply, err := n.cfg.Transport(tctx, m.URL, Message{From: n.cfg.Self.ID, Members: n.table.Snapshot()})
-		cancel()
-		if err != nil {
-			n.mExchanges.WithLabelValues("out", "error").Inc()
-			n.log.Warn("gossip: exchange failed", "peer", m.ID, "err", err.Error())
-			// A failed exchange is a detector signal of its own: suspect
-			// the member so an unreachable node is eventually evicted
-			// even when nothing else probes it.
-			if n.table.Suspect(m.ID) {
-				n.notify()
-			}
-			continue
-		}
-		n.mExchanges.WithLabelValues("out", "ok").Inc()
-		changed := n.table.Merge(reply.Members)
-		// The member answered: clear any lingering local suspicion.
-		changed = n.table.Alive(m.ID) || changed
-		if changed {
-			n.notify()
-		}
+	for _, url := range n.unansweredSeeds() {
+		n.exchange(ctx, "", url)
+	}
+	for _, m := range n.pickTargets() {
+		n.exchange(ctx, m.ID, m.URL)
 	}
 }
 
-// Instrument registers the node's metric families on reg: gossip rounds
-// and exchanges, membership state transitions, the table version, and
-// members by state (counted from the same Snapshot healthz membership
-// reports). Call it once, before the gossip loop starts exchanging; a
-// nil reg is a no-op.
-func (n *Node) Instrument(reg *obs.Registry) {
+// exchange push-pulls with the member id at url; an empty id dials a
+// seed, and whoever answers there becomes the member reached at url.
+func (n *Node) exchange(ctx context.Context, id, url string) {
+	tctx, cancel := context.WithTimeout(ctx, n.cfg.Timeout)
+	reply, err := n.cfg.Transport(tctx, url, Message{From: n.cfg.Self.ID, Members: n.table.Snapshot()})
+	cancel()
+	if err != nil {
+		n.mExchanges.WithLabelValues("out", "error").Inc()
+		if id == "" {
+			n.log.Debug("gossip: seed unanswered", "seed", url, "err", err.Error())
+			return
+		}
+		n.log.Warn("gossip: exchange failed", "peer", id, "err", err.Error())
+		// A failed exchange is a detector signal of its own: suspect
+		// the member so an unreachable node is eventually evicted
+		// even when nothing else dispatches to it.
+		if n.table.Suspect(id) {
+			n.notify()
+		}
+		return
+	}
+	n.mExchanges.WithLabelValues("out", "ok").Inc()
+	changed := false
+	if id == "" && reply.From != "" {
+		id = reply.From
+		n.seedMu.Lock()
+		if n.seeds[url] != id {
+			n.seeds[url] = id
+			n.seedAnswers++
+			changed = true
+		}
+		n.seedMu.Unlock()
+	}
+	changed = n.table.Merge(reply.Members) || changed
+	// The member answered: clear any lingering local suspicion.
+	changed = n.table.Alive(id) || changed
+	if changed {
+		n.notify()
+	}
+}
+
+// unansweredSeeds lists the seed URLs, in configuration order, that no
+// member has answered from yet or whose member is dead or forgotten.
+func (n *Node) unansweredSeeds() []string {
+	live := make(map[string]bool)
+	for _, m := range n.table.Snapshot() {
+		live[m.ID] = m.State != Dead
+	}
+	n.seedMu.Lock()
+	defer n.seedMu.Unlock()
+	var out []string
+	for _, url := range n.cfg.Seeds {
+		if id := n.seeds[url]; id == "" || !live[id] {
+			out = append(out, url)
+		}
+	}
+	return out
+}
+
+// instrument registers the node's metric families on reg (see
+// Config.Metrics); a nil reg is a no-op.
+func (n *Node) instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
@@ -258,10 +325,14 @@ func (n *Node) Instrument(reg *obs.Registry) {
 }
 
 // pickTargets selects up to Fanout distinct non-self, non-dead members
-// that have an address.
+// that have an address: the seed URL they answered at, else their own.
 func (n *Node) pickTargets() []Member {
+	at := n.reached()
 	var cands []Member
 	for _, m := range n.table.Snapshot() {
+		if url, ok := at[m.ID]; ok {
+			m.URL = url
+		}
 		if m.ID != n.cfg.Self.ID && m.State != Dead && m.URL != "" {
 			cands = append(cands, m)
 		}
@@ -286,13 +357,17 @@ func (n *Node) notify() {
 	defer n.notifyMu.Unlock()
 	// Version and members come from one table read: a merge landing
 	// between two separate reads would pair an old version with a newer
-	// snapshot and deliver that snapshot twice.
+	// snapshot and deliver that snapshot twice. A seed answering as a
+	// new member changes the view without changing the table.
 	v, ms := n.table.versionedSnapshot()
+	n.seedMu.Lock()
+	v += n.seedAnswers
+	n.seedMu.Unlock()
 	if v == n.notified {
 		return
 	}
 	n.notified = v
-	n.cfg.OnChange(ms)
+	n.cfg.OnChange(n.reachedAt(ms))
 }
 
 func (n *Node) loop() {

@@ -2,18 +2,25 @@ package remote_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dramtherm/internal/httpapi"
+	"dramtherm/internal/obs"
 	"dramtherm/internal/sim"
 	"dramtherm/internal/sweep"
 	"dramtherm/internal/sweep/remote"
+	"dramtherm/internal/sweep/remote/gossip"
 )
 
 // specsSample enumerates n distinct specs spread across mixes and
@@ -130,48 +137,43 @@ func TestSetMembersRetainsHealthState(t *testing.T) {
 	}
 }
 
-// TestDetectorCallbacks: eject fires OnPeerDown, probe-confirmed
-// recovery fires OnPeerUp — the seam gossip suspicion plugs into.
+// TestDetectorCallbacks: a failed dispatch fires OnPeerDown once per
+// up→down transition — the seam Follow feeds gossip suspicion through.
 func TestDetectorCallbacks(t *testing.T) {
-	var downs, ups atomic.Int32
+	var downs atomic.Int32
 	var lastDown atomic.Value
-	var healthy atomic.Bool
-	flappy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !healthy.Load() {
-			http.Error(w, "down", http.StatusInternalServerError)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "down", http.StatusInternalServerError)
 	}))
-	defer flappy.Close()
+	defer broken.Close()
 	coord := fakeEngine(nil, 0)
 	b := newBackend(t, coord, remote.Config{
-		Peers: []remote.Peer{{ID: "flappy", URL: flappy.URL}},
+		Peers:   []remote.Peer{{ID: "broken", URL: broken.URL}},
+		Backoff: time.Hour,
 		OnPeerDown: func(id string, cause error) {
 			downs.Add(1)
 			lastDown.Store(id)
 		},
-		OnPeerUp: func(id string) { ups.Add(1) },
 	})
 
-	b.Probe(context.Background())
-	if downs.Load() != 1 || lastDown.Load() != "flappy" {
-		t.Fatalf("after a failed probe: downs=%d lastDown=%v, want 1 flappy", downs.Load(), lastDown.Load())
+	run := func(i int) {
+		b.RunSpecs(context.Background(), specsSample(i + 1)[i:],
+			func(int, sim.MEMSpotResult, sweep.RunInfo, error) {})
 	}
-	b.Probe(context.Background()) // still down: no repeat notification
+	run(0)
+	if downs.Load() != 1 || lastDown.Load() != "broken" {
+		t.Fatalf("after a failed dispatch: downs=%d lastDown=%v, want 1 broken", downs.Load(), lastDown.Load())
+	}
+	run(1) // still down (backoff running): no dispatch, no repeat notification
 	if downs.Load() != 1 {
-		t.Fatalf("repeated failed probes re-notified: downs=%d", downs.Load())
-	}
-	healthy.Store(true)
-	b.Probe(context.Background())
-	if ups.Load() != 1 {
-		t.Fatalf("after a successful probe: ups=%d, want 1", ups.Load())
+		t.Fatalf("a run while the peer is down re-notified: downs=%d", downs.Load())
 	}
 }
 
-// TestCloseDuringChurnNoLeak: the prober plus a storm of dispatches,
-// probes and membership deltas must all unwind on Close — no goroutine
-// may outlive the backend, whatever state the churn left it in.
+// TestCloseDuringChurnNoLeak: a storm of dispatches and membership
+// deltas, with replication handing off on every admission, must all
+// unwind on Close — no goroutine may outlive the backend, whatever state
+// the churn left it in.
 func TestCloseDuringChurnNoLeak(t *testing.T) {
 	coord := fakeEngine(nil, 0)
 	w1, w2 := fakeWorker(t, nil, 0), fakeWorker(t, nil, 0)
@@ -187,11 +189,11 @@ func TestCloseDuringChurnNoLeak(t *testing.T) {
 
 	for iter := 0; iter < 3; iter++ {
 		b, err := remote.New(remote.Config{
-			Peers:        peers,
-			Key:          coord.Key,
-			ProbeEvery:   time.Millisecond,
-			ProbeTimeout: 50 * time.Millisecond,
-			Backoff:      time.Microsecond,
+			Peers:       peers,
+			Key:         coord.Key,
+			Backoff:     time.Microsecond,
+			Replication: true,
+			Entries:     coord.Range,
 			// Client stays nil: the backend owns it, so Close must also
 			// reap its idle connections.
 		})
@@ -205,14 +207,11 @@ func TestCloseDuringChurnNoLeak(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; ctx.Err() == nil && i < 50; i++ {
-					switch i % 3 {
-					case 0:
+					if i%2 == 0 {
 						b.RunSpecs(ctx, []sweep.Spec{{Mix: fmt.Sprintf("W%d", (g+i)%12+1)}},
 							func(int, sim.MEMSpotResult, sweep.RunInfo, error) {})
-					case 1:
+					} else {
 						b.SetMembers(peers[:1+(g+i)%3])
-					default:
-						b.Probe(ctx)
 					}
 				}
 			}(g)
@@ -235,5 +234,346 @@ func TestCloseDuringChurnNoLeak(t *testing.T) {
 				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// gossipWorker is an embedded dramthermd worker as the daemon runs it:
+// a fake engine behind httpapi with a gossip node, no seeds and no
+// flags. It can crash (every request answers 503) and restart (a fresh
+// node with an empty table at the same URL), and it counts the batches
+// it is sent.
+type gossipWorker struct {
+	ts      *httptest.Server
+	api     atomic.Pointer[httpapi.Server]
+	node    atomic.Pointer[gossip.Node]
+	down    atomic.Bool
+	batches atomic.Int64
+}
+
+func startGossipWorker(t *testing.T, now func() time.Time) *gossipWorker {
+	t.Helper()
+	w := &gossipWorker{}
+	w.ts = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if w.down.Load() {
+			http.Error(rw, "crashed", http.StatusServiceUnavailable)
+			return
+		}
+		if r.URL.Path == remote.BatchPath {
+			w.batches.Add(1)
+		}
+		w.api.Load().ServeHTTP(rw, r)
+	}))
+	t.Cleanup(w.ts.Close)
+	w.restart(t, now)
+	return w
+}
+
+// restart boots a fresh node and API, as a restarted daemon would.
+func (w *gossipWorker) restart(t *testing.T, now func() time.Time) {
+	t.Helper()
+	node, err := gossip.NewNode(gossip.Config{
+		Self:     gossip.Member{ID: remote.DeriveID(w.ts.URL), URL: w.ts.URL},
+		Interval: -1,
+		Now:      now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	api := httpapi.New(context.Background(), fakeEngine(nil, 0), httpapi.Config{Gossip: node})
+	t.Cleanup(api.Close)
+	w.node.Store(node)
+	w.api.Store(api)
+	w.down.Store(false)
+}
+
+// gossipCoordinator is a coordinator as dramthermd builds one: an
+// engine over a backend that Follows a gossip node, served by httpapi
+// so it answers gossip too. It counts the batches it is sent.
+type gossipCoordinator struct {
+	ts      *httptest.Server
+	eng     *sweep.Engine
+	b       *remote.Backend
+	node    *gossip.Node
+	reg     *obs.Registry
+	batches atomic.Int64
+}
+
+// Gossip timings of the membership tests: one round per interval on
+// the fake clock.
+const (
+	interval     = time.Second
+	suspectAfter = 5 * interval
+	quarantine   = 30 * interval
+)
+
+func startCoordinator(t *testing.T, id string, seeds []string, now func() time.Time) *gossipCoordinator {
+	t.Helper()
+	c := &gossipCoordinator{eng: fakeEngine(nil, 0), reg: obs.NewRegistry()}
+	var api atomic.Pointer[httpapi.Server]
+	c.ts = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == remote.BatchPath {
+			c.batches.Add(1)
+		}
+		api.Load().ServeHTTP(rw, r)
+	}))
+	t.Cleanup(c.ts.Close)
+	c.b = newBackend(t, c.eng, remote.Config{})
+	c.b.Instrument(c.reg)
+	var err error
+	c.node, err = c.b.Follow(gossip.Config{
+		// The advertised URL is dropped: a coordinator is an observer.
+		Self:         gossip.Member{ID: id, URL: c.ts.URL},
+		Seeds:        seeds,
+		Interval:     -1,
+		SuspectAfter: suspectAfter,
+		Quarantine:   quarantine,
+		Now:          now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.node.Close)
+	c.eng.SetBatchBackend(c.b)
+	a := httpapi.New(context.Background(), c.eng, httpapi.Config{Gossip: c.node})
+	t.Cleanup(a.Close)
+	api.Store(a)
+	return c
+}
+
+// ring lists the coordinator's ring members as id@url.
+func (c *gossipCoordinator) ring() []string {
+	var out []string
+	for _, ps := range c.b.Status() {
+		out = append(out, ps.ID+"@"+ps.URL)
+	}
+	return out
+}
+
+// fakeClock is a hand-advanced clock for gossip timeouts.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+func newClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+
+// rounds advances the clock by one interval and runs one gossip round
+// on every node, n times.
+func rounds(clk *fakeClock, n int, nodes ...func() *gossip.Node) {
+	for i := 0; i < n; i++ {
+		clk.advance(interval)
+		for _, node := range nodes {
+			node().Round(context.Background())
+		}
+	}
+}
+
+func (w *gossipWorker) gossip() *gossip.Node      { return w.node.Load() }
+func (c *gossipCoordinator) gossip() *gossip.Node { return c.node }
+
+// TestSeedAliasIsOneRingMember: a worker listed under an alias URL
+// (localhost) while advertising another (127.0.0.1) is one ring
+// member, reached at the seed URL — never two members for one worker.
+func TestSeedAliasIsOneRingMember(t *testing.T) {
+	clk := newClock()
+	w := startGossipWorker(t, clk.now)
+	alias := strings.Replace(w.ts.URL, "127.0.0.1", "localhost", 1)
+	c := startCoordinator(t, "coordinator", []string{alias}, clk.now)
+	rounds(clk, 3, c.gossip, w.gossip)
+
+	want := remote.DeriveID(w.ts.URL) + "@" + alias
+	if got := c.ring(); len(got) != 1 || got[0] != want {
+		t.Fatalf("ring = %v, want exactly [%s]", got, want)
+	}
+	_, info, err := c.eng.Run(context.Background(), sweep.Spec{Mix: "W1", Policy: "DTM-TS"})
+	if err != nil || info.Peer != remote.DeriveID(w.ts.URL) || w.batches.Load() != 1 {
+		t.Fatalf("run: info=%+v err=%v worker batches=%d, want one batch on the worker",
+			info, err, w.batches.Load())
+	}
+}
+
+// TestSilentWorkerLeavesRing: a worker that stops answering is
+// suspected by failed gossip exchanges, declared dead after
+// SuspectAfter and dropped from the coordinator's ring, with no
+// dispatch traffic at all.
+func TestSilentWorkerLeavesRing(t *testing.T) {
+	clk := newClock()
+	w := startGossipWorker(t, clk.now)
+	c := startCoordinator(t, "coordinator", []string{w.ts.URL}, clk.now)
+	rounds(clk, 1, c.gossip)
+	if got := c.ring(); len(got) != 1 {
+		t.Fatalf("ring after the seed answered = %v, want the worker", got)
+	}
+
+	w.down.Store(true)
+	for elapsed := time.Duration(0); len(c.ring()) > 0; elapsed += interval {
+		if elapsed > suspectAfter+3*interval {
+			t.Fatalf("silent worker still in the ring %v after it stopped answering: %v", elapsed, c.ring())
+		}
+		rounds(clk, 1, c.gossip)
+	}
+	if n := c.reg.Sum("dramtherm_remote_dispatch_total", nil); n != 0 || w.batches.Load() != 0 {
+		t.Fatalf("dispatch traffic = %v (worker saw %d batches), want none", n, w.batches.Load())
+	}
+}
+
+// TestRestartedSeedWorkerRejoins: a seed worker that crashed, was
+// declared dead and restarted with an empty table and no seeds of its
+// own is back in the coordinator's ring within SuspectAfter +
+// Quarantine plus a few intervals of the crash, at its seed URL.
+func TestRestartedSeedWorkerRejoins(t *testing.T) {
+	clk := newClock()
+	w := startGossipWorker(t, clk.now)
+	c := startCoordinator(t, "coordinator", []string{w.ts.URL}, clk.now)
+	rounds(clk, 1, c.gossip)
+	want := remote.DeriveID(w.ts.URL) + "@" + w.ts.URL
+
+	w.down.Store(true)
+	crashed := clk.now()
+	for len(c.ring()) > 0 {
+		rounds(clk, 1, c.gossip)
+	}
+	rounds(clk, 2, c.gossip)
+	w.restart(t, clk.now)
+	for {
+		if got := c.ring(); len(got) == 1 && got[0] == want {
+			break
+		}
+		if elapsed := clk.now().Sub(crashed); elapsed > suspectAfter+quarantine+3*interval {
+			t.Fatalf("restarted worker not back in the ring %v after the crash: %v", elapsed, c.ring())
+		}
+		rounds(clk, 1, c.gossip, w.gossip)
+	}
+	if _, info, err := c.eng.Run(context.Background(), sweep.Spec{Mix: "W1", Policy: "DTM-BW"}); err != nil || info.Peer == "local" {
+		t.Fatalf("run after the rejoin: info=%+v err=%v, want the worker", info, err)
+	}
+}
+
+// TestCoordinatorsNeverDispatchToEachOther: two coordinators seeded
+// with the same workers (the second also lists the first) gossip with
+// each other, yet each ring holds only the workers, so neither ever
+// sends the other a /v1/exec/batch.
+func TestCoordinatorsNeverDispatchToEachOther(t *testing.T) {
+	clk := newClock()
+	w1, w2 := startGossipWorker(t, clk.now), startGossipWorker(t, clk.now)
+	seeds := []string{w1.ts.URL, w2.ts.URL}
+	c1 := startCoordinator(t, "coordinator-1", seeds, clk.now)
+	c2 := startCoordinator(t, "coordinator-2", append(seeds, c1.ts.URL), clk.now)
+	rounds(clk, 5, c1.gossip, c2.gossip, w1.gossip, w2.gossip)
+
+	workers := []string{
+		remote.DeriveID(w1.ts.URL) + "@" + w1.ts.URL,
+		remote.DeriveID(w2.ts.URL) + "@" + w2.ts.URL,
+	}
+	sort.Strings(workers)
+	for _, c := range []*gossipCoordinator{c1, c2} {
+		got := c.ring()
+		sort.Strings(got)
+		if !slices.Equal(got, workers) {
+			t.Fatalf("ring = %v, want only the workers %v", got, workers)
+		}
+		known := 0
+		for _, m := range c.node.Members() {
+			if strings.HasPrefix(m.ID, "coordinator-") {
+				known++
+			}
+		}
+		if known != 2 {
+			t.Fatalf("coordinators do not gossip with each other: membership %v", c.node.Members())
+		}
+		if _, err := c.eng.Sweep(context.Background(), specsSample(16), sweep.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c1.batches.Load() != 0 || c2.batches.Load() != 0 {
+		t.Fatalf("coordinators received %d and %d batches, want none", c1.batches.Load(), c2.batches.Load())
+	}
+	if w1.batches.Load()+w2.batches.Load() == 0 {
+		t.Fatal("the workers served nothing")
+	}
+}
+
+// TestLocallyBuiltResultHandedOffOnReadmission: with replication on
+// and the only peer failing, the coordinator builds a spec itself; when
+// the peer is readmitted half-open, that key arrives at its
+// /v1/handoff.
+func TestLocallyBuiltResultHandedOffOnReadmission(t *testing.T) {
+	clk := newClock()
+	var failing atomic.Bool
+	var mu sync.Mutex
+	var handed []string
+	inner := httpapi.New(context.Background(), fakeEngine(nil, 0), httpapi.Config{})
+	defer inner.Close()
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case failing.Load():
+			http.Error(w, "boom", http.StatusInternalServerError)
+		case r.URL.Path == remote.HandoffPath:
+			dec := json.NewDecoder(r.Body)
+			n := 0
+			for {
+				var ln remote.HandoffLine
+				if dec.Decode(&ln) != nil {
+					break
+				}
+				mu.Lock()
+				handed = append(handed, ln.Key)
+				mu.Unlock()
+				n++
+			}
+			json.NewEncoder(w).Encode(remote.HandoffResponse{Accepted: n}) //nolint:errcheck
+		default:
+			inner.ServeHTTP(w, r)
+		}
+	}))
+	defer worker.Close()
+
+	coord := fakeEngine(nil, 0)
+	b := newBackend(t, coord, remote.Config{
+		Peers:       []remote.Peer{{ID: "w", URL: worker.URL}},
+		Backoff:     time.Minute,
+		Now:         clk.now,
+		Replication: true,
+		Entries:     coord.Range,
+	})
+	coord.SetBatchBackend(b)
+
+	failing.Store(true)
+	local := sweep.Spec{Mix: "W1", Policy: "DTM-TS"}
+	if _, info, err := coord.Run(context.Background(), local); err != nil || info.Peer != "local" {
+		t.Fatalf("run with the only peer failing: info=%+v err=%v, want a local build", info, err)
+	}
+	failing.Store(false)
+	clk.advance(2 * time.Minute)
+	if _, info, err := coord.Run(context.Background(), sweep.Spec{Mix: "W1", Policy: "DTM-BW"}); err != nil || info.Peer != "w" {
+		t.Fatalf("run after the backoff: info=%+v err=%v, want peer w", info, err)
+	}
+	key := string(coord.Key(local))
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		mu.Lock()
+		got := slices.Contains(handed, key)
+		mu.Unlock()
+		if got {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("locally built %s never reached the readmitted peer's handoff; got %v (status %+v)",
+				key, handed, b.ReplicationStatus())
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

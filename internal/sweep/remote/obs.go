@@ -31,10 +31,10 @@ func (b *Backend) Instrument(reg *obs.Registry) {
 		return
 	}
 	b.mDispatch = reg.CounterVec("dramtherm_remote_dispatch_total",
-		"Requests dispatched to peers, by peer id and kind (batch, probe, handoff).",
+		"Requests dispatched to peers, by peer id and kind (batch, handoff).",
 		"peer", "kind")
 	b.mTransition = reg.CounterVec("dramtherm_remote_peer_state_transitions_total",
-		"Peer ring-state transitions, by destination state: down (ejected), up (probe readmitted), half_open (backoff-expiry retry).",
+		"Peer ring-state transitions, by destination state: down (ejected), half_open (backoff-expiry retry).",
 		"peer", "to")
 	b.mReplan = reg.Counter("dramtherm_remote_replan_rounds_total",
 		"Batch re-plan rounds: a shard's unacknowledged remainder re-planned onto the surviving ring.")
@@ -76,7 +76,7 @@ func (b *Backend) Instrument(reg *obs.Registry) {
 			}
 		})
 	reg.SampleFunc(obs.KindCounter, "dramtherm_remote_peer_failures_total",
-		"Dispatch and probe failures per current ring member.",
+		"Dispatch failures per current ring member.",
 		[]string{"peer"}, func() []obs.Sample {
 			st := b.Status()
 			out := make([]obs.Sample, len(st))

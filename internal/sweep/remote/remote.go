@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,15 +15,13 @@ import (
 	"dramtherm/internal/obs"
 	"dramtherm/internal/sim"
 	"dramtherm/internal/sweep"
+	"dramtherm/internal/sweep/remote/gossip"
 )
 
 // ExecPath is the synchronous single-run endpoint served by
 // internal/httpapi: POST a sweep.Spec, get an ExecResponse back. It is
 // a client endpoint; coordinators dispatch to peers over BatchPath.
 const ExecPath = "/v1/exec"
-
-// HealthPath is the endpoint the prober checks on each peer.
-const HealthPath = "/v1/healthz"
 
 // ExecResponse is the POST /v1/exec reply: the full simulation result
 // (traces included) plus how the serving node obtained it ("built",
@@ -48,7 +45,8 @@ type Peer struct {
 // SetMembers adds some.
 type Config struct {
 	// Peers is the initial ring membership. Peers start admitted and are
-	// ejected on their first failure (or failed probe).
+	// ejected on their first failed dispatch. A backend that Follows a
+	// gossip node starts empty and takes its members from the node.
 	Peers []Peer
 	// Key canonicalizes a spec for consistent hashing — pass the
 	// engine's Key method so the ring shards on the same identity the
@@ -59,14 +57,8 @@ type Config struct {
 	MaxPerPeer int
 	// Vnodes is the number of ring points per peer (default 64).
 	Vnodes int
-	// ProbeEvery is the health-probe period (default 5s; < 0 disables
-	// the background prober — Probe can still be called directly).
-	ProbeEvery time.Duration
-	// ProbeTimeout bounds one health probe (default 2s).
-	ProbeTimeout time.Duration
 	// Backoff is how long an ejected peer stays out of the ring before
-	// request routing retries it; a successful probe readmits it sooner
-	// (default 15s).
+	// request routing retries it half-open (default 15s).
 	Backoff time.Duration
 	// Client overrides the HTTP client (default: a client whose
 	// transport keeps MaxPerPeer idle connections per peer).
@@ -77,22 +69,20 @@ type Config struct {
 	// Now overrides the clock, for tests.
 	Now func() time.Time
 	// OnPeerDown, when non-nil, observes every up→down transition — the
-	// local failure-detector output a gossip membership layer feeds on
-	// (see internal/sweep/remote/gossip). Called without locks held.
+	// local failure-detector output Follow feeds to gossip as a
+	// suspicion. Called without locks held.
 	OnPeerDown func(id string, cause error)
-	// OnPeerUp observes every probe-confirmed down→up transition.
-	// Speculative backoff-expiry readmissions do not count: they are
-	// retries, not evidence. Called without locks held.
-	OnPeerUp func(id string)
 	// Replication enables RF=2: every result a peer builds for this
 	// coordinator is asynchronously pushed to its key's ring successor
-	// via POST /v1/handoff, and membership changes stream moved keys'
-	// cached results to their new owners (see Entries). Best-effort —
-	// delivery failures cost cache warmth, never sweep correctness.
+	// via POST /v1/handoff, and every ring rebuild that admits a member
+	// streams the cached results it became responsible for to it (see
+	// Entries) — results the coordinator built itself included.
+	// Best-effort: delivery failures cost cache warmth, never sweep
+	// correctness.
 	Replication bool
 	// Entries iterates the coordinator's cached results — pass the
-	// engine's Range method. Required for membership-change handoff;
-	// without it only build-time replication runs.
+	// engine's Range method. Required for handoff on admission; without
+	// it only build-time replication runs.
 	Entries func(fn func(sweep.Key, sim.MEMSpotResult) bool)
 }
 
@@ -101,11 +91,11 @@ type Config struct {
 // for its shard of the grid. It implements sweep.BatchBackend: install
 // it with Engine.SetBatchBackend, and every run the engine does not
 // serve from its cache — a sweep's grid or a single Run's shard of one —
-// reaches the peers as POST /v1/exec/batch requests. Peers are
-// health-checked (periodic probes, eject on failure, readmit on recovery
-// or backoff expiry) and a shard whose peer is down or dies fails over
-// around the ring; when no peer is left its specs are handed back with
-// sweep.ErrRunLocal for local execution.
+// reaches the peers as POST /v1/exec/batch requests. A peer whose
+// dispatch fails is ejected and retried half-open after a backoff, and a
+// shard whose peer is down or dies fails over around the ring; when no
+// peer is left its specs are handed back with sweep.ErrRunLocal for
+// local execution.
 type Backend struct {
 	cfg       Config
 	client    *http.Client
@@ -165,8 +155,7 @@ type peer struct {
 	lastErr   string
 }
 
-// New builds a backend over the configured peers and, unless probing is
-// disabled, starts the background health prober. Call Close when done.
+// New builds a backend over the configured peers. Call Close when done.
 func New(cfg Config) (*Backend, error) {
 	if cfg.Key == nil {
 		return nil, errors.New("remote: Config.Key is required")
@@ -176,12 +165,6 @@ func New(cfg Config) (*Backend, error) {
 	}
 	if cfg.Vnodes <= 0 {
 		cfg.Vnodes = 64
-	}
-	if cfg.ProbeEvery == 0 {
-		cfg.ProbeEvery = 5 * time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
 	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 15 * time.Second
@@ -219,10 +202,6 @@ func New(cfg Config) (*Backend, error) {
 		})
 	}
 	b.rebuildLocked() // no lock needed yet: b is not shared
-	if cfg.ProbeEvery > 0 {
-		b.wg.Add(1)
-		go b.probeLoop()
-	}
 	if cfg.Replication {
 		b.replQ = make(chan replJob, replQueueDepth)
 		b.wg.Add(1)
@@ -255,7 +234,7 @@ func canonPeer(pc Peer) (id, url string, err error) {
 	return id, url, nil
 }
 
-// Close stops the background prober and reaps the backend-owned HTTP
+// Close stops the replication worker and reaps the backend-owned HTTP
 // client's idle connections. In-flight dispatches are not interrupted;
 // cancel their contexts for that.
 func (b *Backend) Close() {
@@ -269,10 +248,9 @@ func (b *Backend) Close() {
 // SetMembers replaces the backend's membership with peers, rebuilding
 // the ring: new members join admitted, absent members leave (their
 // in-flight requests finish, then fail over), and retained members keep
-// their health state and traffic counters. This is the seam a gossip
-// membership layer drives, so the ring re-forms on join/leave without
-// restarting the coordinator. Unusable entries (no URL) and duplicate
-// ids are skipped.
+// their health state and traffic counters. This is the seam Follow
+// drives, so the ring re-forms on join/leave without restarting the
+// coordinator. Unusable entries (no URL) and duplicate ids are skipped.
 func (b *Backend) SetMembers(peers []Peer) {
 	b.mu.Lock()
 	oldRing, oldRingPeers := b.ring, b.ringPeers
@@ -319,56 +297,50 @@ func (b *Backend) SetMembers(peers []Peer) {
 	if changed {
 		b.log.Info("remote: membership changed",
 			"peers", len(next), "joined", fmt.Sprint(joined), "left", fmt.Sprint(left))
-		if b.cfg.Replication && b.cfg.Entries != nil {
-			// Stream the moved keys' cached results to their new owners
-			// before traffic lands there. Asynchronous: gossip must not
-			// block on a cache walk.
-			go b.handoffOnChange(oldRing, oldRingPeers, left)
-		}
+		b.handoff(oldRing, oldRingPeers, left)
 	}
 }
 
-func (b *Backend) probeLoop() {
-	defer b.wg.Done()
-	t := time.NewTicker(b.cfg.ProbeEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			b.Probe(context.Background())
-		case <-b.stop:
-			return
-		}
-	}
-}
-
-// Probe health-checks every peer once: GET /v1/healthz, ejecting peers
-// that fail and readmitting peers that answer. The background prober
-// calls this periodically; tests call it directly.
-func (b *Backend) Probe(ctx context.Context) {
-	b.mu.RLock()
-	peers := append([]*peer(nil), b.peers...)
-	b.mu.RUnlock()
-	for _, p := range peers {
-		pctx, cancel := context.WithTimeout(ctx, b.cfg.ProbeTimeout)
-		req, err := http.NewRequestWithContext(pctx, http.MethodGet, p.url+HealthPath, nil)
-		if err == nil {
-			var resp *http.Response
-			if resp, err = b.client.Do(req); err == nil {
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					err = fmt.Errorf("probe status %s", resp.Status)
-				}
+// Follow makes gossip b's only membership source: it starts a gossip
+// node from cfg whose every view change becomes b's ring — each live
+// member other than cfg.Self that advertises a URL, at the URL the node
+// reaches it by — and passes b's dispatch-failure ejections to the node
+// as suspicions, after Config.OnPeerDown. The node gossips as an
+// observer (cfg.Self.URL is cleared), so no other coordinator's ring can
+// hold this one. Follow replaces cfg.OnChange. Call it once, before the
+// backend is shared; Close the node when done.
+func (b *Backend) Follow(cfg gossip.Config) (*gossip.Node, error) {
+	self := cfg.Self.ID
+	cfg.Self.URL = ""
+	cfg.OnChange = func(ms []gossip.Member) {
+		var ring []Peer
+		for _, m := range ms {
+			if m.ID != self && m.State != gossip.Dead && m.URL != "" {
+				ring = append(ring, Peer{ID: m.ID, URL: m.URL})
 			}
 		}
-		cancel()
-		b.mDispatch.WithLabelValues(p.id, "probe").Inc()
-		if err != nil {
-			b.eject(p, err)
-		} else {
-			b.readmit(p)
+		b.SetMembers(ring)
+	}
+	n, err := gossip.NewNode(cfg)
+	if err != nil {
+		return nil, err
+	}
+	down := b.cfg.OnPeerDown
+	b.cfg.OnPeerDown = func(id string, cause error) {
+		if down != nil {
+			down(id, cause)
 		}
+		n.Suspect(id)
+	}
+	return n, nil
+}
+
+// handoff streams the cached results a ring rebuild made members newly
+// responsible for to them, before traffic lands there. Asynchronous: a
+// membership change must not block on a cache walk.
+func (b *Backend) handoff(oldRing *ring, oldPeers []*peer, left []string) {
+	if b.cfg.Replication && b.cfg.Entries != nil {
+		go b.handoffOnChange(oldRing, oldPeers, left)
 	}
 }
 
@@ -401,8 +373,8 @@ func parseOutcome(s string) sweep.Outcome {
 	}
 }
 
-// eject takes p out of the ring until a probe succeeds or its backoff
-// expires. Repeated failures while down push the backoff forward.
+// eject takes p out of the ring until its backoff expires. Repeated
+// failures while down push the backoff forward.
 func (b *Backend) eject(p *peer, cause error) {
 	p.failures.Add(1)
 	now := b.now()
@@ -426,36 +398,17 @@ func (b *Backend) eject(p *peer, cause error) {
 	}
 }
 
-// readmit puts p back into the ring (a probe answered).
-func (b *Backend) readmit(p *peer) {
-	b.mu.Lock()
-	readmitted := !p.up
-	if readmitted {
-		p.up = true
-		p.lastErr = ""
-		if !p.gone {
-			b.down.Add(-1)
-			b.rebuildLocked()
-		}
-		b.mTransition.WithLabelValues(p.id, "up").Inc()
-		b.log.Info("remote: peer readmitted", "peer", p.id)
-	}
-	b.mu.Unlock()
-	if readmitted && b.cfg.OnPeerUp != nil {
-		b.cfg.OnPeerUp(p.id)
-	}
-}
-
 // readmitExpired returns ejected peers whose backoff has elapsed to the
-// ring, so request routing retries them (half-open) even when probing
-// is disabled; a failure ejects them again.
+// ring, so request routing retries them (half-open); a failure ejects
+// them again. A readmission is a ring rebuild that admits a member, so
+// it hands off like a join.
 func (b *Backend) readmitExpired() {
 	if b.down.Load() == 0 {
 		return // all peers admitted: stay off the write lock
 	}
 	now := b.now()
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	oldRing, oldRingPeers := b.ring, b.ringPeers
 	changed := false
 	for _, p := range b.peers {
 		if !p.up && !now.Before(p.downUntil) {
@@ -468,6 +421,10 @@ func (b *Backend) readmitExpired() {
 	}
 	if changed {
 		b.rebuildLocked()
+	}
+	b.mu.Unlock()
+	if changed {
+		b.handoff(oldRing, oldRingPeers, nil)
 	}
 }
 

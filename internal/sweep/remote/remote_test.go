@@ -57,9 +57,6 @@ func newBackend(t *testing.T, coord *sweep.Engine, cfg remote.Config) *remote.Ba
 	if cfg.Key == nil {
 		cfg.Key = coord.Key
 	}
-	if cfg.ProbeEvery == 0 {
-		cfg.ProbeEvery = -1
-	}
 	b, err := remote.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -273,8 +270,7 @@ func TestRunErrorIsTerminal(t *testing.T) {
 
 // TestEjectReadmitFakeClock drives the ring's ejection lifecycle on a
 // fake clock: a failure ejects the peer, routing avoids it while the
-// backoff runs, backoff expiry readmits it half-open, and a successful
-// probe readmits it immediately.
+// backoff runs, and backoff expiry readmits it half-open.
 func TestEjectReadmitFakeClock(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	clock := &now
@@ -319,7 +315,7 @@ func TestEjectReadmitFakeClock(t *testing.T) {
 	}
 
 	// 2. While the backoff runs, routing skips the peer entirely even
-	// though it has recovered — only probes can readmit it early.
+	// though it has recovered.
 	failing.Store(false)
 	now = now.Add(30 * time.Second)
 	if _, info, _ := coord.Run(context.Background(), spec("DTM-BW")); info.Peer != "local" {
@@ -337,25 +333,6 @@ func TestEjectReadmitFakeClock(t *testing.T) {
 	}
 	if st := b.Status()[0]; !st.Up {
 		t.Fatalf("peer not readmitted after backoff: %+v", st)
-	}
-
-	// 4. Eject again, then a successful probe readmits immediately,
-	// long before the backoff expires.
-	failing.Store(true)
-	if _, info, _ := coord.Run(context.Background(), spec("DTM-CDVFS")); info.Peer != "local" {
-		t.Fatalf("second failure served by %q, want local", info.Peer)
-	}
-	failing.Store(false)
-	b.Probe(context.Background())
-	if st := b.Status()[0]; !st.Up {
-		t.Fatalf("probe did not readmit recovered peer: %+v", st)
-	}
-
-	// 5. A probe against a failing peer ejects it without any traffic.
-	failing.Store(true)
-	b.Probe(context.Background())
-	if st := b.Status()[0]; st.Up {
-		t.Fatalf("probe did not eject failing peer: %+v", st)
 	}
 }
 

@@ -131,7 +131,6 @@ func TestReplicaPlacementProperty(t *testing.T) {
 		Peers:       peers,
 		Key:         func(s sweep.Spec) sweep.Key { return sweep.Key(s.Mix) },
 		Replication: true,
-		ProbeEvery:  -1,
 		Now:         func() time.Time { return fixed },
 	})
 	if err != nil {
@@ -241,7 +240,6 @@ func TestReplicationEndToEnd(t *testing.T) {
 		Peers:       []Peer{{ID: "A", URL: a.srv.URL}, {ID: "C", URL: c.srv.URL}},
 		Key:         func(s sweep.Spec) sweep.Key { return sweep.Key("digest|" + s.Mix) },
 		Replication: true,
-		ProbeEvery:  -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +290,6 @@ func TestHandoffOnJoinEndToEnd(t *testing.T) {
 		Peers:       []Peer{{ID: "A", URL: a.srv.URL}, {ID: "C", URL: c.srv.URL}},
 		Key:         func(s sweep.Spec) sweep.Key { return sweep.Key("digest|" + s.Mix) },
 		Replication: true,
-		ProbeEvery:  -1,
 		Entries: func(fn func(sweep.Key, sim.MEMSpotResult) bool) {
 			for k, v := range cached {
 				if !fn(sweep.Key(k), v) {

@@ -194,12 +194,12 @@ func TestBackendOwnershipIgnoresMembershipOrder(t *testing.T) {
 		peers[i] = Peer{ID: fmt.Sprintf("peer-%d", i), URL: fmt.Sprintf("http://192.0.2.%d:9", i+1)}
 	}
 	key := func(s sweep.Spec) sweep.Key { return sweep.Key(s.String()) }
-	a, err := New(Config{Peers: peers, Key: key, ProbeEvery: -1})
+	a, err := New(Config{Peers: peers, Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := New(Config{Peers: []Peer{peers[2], peers[0]}, Key: key, ProbeEvery: -1})
+	b, err := New(Config{Peers: []Peer{peers[2], peers[0]}, Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestBackendOwnershipIgnoresMembershipOrder(t *testing.T) {
 	}
 }
 
-// TestBackendChurnRace hammers routing, ejection, readmission, probing
+// TestBackendChurnRace hammers routing, ejection, half-open readmission
 // and status snapshots concurrently; run with -race. Peers point at
 // dead addresses, so every dispatch also exercises the failure path.
 func TestBackendChurnRace(t *testing.T) {
@@ -223,11 +223,10 @@ func TestBackendChurnRace(t *testing.T) {
 		peers[i] = Peer{ID: fmt.Sprintf("p%d", i), URL: fmt.Sprintf("http://192.0.2.%d:9", i+1)}
 	}
 	b, err := New(Config{
-		Peers:      peers,
-		Key:        func(s sweep.Spec) sweep.Key { return sweep.Key(s.String()) },
-		ProbeEvery: -1,
-		Backoff:    time.Microsecond, // immediate half-open readmission → constant ring churn
-		Client:     &http.Client{Timeout: 10 * time.Millisecond},
+		Peers:   peers,
+		Key:     func(s sweep.Spec) sweep.Key { return sweep.Key(s.String()) },
+		Backoff: time.Microsecond, // immediate half-open readmission → constant ring churn
+		Client:  &http.Client{Timeout: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,12 +268,9 @@ func TestBackendChurnRace(t *testing.T) {
 				b.mu.RLock()
 				p := b.peers[(g*7+i)%len(b.peers)]
 				b.mu.RUnlock()
-				switch i % 3 {
-				case 0:
+				if i%2 == 0 {
 					b.eject(p, fmt.Errorf("churn"))
-				case 1:
-					b.readmit(p)
-				default:
+				} else {
 					b.readmitExpired()
 				}
 				b.Status()

@@ -30,7 +30,7 @@ type Spec struct {
 	// Limits overrides the thermal limits when AMBTDP is nonzero; the
 	// override reaches both the simulation and the policy construction
 	// (TRP/TDP sweeps).
-	Limits fbconfig.ThermalLimits `json:"limits,omitempty"`
+	Limits fbconfig.ThermalLimits `json:"limits,omitzero"`
 	// InstrScale is the run's fidelity: a multiplier on the system's
 	// base application-length scale. Zero and 1 both mean full fidelity
 	// (and share a cache key); Engine.Search uses fractional rungs

@@ -111,3 +111,41 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v != %+v", out, in)
 	}
 }
+
+// TestSpecLimitsOmitZero: a spec with no limits override marshals
+// without a "limits" object, a spec with one round-trips it, and the
+// cache key (built with fmt, not JSON) is the same as before the tag
+// change, so ring placement and segment logs are unaffected.
+func TestSpecLimitsOmitZero(t *testing.T) {
+	def := Spec{Mix: "W1", Policy: "DTM-TS"}
+	b, err := json.Marshal(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(b), `{"mix":"W1","policy":"DTM-TS"}`; got != want {
+		t.Fatalf("default spec marshals as %s, want %s", got, want)
+	}
+	lim := def
+	lim.Limits = fbconfig.ThermalLimits{AMBTDP: 100, DRAMTDP: 80, AMBTRP: 99, DRAMTRP: 79}
+	if b, err = json.Marshal(lim); err != nil {
+		t.Fatal(err)
+	}
+	var out Spec
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out != lim {
+		t.Fatalf("round trip: %+v != %+v", out, lim)
+	}
+	for _, c := range []struct {
+		spec Spec
+		key  Key
+	}{
+		{def, "d1|W1|DTM-TS|AOHS_1.5|isolated|psixi=0|iv=0|lim=0,0,0,0"},
+		{lim, "d1|W1|DTM-TS|AOHS_1.5|isolated|psixi=0|iv=0|lim=100,80,99,79"},
+	} {
+		if got := c.spec.Key("d1"); got != c.key {
+			t.Errorf("Key(%v) = %s, want %s", c.spec, got, c.key)
+		}
+	}
+}
