@@ -33,17 +33,19 @@
 // stops answering gossip is suspected, declared dead and dropped from
 // the ring even when no run is dispatched to it; a dead seed is dialled
 // again until it answers, so a restarted seed worker rejoins on its
-// own. A coordinator gossips as an observer with no URL, so no ring
-// ever holds a coordinator. All dispatch between nodes is batched: each
+// own. The coordinator gossips once before it serves, so its ring holds
+// the answering seeds from boot, and as an observer with no URL, so no
+// ring ever holds it. All dispatch between nodes is batched: each
 // member receives its entire shard of a sweep in one /v1/exec/batch
 // request and streams per-spec outcomes back, and a single run (POST
 // /v1/exec or /v1/runs on the coordinator) travels as a shard of one.
 //
 // A worker started with -join dials those seed addresses until a
 // member answers and so enters the cluster without appearing in any
-// -peers list. It is reached at its -advertise URL, which defaults to
-// http://127.0.0.1<addr> for a host-less -addr: set -advertise when
-// the cluster spans hosts. See docs/ARCHITECTURE.md.
+// -peers list. It is reached at its -advertise URL; that defaults to
+// -addr with the hostname for a missing or wildcard host, and the
+// member id to the URL minus the scheme, so flagless workers on hosts
+// w1 and w2 are w1:8080 and w2:8080. See docs/ARCHITECTURE.md.
 //
 // Endpoints:
 //
@@ -69,7 +71,7 @@
 // background. With -replication each completed result is also pushed
 // to its key's ring successor over POST /v1/handoff (RF=2), cached
 // shards — results the coordinator built itself included — stream to
-// every member the ring admits (a join or a half-open readmission),
+// every member the ring admits (a join or a served half-open retry),
 // and a dead primary's replica holder is promoted in place — so a
 // worker crash loses no cached result.
 //
@@ -142,14 +144,19 @@ func parseSeeds(arg string) ([]string, error) {
 }
 
 // advertiseURL resolves the base URL other members reach this node at:
-// the -advertise flag when given, otherwise a loopback guess from -addr
-// (good enough for single-host clusters and demos).
-func advertiseURL(advertise, addr string) string {
+// -advertise, else -addr with hostname (else loopback) for a missing or
+// wildcard host, so nodes on different hosts get distinct default ids.
+func advertiseURL(advertise, addr, hostname string) string {
 	if advertise != "" {
 		return strings.TrimRight(advertise, "/")
 	}
-	if strings.HasPrefix(addr, ":") {
-		return "http://127.0.0.1" + addr
+	if host, port, err := net.SplitHostPort(addr); err == nil {
+		if ip := net.ParseIP(host); host == "" || (ip != nil && ip.IsUnspecified()) {
+			if hostname == "" {
+				hostname = "127.0.0.1"
+			}
+			return "http://" + net.JoinHostPort(hostname, port)
+		}
 	}
 	return "http://" + addr
 }
@@ -170,7 +177,7 @@ func main() {
 		perPeer  = flag.Int("peer-conns", 4, "max concurrent requests per peer")
 
 		join      = flag.String("join", "", "seed URLs (comma-separated, or @file) of members to join an existing cluster through, without coordinating")
-		advertise = flag.String("advertise", "", "base URL other members reach this node at (default http://127.0.0.1<addr>; coordinators advertise none)")
+		advertise = flag.String("advertise", "", "base URL other members reach this node at (default http://<addr>, the hostname standing in for a missing or wildcard host; coordinators advertise none)")
 		nodeID    = flag.String("id", "", "stable member id (default derived from the advertised URL)")
 		gossipInt = flag.Duration("gossip-interval", time.Second, "gossip round period")
 
@@ -266,7 +273,8 @@ func main() {
 		apiCfg.JobTTL = -1 // flag convention: 0 disables; Config uses <0 for that
 	}
 
-	self := gossip.Member{ID: *nodeID, URL: advertiseURL(*advertise, *addr)}
+	hostname, _ := os.Hostname() // "" falls back to loopback
+	self := gossip.Member{ID: *nodeID, URL: advertiseURL(*advertise, *addr, hostname)}
 	if self.ID == "" {
 		self.ID = remote.DeriveID(self.URL)
 	}
@@ -293,7 +301,6 @@ func main() {
 		if *replicat {
 			apiCfg.ReplicationStatus = func() any { return backend.ReplicationStatus() }
 		}
-		self.URL = "" // Follow gossips as an observer
 	} else {
 		var err error
 		if node, err = gossip.NewNode(gcfg); err != nil {
@@ -302,6 +309,11 @@ func main() {
 	}
 	defer node.Close()
 	apiCfg.Gossip = node
+	for _, m := range node.Members() {
+		if m.ID == self.ID {
+			self = m // a coordinator's gossiped row has no URL
+		}
+	}
 	logger.Info("gossip membership", "member", self.ID, "url", self.URL,
 		"seeds", len(seeds), "coordinator", len(peerSeeds) > 0,
 		"replication", *replicat, "interval", gossipInt.String())

@@ -207,38 +207,17 @@ func clusterSweep(specs []sweep.Spec, killVictim bool) (table string, served map
 	coord.SetBatchBackend(backend)
 
 	victim := backend.OwnerOf(specs[0])
-	killed := make(chan struct{})
-	var once sync.Once
+	var onStart func()
 	if killVictim {
-		go func() {
-			<-killed
-			workers[victim].kill()
-			fmt.Printf("  ✂ killed %s mid-sweep (owner of %s)\n", victim, specs[0])
-		}()
+		onStart = func() {
+			go func() {
+				workers[victim].kill()
+				fmt.Printf("  ✂ killed %s mid-sweep (owner of %s)\n", victim, specs[0])
+			}()
+		}
 	}
-
-	var mu sync.Mutex
-	served = map[string]int{}
-	res, err := coord.Sweep(context.Background(), specs, sweep.Options{
-		OnEvent: func(ev sweep.Event) {
-			switch ev.Kind {
-			case sweep.EventStarted:
-				if killVictim {
-					once.Do(func() { close(killed) })
-				}
-			case sweep.EventFinished:
-				peer := ev.Peer
-				if peer == "" {
-					peer = "coordinator-cache"
-				}
-				mu.Lock()
-				served[peer]++
-				mu.Unlock()
-				fmt.Printf("  ✓ [%2d/%2d] %-28s %6.0f s  (%s on %s)\n",
-					ev.Done, ev.Total, ev.Spec, ev.Seconds, ev.Outcome, peer)
-			}
-		},
-	})
+	onEvent, served := progress(onStart)
+	res, err := coord.Sweep(context.Background(), specs, sweep.Options{OnEvent: onEvent})
 	if err != nil {
 		log.Fatalf("cluster sweep: %v", err)
 	}
@@ -257,6 +236,34 @@ func clusterSweep(specs []sweep.Spec, killVictim bool) (table string, served map
 		fmt.Println("  ✓ batch dispatch counters match workers' batch request counts")
 	}
 	return res.Table("cluster sweep").String(), served, batches, reg
+}
+
+// progress returns a sweep event handler that prints every finished
+// spec and tallies it under the peer that served it, and the tally (read
+// it once the sweep returns). onStart, when non-nil, runs on the first
+// started event.
+func progress(onStart func()) (func(sweep.Event), map[string]int) {
+	var mu sync.Mutex
+	var once sync.Once
+	served := map[string]int{}
+	return func(ev sweep.Event) {
+		switch ev.Kind {
+		case sweep.EventStarted:
+			if onStart != nil {
+				once.Do(onStart)
+			}
+		case sweep.EventFinished:
+			peer := ev.Peer
+			if peer == "" {
+				peer = "coordinator-cache"
+			}
+			mu.Lock()
+			served[peer]++
+			mu.Unlock()
+			fmt.Printf("  ✓ [%2d/%2d] %-28s %6.0f s  (%s on %s)\n",
+				ev.Done, ev.Total, ev.Spec, ev.Seconds, ev.Outcome, peer)
+		}
+	}, served
 }
 
 // ringHas reports whether the backend's membership currently includes
@@ -305,12 +312,8 @@ func gossipSweep(specs []sweep.Spec) (table string, served map[string]int, joine
 	}
 	defer node.Close()
 	coord.SetBatchBackend(backend)
-	deadline := time.Now().Add(30 * time.Second)
-	for !ringHas(backend, "worker-1") || !ringHas(backend, "worker-2") {
-		if time.Now().After(deadline) {
-			log.Fatal("the seed workers never reached the coordinator's ring")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !ringHas(backend, "worker-1") || !ringHas(backend, "worker-2") {
+		log.Fatal("the seed workers are not in the coordinator's ring after its first gossip round")
 	}
 
 	victim := backend.OwnerOf(specs[0])
@@ -325,45 +328,21 @@ func gossipSweep(specs []sweep.Spec) (table string, served map[string]int, joine
 	// re-form around it, then kill the gated victim so its whole shard
 	// fails over onto the post-join ring.
 	started := make(chan struct{})
-	var startOnce sync.Once
 	var w3 *worker
 	churned := make(chan struct{})
 	go func() {
 		defer close(churned)
 		<-started
 		w3 = startWorker("worker-3", workers[survivor].ts.URL)
-		deadline := time.Now().Add(30 * time.Second)
-		for !ringHas(backend, "worker-3") {
-			if time.Now().After(deadline) {
-				log.Fatal("worker-3 never reached the coordinator's ring")
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		waitFor(30*time.Second, func() bool { return ringHas(backend, "worker-3") },
+			"worker-3 never reached the coordinator's ring")
 		fmt.Printf("  ⇄ worker-3 joined the ring mid-sweep (gossiped through %s)\n", survivor)
 		workers[victim].kill()
 		fmt.Printf("  ✂ killed %s mid-sweep (owner of %s)\n", victim, specs[0])
 	}()
 
-	var mu sync.Mutex
-	served = map[string]int{}
-	res, err := coord.Sweep(context.Background(), specs, sweep.Options{
-		OnEvent: func(ev sweep.Event) {
-			switch ev.Kind {
-			case sweep.EventStarted:
-				startOnce.Do(func() { close(started) })
-			case sweep.EventFinished:
-				peer := ev.Peer
-				if peer == "" {
-					peer = "coordinator-cache"
-				}
-				mu.Lock()
-				served[peer]++
-				mu.Unlock()
-				fmt.Printf("  ✓ [%2d/%2d] %-28s %6.0f s  (%s on %s)\n",
-					ev.Done, ev.Total, ev.Spec, ev.Seconds, ev.Outcome, peer)
-			}
-		},
-	})
+	onEvent, served := progress(func() { close(started) })
+	res, err := coord.Sweep(context.Background(), specs, sweep.Options{OnEvent: onEvent})
 	if err != nil {
 		log.Fatalf("gossip sweep: %v", err)
 	}
@@ -373,13 +352,8 @@ func gossipSweep(specs []sweep.Spec) (table string, served map[string]int, joine
 	// The dead worker must also leave the membership — suspicion from
 	// the failed dispatch, confirmed dead by timeout, evicted from the
 	// ring by the gossip delta, all without restarting anything.
-	deadline = time.Now().Add(10 * time.Second)
-	for ringHas(backend, victim) {
-		if time.Now().After(deadline) {
-			log.Fatalf("dead %s never left the coordinator's ring", victim)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(10*time.Second, func() bool { return !ringHas(backend, victim) },
+		"dead %s never left the coordinator's ring", victim)
 	fmt.Printf("  ⇄ dead %s gossiped out of the ring (membership now %d workers)\n",
 		victim, len(backend.Status()))
 	return res.Table("cluster sweep").String(), served, w3.batches.Load()
@@ -388,16 +362,21 @@ func gossipSweep(specs []sweep.Spec) (table string, served map[string]int, joine
 // drainRepl waits until the backend has planned wantRounds handoff
 // rounds and its replication queue is empty, then returns the snapshot.
 func drainRepl(b *remote.Backend, wantRounds int64) remote.ReplicationStatus {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st := b.ReplicationStatus()
-		if st.HandoffRounds >= wantRounds && st.Pending == 0 {
-			return st
-		}
+	var st remote.ReplicationStatus
+	waitFor(30*time.Second, func() bool {
+		st = b.ReplicationStatus()
+		return st.HandoffRounds >= wantRounds && st.Pending == 0
+	}, "replication never drained (want %d handoff rounds)", wantRounds)
+	return st
+}
+
+// waitFor polls cond until it holds, exiting with the message if it
+// does not within d.
+func waitFor(d time.Duration, cond func() bool, format string, args ...any) {
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			log.Fatalf("replication never drained: %+v", st)
+			log.Fatalf(format, args...)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -534,13 +513,8 @@ func replicationSweep(specs []sweep.Spec, refTable string) {
 	peers = append(peers, remote.Peer{ID: joinID, URL: wj.ts.URL})
 	backend.SetMembers(peers)
 	st = drainRepl(backend, 1)
-	deadline := time.Now().Add(10 * time.Second)
-	for wj.eng.Stats().Entries == 0 {
-		if time.Now().After(deadline) {
-			log.Fatalf("joiner %s never received a handed-off result", joinID)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(10*time.Second, func() bool { return wj.eng.Stats().Entries > 0 },
+		"joiner %s never received a handed-off result", joinID)
 	fmt.Printf("  ⇄ %s joined: %d cached results handed off in %d request(s), before any traffic\n",
 		joinID, wj.eng.Stats().Entries, wj.handoffs.Load())
 

@@ -246,7 +246,11 @@ func (b *Backend) postBatch(ctx context.Context, p *peer, specs []sweep.Spec, id
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		return b.decodeBatchStream(ctx, p, resp.Body, idxs, deliver), false
+		unacked := b.decodeBatchStream(ctx, p, resp.Body, idxs, deliver)
+		if unacked == nil && ctx.Err() == nil {
+			b.answered(p)
+		}
+		return unacked, false
 	case resp.StatusCode == http.StatusRequestEntityTooLarge && len(idxs) > 1:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
 		return nil, true

@@ -60,6 +60,7 @@
 // view changes drive SetMembers, dispatch-failure ejections become
 // gossip suspicions, and a coordinator gossips as an observer with no
 // URL, so no ring ever holds a coordinator. Every rebuild that admits a
-// member — a join or a half-open readmission — hands the cached results
-// it became responsible for over to it when Replication is on.
+// member — a join, or a half-open readmission once the member has
+// served a batch — hands the cached results it became responsible for
+// over to it when Replication is on.
 package remote

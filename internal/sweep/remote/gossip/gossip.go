@@ -106,11 +106,13 @@ type Message struct {
 	Members []Member `json:"members"`
 }
 
-// entry is a Member plus the local wall-clock time of its last state
-// transition, which drives the suspect timeout and the dead quarantine.
+// entry is a Member plus the local wall-clock times of its last state
+// transition (suspect timeout, dead quarantine) and of the last sign of
+// life seen here (zero until the first), which ages observers.
 type entry struct {
 	m     Member
 	since time.Time
+	heard time.Time
 }
 
 // Table is one node's versioned membership view. It is safe for
@@ -227,6 +229,9 @@ func (t *Table) Merge(ms []Member) (changed bool) {
 				e.since = now
 				t.transitions.WithLabelValues(m.State.String()).Inc()
 			}
+			if m.Incarnation > e.m.Incarnation && !e.heard.IsZero() {
+				e.heard = now // only the member bumps it: a sign of life
+			}
 			e.m = m
 			changed = true
 		case m.URL != "" && e.m.URL == "":
@@ -271,28 +276,33 @@ func (t *Table) Suspect(id string) (changed bool) {
 }
 
 // Alive records direct positive contact with a member (an exchange
-// answered): a Suspect member returns to Alive at the same
-// incarnation. Dead members are not resurrected — only the member's own
-// incarnation bump (via Merge) can do that, so a stale detector cannot
-// fight the quarantine.
+// answered, or one it initiated): a Suspect member returns to Alive at
+// the same incarnation. Dead members are not resurrected — only the
+// member's own incarnation bump (via Merge) can do that, so a stale
+// detector cannot fight the quarantine.
 func (t *Table) Alive(id string) (changed bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.entries[id]
-	if !ok || e.m.State != Suspect {
+	if !ok {
+		return false
+	}
+	e.heard = t.now()
+	if e.m.State != Suspect {
 		return false
 	}
 	e.m.State = Alive
-	e.since = t.now()
+	e.since = e.heard
 	t.transitions.WithLabelValues("alive").Inc()
 	t.version++
 	return true
 }
 
-// Tick advances time-driven transitions: Suspect members unrefuted for
-// suspectAfter turn Dead, and Dead members quarantined for the TTL are
-// forgotten. It returns whether anything visible changed; the Node
-// calls it once per gossip round.
+// Tick advances time-driven transitions: an Alive observer silent here
+// for suspectAfter turns Suspect (nobody dials it, so no failed exchange
+// can), Suspect members unrefuted as long turn Dead, and Dead members
+// are forgotten after the quarantine TTL. It returns whether anything
+// visible changed; the Node calls it once per gossip round.
 func (t *Table) Tick() (changed bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -302,6 +312,13 @@ func (t *Table) Tick() (changed bool) {
 			continue
 		}
 		switch e.m.State {
+		case Alive:
+			if e.m.URL == "" && !e.heard.IsZero() && t.suspectAfter >= 0 && now.Sub(e.heard) >= t.suspectAfter {
+				e.m.State = Suspect
+				e.since = now
+				t.transitions.WithLabelValues("suspect").Inc()
+				changed = true
+			}
 		case Suspect:
 			if t.suspectAfter >= 0 && now.Sub(e.since) >= t.suspectAfter {
 				e.m.State = Dead

@@ -201,6 +201,38 @@ func TestSuspectAliveAndTick(t *testing.T) {
 	}
 }
 
+// TestObserverAgesFromLastContact: an observer (no URL) is never
+// dialled, so Tick suspects it once this node has not heard from it —
+// by an exchange or a relayed incarnation bump — for suspectAfter. An
+// observer known only by rumor is left to the nodes that hear it.
+func TestObserverAgesFromLastContact(t *testing.T) {
+	clk := newFakeClock()
+	tb := NewTable(Member{ID: "self", URL: "http://self"}, time.Minute, time.Hour, clk.now)
+	tb.Merge([]Member{{ID: "c"}, {ID: "rumor"}, member("w", 0, Alive)})
+	tb.Alive("c") // c exchanged with us
+	clk.advance(59 * time.Second)
+	if tb.Tick() {
+		t.Fatal("Tick before suspectAfter of silence must change nothing")
+	}
+	tb.Merge([]Member{{ID: "c", Incarnation: 1}}) // c's refutation, relayed
+	clk.advance(59 * time.Second)
+	if tb.Tick() {
+		t.Fatal("a relayed incarnation bump must restart the silence clock")
+	}
+	clk.advance(time.Second)
+	if !tb.Tick() {
+		t.Fatal("Tick after suspectAfter of silence must suspect the observer")
+	}
+	for id, want := range map[string]State{"c": Suspect, "rumor": Alive, "w": Alive} {
+		if m, _ := stateOf(t, tb, id); m.State != want {
+			t.Fatalf("member %s = %+v, want %v", id, m, want)
+		}
+	}
+	if !tb.Alive("c") {
+		t.Fatal("an exchange from a suspect observer must clear the suspicion")
+	}
+}
+
 func TestVersionCountsChanges(t *testing.T) {
 	clk := newFakeClock()
 	tb := NewTable(Member{ID: "self"}, time.Minute, time.Hour, clk.now)

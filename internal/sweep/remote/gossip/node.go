@@ -206,11 +206,12 @@ func (n *Node) Suspect(id string) {
 }
 
 // HandleExchange is the receiving half of an exchange: merge the
-// caller's table, answer with ours. internal/httpapi wires it to
-// POST /v1/gossip.
+// caller's table, note the caller as alive, answer with ours.
+// internal/httpapi wires it to POST /v1/gossip.
 func (n *Node) HandleExchange(msg Message) Message {
 	n.mExchanges.WithLabelValues("in", "ok").Inc()
-	if n.table.Merge(msg.Members) {
+	changed := n.table.Merge(msg.Members)
+	if n.table.Alive(msg.From) || changed {
 		n.notify()
 	}
 	return Message{From: n.cfg.Self.ID, Members: n.table.Snapshot()}
@@ -258,13 +259,24 @@ func (n *Node) exchange(ctx context.Context, id, url string) {
 	changed := false
 	if id == "" && reply.From != "" {
 		id = reply.From
+		var other string
 		n.seedMu.Lock()
 		if n.seeds[url] != id {
 			n.seeds[url] = id
 			n.seedAnswers++
 			changed = true
+			for _, s := range n.cfg.Seeds {
+				if s != url && n.seeds[s] == id {
+					other = s
+				}
+			}
 		}
 		n.seedMu.Unlock()
+		if other != "" { // one id is one ring slot: one node would starve
+			n.log.Warn("gossip: two seed URLs answered as the same member; "+
+				"if they are different nodes, give each a distinct id or advertised URL",
+				"member", id, "seed", url, "other_seed", other)
+		}
 	}
 	changed = n.table.Merge(reply.Members) || changed
 	// The member answered: clear any lingering local suspicion.

@@ -1,9 +1,11 @@
 package remote_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -243,6 +245,7 @@ func TestCloseDuringChurnNoLeak(t *testing.T) {
 // node with an empty table at the same URL), and it counts the batches
 // it is sent.
 type gossipWorker struct {
+	id      string // member id; derived from the URL when empty
 	ts      *httptest.Server
 	api     atomic.Pointer[httpapi.Server]
 	node    atomic.Pointer[gossip.Node]
@@ -252,7 +255,14 @@ type gossipWorker struct {
 
 func startGossipWorker(t *testing.T, now func() time.Time) *gossipWorker {
 	t.Helper()
-	w := &gossipWorker{}
+	return startGossipWorkerAs(t, "", now)
+}
+
+// startGossipWorkerAs starts a worker under member id (derived from its
+// URL when empty).
+func startGossipWorkerAs(t *testing.T, id string, now func() time.Time) *gossipWorker {
+	t.Helper()
+	w := &gossipWorker{id: id}
 	w.ts = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if w.down.Load() {
 			http.Error(rw, "crashed", http.StatusServiceUnavailable)
@@ -271,10 +281,16 @@ func startGossipWorker(t *testing.T, now func() time.Time) *gossipWorker {
 // restart boots a fresh node and API, as a restarted daemon would.
 func (w *gossipWorker) restart(t *testing.T, now func() time.Time) {
 	t.Helper()
+	id := w.id
+	if id == "" {
+		id = remote.DeriveID(w.ts.URL)
+	}
 	node, err := gossip.NewNode(gossip.Config{
-		Self:     gossip.Member{ID: remote.DeriveID(w.ts.URL), URL: w.ts.URL},
-		Interval: -1,
-		Now:      now,
+		Self:         gossip.Member{ID: id, URL: w.ts.URL},
+		Interval:     -1,
+		SuspectAfter: suspectAfter,
+		Quarantine:   quarantine,
+		Now:          now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -413,9 +429,9 @@ func TestSilentWorkerLeavesRing(t *testing.T) {
 	clk := newClock()
 	w := startGossipWorker(t, clk.now)
 	c := startCoordinator(t, "coordinator", []string{w.ts.URL}, clk.now)
-	rounds(clk, 1, c.gossip)
+	// No round yet: Follow's own first round reached the seed.
 	if got := c.ring(); len(got) != 1 {
-		t.Fatalf("ring after the seed answered = %v, want the worker", got)
+		t.Fatalf("ring right after Follow = %v, want the worker", got)
 	}
 
 	w.down.Store(true)
@@ -507,9 +523,9 @@ func TestCoordinatorsNeverDispatchToEachOther(t *testing.T) {
 }
 
 // TestLocallyBuiltResultHandedOffOnReadmission: with replication on
-// and the only peer failing, the coordinator builds a spec itself; when
-// the peer is readmitted half-open, that key arrives at its
-// /v1/handoff.
+// and the only peer failing, the coordinator builds a spec itself; a
+// half-open trial the peer fails hands nothing off, and once a
+// readmitted peer serves a batch, that key arrives at its /v1/handoff.
 func TestLocallyBuiltResultHandedOffOnReadmission(t *testing.T) {
 	clk := newClock()
 	var failing atomic.Bool
@@ -556,6 +572,15 @@ func TestLocallyBuiltResultHandedOffOnReadmission(t *testing.T) {
 	if _, info, err := coord.Run(context.Background(), local); err != nil || info.Peer != "local" {
 		t.Fatalf("run with the only peer failing: info=%+v err=%v, want a local build", info, err)
 	}
+	// A half-open trial of a peer that still fails hands nothing off.
+	clk.advance(2 * time.Minute)
+	if _, info, err := coord.Run(context.Background(), sweep.Spec{Mix: "W2", Policy: "DTM-TS"}); err != nil || info.Peer != "local" {
+		t.Fatalf("run with the readmitted peer still failing: info=%+v err=%v, want a local build", info, err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if st := b.ReplicationStatus(); st.HandoffRounds != 0 || st.Dropped != 0 {
+		t.Fatalf("a failed half-open trial planned a handoff: %+v", st)
+	}
 	failing.Store(false)
 	clk.advance(2 * time.Minute)
 	if _, info, err := coord.Run(context.Background(), sweep.Spec{Mix: "W1", Policy: "DTM-BW"}); err != nil || info.Peer != "w" {
@@ -575,5 +600,77 @@ func TestLocallyBuiltResultHandedOffOnReadmission(t *testing.T) {
 				key, handed, b.ReplicationStatus())
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestSeedsAnsweringAsOneMemberWarn: two workers that share a member id
+// behind different seed URLs — flagless workers on two hosts that
+// advertise the same URL — fit one table row and one ring slot, so one
+// of them would never get a shard. The coordinator says so in a
+// warning naming both seeds.
+func TestSeedsAnsweringAsOneMemberWarn(t *testing.T) {
+	clk := newClock()
+	w1 := startGossipWorkerAs(t, "127.0.0.1:8080", clk.now)
+	w2 := startGossipWorkerAs(t, "127.0.0.1:8080", clk.now)
+	var logs bytes.Buffer
+	b := newBackend(t, fakeEngine(nil, 0), remote.Config{})
+	node, err := b.Follow(gossip.Config{
+		Self:     gossip.Member{ID: "coordinator"},
+		Seeds:    []string{w1.ts.URL, w2.ts.URL},
+		Interval: -1,
+		Now:      clk.now,
+		Logger:   slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	if st := b.Status(); len(st) != 1 {
+		t.Fatalf("ring = %+v, want the one slot of the shared id", st)
+	}
+	out := logs.String()
+	if !strings.Contains(out, "two seed URLs answered as the same member") ||
+		!strings.Contains(out, w1.ts.URL) || !strings.Contains(out, w2.ts.URL) {
+		t.Fatalf("no warning naming both seeds; log:\n%s", out)
+	}
+}
+
+// TestStoppedCoordinatorAgesOut: nobody dials a coordinator (it is an
+// observer with no URL), yet a worker ages its row from the last
+// exchange: while the coordinator gossips it stays alive, and once it
+// stops its row turns suspect, then dead, then is forgotten.
+func TestStoppedCoordinatorAgesOut(t *testing.T) {
+	clk := newClock()
+	w := startGossipWorker(t, clk.now)
+	c := startCoordinator(t, "coordinator", []string{w.ts.URL}, clk.now)
+	row := func() (gossip.Member, bool) {
+		for _, m := range w.gossip().Members() {
+			if m.ID == "coordinator" {
+				return m, true
+			}
+		}
+		return gossip.Member{}, false
+	}
+	rounds(clk, int(3*suspectAfter/interval), c.gossip, w.gossip)
+	if m, ok := row(); !ok || m.State != gossip.Alive {
+		t.Fatalf("gossiping coordinator at the worker = %+v (known %v), want alive", m, ok)
+	}
+
+	var seen []gossip.State
+	for elapsed := time.Duration(0); ; elapsed += interval {
+		m, ok := row()
+		if !ok {
+			break
+		}
+		if len(seen) == 0 || seen[len(seen)-1] != m.State {
+			seen = append(seen, m.State)
+		}
+		if elapsed > 2*suspectAfter+quarantine+3*interval {
+			t.Fatalf("stopped coordinator still in the worker's table %v later: %+v", elapsed, m)
+		}
+		rounds(clk, 1, w.gossip)
+	}
+	if want := []gossip.State{gossip.Alive, gossip.Suspect, gossip.Dead}; !slices.Equal(seen, want) {
+		t.Fatalf("coordinator row went %v before it was forgotten, want %v", seen, want)
 	}
 }

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -74,9 +75,9 @@ type Config struct {
 	OnPeerDown func(id string, cause error)
 	// Replication enables RF=2: every result a peer builds for this
 	// coordinator is asynchronously pushed to its key's ring successor
-	// via POST /v1/handoff, and every ring rebuild that admits a member
-	// streams the cached results it became responsible for to it (see
-	// Entries) — results the coordinator built itself included.
+	// via POST /v1/handoff, and every member the ring admits (a join or
+	// a served half-open retry) is streamed the cached results it became
+	// responsible for (see Entries), the coordinator's own builds too.
 	// Best-effort: delivery failures cost cache warmth, never sweep
 	// correctness.
 	Replication bool
@@ -146,6 +147,7 @@ type peer struct {
 
 	requests atomic.Int64
 	failures atomic.Int64
+	halfOpen atomic.Bool // readmitted after its backoff, no batch answered yet
 
 	// Guarded by Backend.mu.
 	up        bool
@@ -307,8 +309,10 @@ func (b *Backend) SetMembers(peers []Peer) {
 // reaches it by — and passes b's dispatch-failure ejections to the node
 // as suspicions, after Config.OnPeerDown. The node gossips as an
 // observer (cfg.Self.URL is cleared), so no other coordinator's ring can
-// hold this one. Follow replaces cfg.OnChange. Call it once, before the
-// backend is shared; Close the node when done.
+// hold this one. Follow runs the first round (bounded by cfg.Timeout
+// per exchange) before it returns, so the ring holds the answering seeds
+// before the backend takes traffic. Follow replaces cfg.OnChange. Call
+// it once, before the backend is shared; Close the node when done.
 func (b *Backend) Follow(cfg gossip.Config) (*gossip.Node, error) {
 	self := cfg.Self.ID
 	cfg.Self.URL = ""
@@ -332,6 +336,7 @@ func (b *Backend) Follow(cfg gossip.Config) (*gossip.Node, error) {
 		}
 		n.Suspect(id)
 	}
+	n.Round(context.Background())
 	return n, nil
 }
 
@@ -400,19 +405,18 @@ func (b *Backend) eject(p *peer, cause error) {
 
 // readmitExpired returns ejected peers whose backoff has elapsed to the
 // ring, so request routing retries them (half-open); a failure ejects
-// them again. A readmission is a ring rebuild that admits a member, so
-// it hands off like a join.
+// them again, and a served batch ends the trial (see answered).
 func (b *Backend) readmitExpired() {
 	if b.down.Load() == 0 {
 		return // all peers admitted: stay off the write lock
 	}
 	now := b.now()
 	b.mu.Lock()
-	oldRing, oldRingPeers := b.ring, b.ringPeers
 	changed := false
 	for _, p := range b.peers {
 		if !p.up && !now.Before(p.downUntil) {
 			p.up = true
+			p.halfOpen.Store(true)
 			b.down.Add(-1)
 			changed = true
 			b.mTransition.WithLabelValues(p.id, "half_open").Inc()
@@ -423,8 +427,21 @@ func (b *Backend) readmitExpired() {
 		b.rebuildLocked()
 	}
 	b.mu.Unlock()
-	if changed {
-		b.handoff(oldRing, oldRingPeers, nil)
+}
+
+// answered ends p's half-open trial once it has served a batch: the
+// readmission then hands off like a join. A peer still failing is
+// ejected again first, so backoff expiries of a dead peer walk no cache.
+func (b *Backend) answered(p *peer) {
+	if !p.halfOpen.CompareAndSwap(true, false) {
+		return
+	}
+	b.mu.RLock()
+	admitted := p.up && !p.gone
+	oldRing, oldPeers := b.ringOf(b.ringPeers, p), b.ringPeers
+	b.mu.RUnlock()
+	if admitted {
+		b.handoff(oldRing, oldPeers, nil)
 	}
 }
 
@@ -433,17 +450,23 @@ func (b *Backend) readmitExpired() {
 // against an old ring stay valid even after SetMembers rewrites b.peers.
 // Callers hold b.mu (or exclusive access during construction).
 func (b *Backend) rebuildLocked() {
-	ids := make([]string, len(b.peers))
+	b.ring = b.ringOf(b.peers, nil)
+	b.ringPeers = append([]*peer(nil), b.peers...)
+	b.countMovedLocked()
+}
+
+// ringOf builds the ring of the admitted peers other than skip, with
+// indices into peers.
+func (b *Backend) ringOf(peers []*peer, skip *peer) *ring {
+	ids := make([]string, len(peers))
 	var members []int
-	for i, p := range b.peers {
+	for i, p := range peers {
 		ids[i] = p.id
-		if p.up {
+		if p.up && p != skip {
 			members = append(members, i)
 		}
 	}
-	b.ring = buildRing(ids, members, b.cfg.Vnodes)
-	b.ringPeers = append([]*peer(nil), b.peers...)
-	b.countMovedLocked()
+	return buildRing(ids, members, b.cfg.Vnodes)
 }
 
 // OwnerOf reports the id of the ring member spec currently routes to —
