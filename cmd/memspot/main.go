@@ -47,7 +47,8 @@ func main() {
 	eng := sweep.NewEngine(core.NewSystem(cfg), 0)
 	if *segDir != "" {
 		fail(eng.EnableSegmentLog(*segDir, 0))
-		fmt.Printf("replayed %d level-1 records from %s\n", eng.System().Store().Len(), *segDir)
+		st, _ := eng.StateStats()
+		fmt.Printf("replayed %d level-1 records, skipped %d, from %s\n", eng.System().Store().Len(), st.SkippedTraces, *segDir)
 	}
 
 	spec := sweep.Spec{Mix: *mixName, Policy: *policy, Cooling: *cooling, Model: *model}

@@ -37,7 +37,6 @@
 //	go run ./examples/clusterdtm
 //	go run ./examples/clusterdtm -mixes W1,W2 -policies DTM-TS,DTM-BW
 //	go run ./examples/clusterdtm -instrscale 0.02     # CI-sized workload
-//	go run ./examples/clusterdtm -table-out /tmp/t.txt  # dump the table for diffing
 package main
 
 import (
@@ -48,7 +47,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,7 +66,6 @@ var (
 	policies = flag.String("policies", "DTM-TS,DTM-BW,DTM-ACG,DTM-CDVFS", "comma-separated DTM policies")
 	full     = flag.Bool("full", false, "full-scale batches (default is a fast demo scale)")
 	scale    = flag.Float64("instrscale", 0, "override the application length scale factor")
-	tableOut = flag.String("table-out", "", "also write the cluster sweep's report table to this file")
 )
 
 // newEngine builds a demo-scale engine. Every node of the cluster must
@@ -645,11 +642,4 @@ func main() {
 	fmt.Printf("  ✓ mid-sweep joiner worker-3 served %d batch shard(s), %d spec(s)\n",
 		joinerBatches, served["worker-3"])
 	fmt.Printf("\n✓ no worker received a %s request in any scenario\n", remote.ExecPath)
-
-	if *tableOut != "" {
-		if err := os.WriteFile(*tableOut, []byte(clusterTable), 0o644); err != nil {
-			log.Fatalf("-table-out: %v", err)
-		}
-		fmt.Printf("\ntable written to %s\n", *tableOut)
-	}
 }

@@ -81,6 +81,7 @@ func DefaultConfig() Config {
 type System struct {
 	cfg   Config
 	store *trace.Store
+	l1    *sim.Level1
 }
 
 // NewSystem builds a System for cfg.
@@ -93,7 +94,7 @@ func NewSystem(cfg Config) *System {
 	if len(cfg.DVFS) > 0 {
 		l1.MaxFreqGHz = cfg.DVFS[0].FreqGHz
 	}
-	return &System{cfg: cfg, store: trace.NewStore(l1)}
+	return &System{cfg: cfg, store: trace.NewStore(l1), l1: l1}
 }
 
 // Config returns the system configuration.
@@ -101,6 +102,10 @@ func (s *System) Config() Config { return s.cfg }
 
 // Store exposes the shared trace store.
 func (s *System) Store() *trace.Store { return s.store }
+
+// Level1Digest returns the digest of the level-1 builder behind Store
+// (sim.Level1.Digest): the scope of the store's records.
+func (s *System) Level1Digest() string { return s.l1.Digest() }
 
 // RunSpec describes one level-2 run.
 type RunSpec struct {

@@ -1,11 +1,13 @@
 // Package cpu models the multicore processor of the level-1 architectural
 // simulator (Table 4.1): cores that retire instructions at an
 // issue-limited rate, generate L2 accesses from their workload's synthetic
-// stream, sustain a bounded number of outstanding misses (MSHR-limited
-// memory-level parallelism), and support the two DTM actuators — per-core
-// clock gating (DTM-ACG) and chip-wide DVFS (DTM-CDVFS). Speculative
-// traffic scales with core frequency, reproducing the §4.4.2 observation
-// that slower cores generate fewer speculative memory accesses.
+// stream, and sustain a bounded number of outstanding misses (MSHR-limited
+// memory-level parallelism). DTM reaches this level only through the
+// design point a level-1 build simulates: a gated core is a program left
+// out of the Apps key (DTM-ACG), and DVFS is the chip-wide clock SetFreq
+// fixes for the build (DTM-CDVFS). Speculative traffic scales with core
+// frequency, reproducing the §4.4.2 observation that slower cores
+// generate fewer speculative memory accesses.
 package cpu
 
 import (
@@ -58,7 +60,6 @@ type Core struct {
 	prof    *workload.Profile
 	stream  *workload.Stream
 	freqGHz float64
-	gated   bool
 
 	phaseMul float64 // memory-intensity multiplier for the current phase
 
@@ -165,9 +166,6 @@ func (m *Multicore) Mem() *memctrl.Controller { return m.mem }
 // Now returns the current simulation time in ns.
 func (m *Multicore) Now() float64 { return m.now }
 
-// TickNS returns the simulation step (one DDR2 clock).
-func (m *Multicore) TickNS() float64 { return m.tickNS }
-
 // Assign binds a program to core id with the given memory-intensity
 // phase multiplier (1 = the profile's nominal intensity). Passing nil
 // idles the core.
@@ -190,18 +188,12 @@ func (m *Multicore) Assign(id int, p *workload.Profile, phaseMul float64) {
 	}
 }
 
-// SetFreq sets all cores to f GHz (DTM-CDVFS actuator).
+// SetFreq sets all cores to f GHz.
 func (m *Multicore) SetFreq(f float64) {
 	for _, c := range m.cores {
 		c.freqGHz = f
 	}
 }
-
-// SetGated clock-gates or ungates core id (DTM-ACG actuator).
-func (m *Multicore) SetGated(id int, gated bool) { m.cores[id].gated = gated }
-
-// Gated reports whether core id is gated.
-func (m *Multicore) Gated(id int) bool { return m.cores[id].gated }
 
 // gap returns the instruction distance to the next L2 access under the
 // profile's current phase multiplier.
@@ -260,7 +252,7 @@ func (m *Multicore) RunFor(ns float64) {
 }
 
 func (m *Multicore) advanceCore(c *Core) {
-	if c.prof == nil || c.gated || c.freqGHz <= 0 {
+	if c.prof == nil || c.freqGHz <= 0 {
 		return
 	}
 	// Retry deferred writebacks first; they only need queue space.

@@ -79,24 +79,6 @@ func TestFrequencyScaling(t *testing.T) {
 	}
 }
 
-func TestGating(t *testing.T) {
-	mc := machine(t)
-	mc.Assign(0, &cpuOnly, 1)
-	mc.SetGated(0, true)
-	if !mc.Gated(0) {
-		t.Fatal("gate not set")
-	}
-	mc.RunFor(1e4)
-	if got := mc.Cores()[0].Stats().Retired; got != 0 {
-		t.Fatalf("gated core retired %v instructions", got)
-	}
-	mc.SetGated(0, false)
-	mc.RunFor(1e4)
-	if mc.Cores()[0].Stats().Retired == 0 {
-		t.Fatal("ungated core did not run")
-	}
-}
-
 // TestMemoryTraffic: a memory-bound profile produces controller traffic
 // and outstanding misses never exceed MLP.
 func TestMemoryTraffic(t *testing.T) {

@@ -4,8 +4,10 @@
 // (adaptive core gating) and DTM-CDVFS (coordinated DVFS), the Chapter 5
 // combination DTM-COMB, and PID-controlled variants of BW/ACG/CDVFS
 // (§4.2.3). A policy observes sensor temperatures once per DTM interval
-// and outputs an Action; the level-2 simulator and the platform emulator
-// apply the action through their actuators.
+// and outputs an Action. Both level-2 loops decide only through a
+// Policy: the Chapter 4 simulator (sim.MEMSpot) maps the action onto a
+// level-1 design point, and the Chapter 5 platform emulator
+// (platform.Server) runs its Table 5.1 levels as NewTable policies.
 package dtm
 
 import (
@@ -142,7 +144,7 @@ func (p *TS) Decide(in Input) Action {
 type levelPolicy struct {
 	name    string
 	levels  Levels
-	actions []Action // one per level, len 5 (or 4 for Chapter 5 tables)
+	actions []Action // one per level, len 5
 	release fbconfig.Celsius
 	off     bool
 }
@@ -238,9 +240,10 @@ func NewCOMB(levels Levels, cores int) Policy {
 	}
 }
 
-// NewTable builds a policy from an explicit action table (used for the
-// Chapter 5 four-level tables and DTM-COMB). actions[i] applies at
-// emergency level i+1.
+// NewTable builds a policy from an explicit action table: the Chapter 5
+// platforms build their Table 5.1 policies with it (four running levels
+// plus a safety level, release 0). actions[i] applies at emergency level
+// i+1; a reading above the table's last level applies the last entry.
 func NewTable(name string, levels Levels, actions []Action, release fbconfig.Celsius) (Policy, error) {
 	if len(actions) == 0 {
 		return nil, fmt.Errorf("dtm: empty action table for %s", name)

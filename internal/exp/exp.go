@@ -80,7 +80,6 @@ type pfKey struct {
 	policy       platform.PolicyKind
 	runsPerApp   int
 	quantumS     float64
-	intervalS    float64
 	instrScale   float64
 	sensorSeed   int64
 	ambient, tdp fbconfig.Celsius
@@ -192,7 +191,7 @@ func (r *Runner) pfKey(cfg platform.RunConfig) pfKey {
 	return pfKey{
 		machine: c.Machine.Name, mix: c.Mix.Name, apps: strings.Join(c.Mix.Apps, ","),
 		policy: c.Policy, runsPerApp: c.RunsPerApp, quantumS: c.QuantumS,
-		intervalS: c.IntervalS, instrScale: c.InstrScale, sensorSeed: c.SensorSeed,
+		instrScale: c.InstrScale, sensorSeed: c.SensorSeed,
 		ambient: c.AmbientOverride, tdp: c.TDPOverride,
 		forceFreqIdx: c.ForceFreqIdx, maxSeconds: c.MaxSeconds,
 	}

@@ -153,7 +153,6 @@ func TestPfKeyCanonical(t *testing.T) {
 	explicit.RunsPerApp = 1 // quick mode
 	explicit.SensorSeed = 7
 	explicit.QuantumS = 0.1
-	explicit.IntervalS = 1
 	explicit.InstrScale = 1
 	explicit.ForceFreqIdx = -1
 	explicit.MaxSeconds = 100000
@@ -164,7 +163,6 @@ func TestPfKeyCanonical(t *testing.T) {
 	keys := map[pfKey]string{r.pfKey(base): "base"}
 	for name, mod := range map[string]func(*platform.RunConfig){
 		"MaxSeconds": func(c *platform.RunConfig) { c.MaxSeconds = 5000 },
-		"IntervalS":  func(c *platform.RunConfig) { c.IntervalS = 0.5 },
 		"InstrScale": func(c *platform.RunConfig) { c.InstrScale = 0.5 },
 		"QuantumS":   func(c *platform.RunConfig) { c.QuantumS = 0.02 },
 		"Machine":    func(c *platform.RunConfig) { c.Machine = r.sr },

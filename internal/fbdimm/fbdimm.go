@@ -1,9 +1,12 @@
 // Package fbdimm is a transaction-level simulator of the Fully Buffered
 // DIMM interconnect of §3.2: daisy-chained AMBs on narrow south/northbound
 // links, DDR2 banks behind each AMB, close-page auto-precharge timing, and
-// variable read latency (VRL) by chain position. It produces exactly the
-// quantities the Chapter 3 power model consumes: per-DIMM local read/write
-// bytes and per-AMB bypass bytes.
+// variable read latency (VRL) by chain position. It accounts per-DIMM
+// local read/write bytes and per-AMB bypass bytes (Fig. 3.2). The level-2
+// power model does not read that split: it assumes an even share per
+// DIMM, and the split feeds the oracle test that checks the assumption.
+// DTM never acts on a channel directly; a design point's bandwidth cap
+// is enforced upstream by the memory controller.
 //
 // The simulated unit is one *logical* channel: a ganged pair of physical
 // channels that together move one 64-byte line per transaction (burst
@@ -66,12 +69,10 @@ type Channel struct {
 	dimms  int
 	banks  int
 
-	bankFree   []float64 // next-free time per (dimm*banks+bank)
-	southFree  float64   // southbound link (commands + write data)
-	northFree  float64   // northbound link (read returns)
-	traffic    []DIMMTrafficBytes
-	readBytes  uint64
-	writeBytes uint64
+	bankFree  []float64 // next-free time per (dimm*banks+bank)
+	southFree float64   // southbound link (commands + write data)
+	northFree float64   // northbound link (read returns)
+	traffic   []DIMMTrafficBytes
 }
 
 // NewChannel builds a channel with the given DIMM/bank geometry.
@@ -90,9 +91,6 @@ func NewChannel(t Timing, dimms, banks int) (*Channel, error) {
 
 // DIMMs returns the number of DIMMs on the channel.
 func (c *Channel) DIMMs() int { return c.dimms }
-
-// Banks returns the number of banks per DIMM.
-func (c *Channel) Banks() int { return c.banks }
 
 // BankFreeAt returns when the given bank is next free.
 func (c *Channel) BankFreeAt(dimm, bank int) float64 { return c.bankFree[dimm*c.banks+bank] }
@@ -135,7 +133,6 @@ func (c *Channel) Issue(now float64, dimm, bank int, write bool) float64 {
 		// Write data streams down the southbound link.
 		c.southFree = now + c.timing.WriteBurstNS
 		c.traffic[dimm].LocalWrite += 64
-		c.writeBytes += 64
 		// Posted write: requester is done once the data is accepted.
 		return now + c.timing.WriteBurstNS + hop
 	}
@@ -149,7 +146,6 @@ func (c *Channel) Issue(now float64, dimm, bank int, write bool) float64 {
 	}
 	c.northFree = start + c.timing.ReadBurstNS
 	c.traffic[dimm].LocalRead += 64
-	c.readBytes += 64
 	return start + c.timing.ReadBurstNS + hop + c.timing.CtrlOverheadNS
 }
 
@@ -160,22 +156,10 @@ func (c *Channel) Traffic() []DIMMTrafficBytes {
 	return out
 }
 
-// Bytes returns total read and write bytes moved on the channel.
-func (c *Channel) Bytes() (read, write uint64) { return c.readBytes, c.writeBytes }
-
 // ResetStats clears traffic counters (bank/link state is kept), used after
 // level-1 warmup.
 func (c *Channel) ResetStats() {
 	for i := range c.traffic {
 		c.traffic[i] = DIMMTrafficBytes{}
 	}
-	c.readBytes, c.writeBytes = 0, 0
-}
-
-// MinReadLatencyNS returns the unloaded read latency of a DIMM: the
-// quantity that varies with chain position under VRL.
-func (c *Channel) MinReadLatencyNS(dimm int) float64 {
-	return c.timing.TRCD + c.timing.TCL + c.timing.ReadBurstNS +
-		2*c.timing.HopNS*float64(dimm) + c.timing.CtrlOverheadNS +
-		c.timing.AMBFixedNS
 }

@@ -2,7 +2,10 @@
 // 64-entry transaction queue, line-interleaved address mapping across
 // logical channels/banks/DIMMs, first-ready FCFS scheduling over the
 // fbdimm channel model, and the row-activation throttling window that
-// implements bandwidth capping (the DTM-BW actuator, §2.3/§5.2.1).
+// implements bandwidth capping (§2.3/§5.2.1). DTM reaches this level
+// only through the design point a level-1 build simulates: a bandwidth
+// cap is set once per build, and a MemOff point is a zero record that
+// never reaches the controller.
 package memctrl
 
 import (
@@ -90,7 +93,6 @@ type Controller struct {
 	windowStart    float64
 	windowBudget   float64 // transactions remaining this window
 	budgetValid    bool
-	shutdown       bool // DTM-TS / L5: memory fully stopped
 
 	chBits, dimmBits, bankBits uint
 }
@@ -137,21 +139,6 @@ func (c *Controller) SetBandwidthCap(gbps float64) {
 	}
 	c.budgetValid = false
 }
-
-// BandwidthCap returns the current cap in GB/s (+Inf when unlimited).
-func (c *Controller) BandwidthCap() float64 {
-	if math.IsInf(c.capBytesPerSec, 1) {
-		return math.Inf(1)
-	}
-	return c.capBytesPerSec / 1e9
-}
-
-// SetShutdown stops (true) or resumes (false) all memory transactions,
-// the DTM-TS actuator. Queued requests stay queued while shut down.
-func (c *Controller) SetShutdown(down bool) { c.shutdown = down }
-
-// Shutdown reports whether the memory system is stopped.
-func (c *Controller) Shutdown() bool { return c.shutdown }
 
 // QueueLen returns the number of waiting requests.
 func (c *Controller) QueueLen() int { return len(c.queue) }
@@ -218,35 +205,33 @@ func (c *Controller) Tick(now float64) []Completion {
 // allocation-free.
 func (c *Controller) TickAppend(now float64, out []Completion) []Completion {
 	c.refillWindow(now)
-	if !c.shutdown {
-		issued := 0
-		for i := 0; i < len(c.queue) && issued < c.cfg.MaxIssuesPerTick; i++ {
-			if c.windowBudget < 1 {
-				c.stats.ThrottleHit++
-				break
-			}
-			r := c.queue[i]
-			ch := c.channels[r.channel]
-			if !ch.CanIssue(now, r.dimm, r.bank, r.Write) {
-				continue
-			}
-			done := ch.Issue(now, r.dimm, r.bank, r.Write)
-			if !math.IsInf(c.windowBudget, 1) {
-				c.windowBudget--
-			}
-			c.stats.Issued++
-			if r.Write {
-				c.stats.WriteBytes += 64
-			} else {
-				c.stats.ReadBytes += 64
-				c.stats.LatencySum += done - r.enqueued
-				c.stats.LatencyN++
-			}
-			c.completions.push(Completion{Req: r, Time: done})
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			i--
-			issued++
+	issued := 0
+	for i := 0; i < len(c.queue) && issued < c.cfg.MaxIssuesPerTick; i++ {
+		if c.windowBudget < 1 {
+			c.stats.ThrottleHit++
+			break
 		}
+		r := c.queue[i]
+		ch := c.channels[r.channel]
+		if !ch.CanIssue(now, r.dimm, r.bank, r.Write) {
+			continue
+		}
+		done := ch.Issue(now, r.dimm, r.bank, r.Write)
+		if !math.IsInf(c.windowBudget, 1) {
+			c.windowBudget--
+		}
+		c.stats.Issued++
+		if r.Write {
+			c.stats.WriteBytes += 64
+		} else {
+			c.stats.ReadBytes += 64
+			c.stats.LatencySum += done - r.enqueued
+			c.stats.LatencyN++
+		}
+		c.completions.push(Completion{Req: r, Time: done})
+		c.queue = append(c.queue[:i], c.queue[i+1:]...)
+		i--
+		issued++
 	}
 
 	for len(c.completions) > 0 && c.completions[0].Time <= now {
@@ -255,57 +240,14 @@ func (c *Controller) TickAppend(now float64, out []Completion) []Completion {
 	return out
 }
 
-// Drain returns the time by which all in-flight and queued work would
-// finish if ticked continuously from now; used by tests.
-func (c *Controller) Drain(now float64) (float64, []Completion) {
-	var all []Completion
-	t := now
-	for len(c.queue) > 0 || len(c.completions) > 0 {
-		t += c.cfg.Timing.ClockNS
-		all = append(all, c.Tick(t)...)
-		if t > now+1e9 { // 1 s safety bound
-			break
-		}
-	}
-	return t, all
-}
-
 // Stats returns aggregate controller statistics.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// Channels exposes the underlying channels (read-mostly, for traffic
-// accounting by the power model).
+// Channels exposes the underlying channels. Their per-DIMM traffic
+// split feeds the even-share oracle (sim's TestEvenShareAssumption),
+// which checks the power model's even-share assumption; the power model
+// itself never reads it.
 func (c *Controller) Channels() []*fbdimm.Channel { return c.channels }
-
-// TrafficGBps converts the per-DIMM byte counters accumulated since the
-// last ResetStats into *per-physical-DIMM* GB/s over a window of winNS
-// nanoseconds. The logical channel is a ganged pair, so physical traffic
-// is half the logical counters. The result has Channels()×DIMMs entries,
-// channel-major.
-func (c *Controller) TrafficGBps(winNS float64) []PhysDIMMTraffic {
-	out := make([]PhysDIMMTraffic, 0, len(c.channels)*c.cfg.DIMMs)
-	if winNS <= 0 {
-		winNS = 1
-	}
-	scale := 1.0 / (winNS / 1e9) / 1e9 / 2 // bytes→GB/s, halved for ganging
-	for _, ch := range c.channels {
-		for _, t := range ch.Traffic() {
-			out = append(out, PhysDIMMTraffic{
-				LocalReadGBps:  float64(t.LocalRead) * scale,
-				LocalWriteGBps: float64(t.LocalWrite) * scale,
-				BypassGBps:     float64(t.Bypass) * scale,
-			})
-		}
-	}
-	return out
-}
-
-// PhysDIMMTraffic is per-physical-DIMM throughput.
-type PhysDIMMTraffic struct {
-	LocalReadGBps  float64
-	LocalWriteGBps float64
-	BypassGBps     float64
-}
 
 // ResetStats clears throughput/latency counters (in-flight state kept).
 func (c *Controller) ResetStats() {

@@ -76,31 +76,6 @@ func TestQueueFullRejection(t *testing.T) {
 	}
 }
 
-func TestShutdownBlocksIssue(t *testing.T) {
-	c := mustNew(t)
-	c.Enqueue(&Request{Addr: 0}, 0)
-	c.SetShutdown(true)
-	for now := 0.0; now < 1000; now += 3 {
-		if comps := c.Tick(now); len(comps) > 0 {
-			t.Fatal("completion while shut down")
-		}
-	}
-	if c.QueueLen() != 1 {
-		t.Fatal("queued request vanished during shutdown")
-	}
-	c.SetShutdown(false)
-	done := false
-	for now := 1000.0; now < 2000; now += 3 {
-		if len(c.Tick(now)) > 0 {
-			done = true
-			break
-		}
-	}
-	if !done {
-		t.Fatal("request not served after resume")
-	}
-}
-
 func TestCompletionAndLatency(t *testing.T) {
 	c := mustNew(t)
 	r := &Request{Core: 2, Addr: 64}
@@ -127,9 +102,6 @@ func TestCompletionAndLatency(t *testing.T) {
 func TestBandwidthCap(t *testing.T) {
 	c := mustNew(t)
 	c.SetBandwidthCap(2.0)
-	if c.BandwidthCap() != 2.0 {
-		t.Fatalf("cap = %v", c.BandwidthCap())
-	}
 	served := 0
 	addr := uint64(0)
 	horizon := 2e6 // 2 ms
@@ -146,11 +118,6 @@ func TestBandwidthCap(t *testing.T) {
 	}
 	if c.Stats().ThrottleHit == 0 {
 		t.Fatal("throttle never engaged")
-	}
-	// Disabling the cap restores full speed.
-	c.SetBandwidthCap(0)
-	if !math.IsInf(c.BandwidthCap(), 1) {
-		t.Fatal("cap not cleared")
 	}
 }
 
@@ -174,6 +141,8 @@ func TestUncappedThroughputNearLinkLimit(t *testing.T) {
 	}
 }
 
+// TestTrafficGBps: the channels' per-DIMM local traffic adds up to the
+// bytes the controller issued, one entry per (channel, DIMM).
 func TestTrafficGBps(t *testing.T) {
 	c := mustNew(t)
 	addr := uint64(0)
@@ -184,29 +153,34 @@ func TestTrafficGBps(t *testing.T) {
 		}
 		c.Tick(now)
 	}
-	tr := c.TrafficGBps(1e5)
 	p := fbconfig.DefaultSimParams
-	if len(tr) != p.LogicalChannels*p.DIMMsPerChannel {
-		t.Fatalf("traffic entries = %d", len(tr))
+	var entries int
+	var local uint64
+	for _, ch := range c.Channels() {
+		for _, d := range ch.Traffic() {
+			local += d.LocalRead + d.LocalWrite
+			entries++
+		}
 	}
-	var local float64
-	for _, d := range tr {
-		local += d.LocalReadGBps + d.LocalWriteGBps
+	if entries != p.LogicalChannels*p.DIMMsPerChannel {
+		t.Fatalf("traffic entries = %d", entries)
 	}
-	// Per-physical traffic is half the logical total.
 	st := c.Stats()
-	want := float64(st.ReadBytes+st.WriteBytes) / 1e5 / 2
-	if math.Abs(local-want) > want*0.01+1e-9 {
-		t.Fatalf("local sum %v, want %v", local, want)
+	if local == 0 || local != st.ReadBytes+st.WriteBytes {
+		t.Fatalf("local sum %d, want %d", local, st.ReadBytes+st.WriteBytes)
 	}
 }
 
+// TestDrain: ticking an idle controller serves every queued request.
 func TestDrain(t *testing.T) {
 	c := mustNew(t)
 	for i := 0; i < 10; i++ {
 		c.Enqueue(&Request{Addr: uint64(i) * 64}, 0)
 	}
-	_, comps := c.Drain(0)
+	var comps []Completion
+	for now := 0.0; len(comps) < 10 && now < 1e6; now += 3 {
+		comps = c.TickAppend(now, comps)
+	}
 	if len(comps) != 10 {
 		t.Fatalf("drained %d of 10", len(comps))
 	}

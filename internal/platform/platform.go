@@ -4,10 +4,12 @@
 // two dual-core Xeon 5160 sockets (one shared L2 per socket), FBDIMM
 // memory behind an Intel-5000X-style controller, strong CPU→memory
 // thermal interaction (the cooling air passes the processors before the
-// DIMMs), noisy AMB sensors, and software DTM with a one-second interval
-// implemented through the three OS mechanisms of §5.2.1: chipset
-// activation-window bandwidth throttling, CPU hotplug (core gating with
-// Linux time-quantum sharing of the remaining core), and cpufreq DVFS.
+// DIMMs), noisy AMB sensors, and software DTM with a one-second interval.
+// The DTM decision is a dtm level-table policy per Table 5.1 (newPolicy);
+// the server applies its action through the three OS mechanisms of
+// §5.2.1: chipset activation-window bandwidth throttling, CPU hotplug
+// (core gating with Linux time-quantum sharing of the remaining core),
+// and cpufreq DVFS.
 package platform
 
 import (
@@ -168,54 +170,47 @@ func (k PolicyKind) String() string {
 // PolicyKinds lists the Chapter 5 policies in presentation order.
 func PolicyKinds() []PolicyKind { return []PolicyKind{NoLimit, BW, ACG, CDVFS, COMB} }
 
-// runLevel is the thermal running level 0..3 (Table 5.1 L1..L4), plus a
-// safety level 4 (open-loop cap engaged above the TDP band).
-type runLevel struct {
-	cores   int     // active cores (4, 3, or 2)
-	freqIdx int     // Xeon DVFS index
-	cap     float64 // GB/s, +Inf = uncapped
-}
-
-// levelTable returns the Table 5.1 running levels for policy k on m.
-func levelTable(m Machine, k PolicyKind) []runLevel {
+// newPolicy builds the software DTM policy k for m (Table 5.1): a dtm
+// level table over the machine's AMB boundaries, with a fifth, safety
+// level that engages the open-loop cap above the top band. The
+// platforms have no DRAM sensor, so their DRAM boundaries never bind.
+// It also returns the boundaries, which index RunResult.LevelTimeS.
+func newPolicy(m Machine, k PolicyKind) (dtm.Policy, dtm.Levels, error) {
 	inf := dtm.NoCap()
+	levels := dtm.Levels{AMB: m.AMBLevels, DRAM: [4]fbconfig.Celsius{inf, inf, inf, inf}}
+	row := func(cores, freqIdx int, cap float64) dtm.Action {
+		return dtm.Action{ActiveCores: cores, FreqIndex: freqIdx, BWCapGBps: cap}
+	}
+	var actions []dtm.Action
 	switch k {
 	case NoLimit:
-		return []runLevel{{4, 0, inf}, {4, 0, inf}, {4, 0, inf}, {4, 0, inf}, {4, 0, inf}}
+		return &dtm.NoLimit{Cores: 4}, levels, nil
 	case BW:
-		return []runLevel{
-			{4, 0, inf}, {4, 0, m.BWCaps[0]}, {4, 0, m.BWCaps[1]}, {4, 0, m.BWCaps[2]},
-			{4, 0, m.BWCaps[2]},
+		actions = []dtm.Action{
+			row(4, 0, inf), row(4, 0, m.BWCaps[0]), row(4, 0, m.BWCaps[1]), row(4, 0, m.BWCaps[2]),
+			row(4, 0, m.BWCaps[2]),
 		}
 	case ACG:
-		return []runLevel{
-			{4, 0, inf}, {3, 0, inf}, {2, 0, inf}, {2, 0, m.BWCaps[2]},
-			{2, 0, m.BWCaps[2]},
+		// ACG keeps at least one core per socket (§5.2.2).
+		actions = []dtm.Action{
+			row(4, 0, inf), row(3, 0, inf), row(2, 0, inf), row(2, 0, m.BWCaps[2]),
+			row(2, 0, m.BWCaps[2]),
 		}
 	case CDVFS:
-		return []runLevel{
-			{4, 0, inf}, {4, 1, inf}, {4, 2, inf}, {4, 3, inf},
-			{4, 3, m.BWCaps[2]},
+		actions = []dtm.Action{
+			row(4, 0, inf), row(4, 1, inf), row(4, 2, inf), row(4, 3, inf),
+			row(4, 3, m.BWCaps[2]),
 		}
 	case COMB:
-		return []runLevel{
-			{4, 0, inf}, {3, 1, inf}, {2, 2, inf}, {2, 3, inf},
-			{2, 3, m.BWCaps[2]},
+		actions = []dtm.Action{
+			row(4, 0, inf), row(3, 1, inf), row(2, 2, inf), row(2, 3, inf),
+			row(2, 3, m.BWCaps[2]),
 		}
 	default:
-		panic(fmt.Sprintf("platform: unknown policy %v", k))
+		return nil, levels, fmt.Errorf("platform: unknown policy %v", k)
 	}
-}
-
-// levelOf maps a sensor reading onto a running level index using the
-// machine's Table 5.1 boundaries (index 4 = above the top band).
-func levelOf(m Machine, amb fbconfig.Celsius) int {
-	for i, b := range m.AMBLevels {
-		if amb < b {
-			return i
-		}
-	}
-	return len(m.AMBLevels)
+	p, err := dtm.NewTable(k.String(), levels, actions, 0)
+	return p, levels, err
 }
 
 // domainKey canonicalizes a per-socket assignment into a design-point key

@@ -1,10 +1,12 @@
 package platform
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"dramtherm/internal/dtm"
 	"dramtherm/internal/trace"
 	"dramtherm/internal/workload"
 )
@@ -39,43 +41,62 @@ func TestMachines(t *testing.T) {
 }
 
 func TestLevelOf(t *testing.T) {
-	m := SR1500AL()
-	cases := map[float64]int{80: 0, 87: 1, 91: 2, 95: 3, 99: 4, 120: 4}
+	_, levels, err := newPolicy(SR1500AL(), BW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// dtm levels run 1..5; LevelTimeS slots 0..4.
+	cases := map[float64]int{80: 1, 87: 2, 91: 3, 95: 4, 99: 5, 120: 5}
 	for amb, want := range cases {
-		if got := levelOf(m, amb); got != want {
-			t.Errorf("levelOf(%v) = %d, want %d", amb, got, want)
+		if got := levels.Level(amb, 0); got != want {
+			t.Errorf("Level(%v) = %d, want %d", amb, got, want)
 		}
 	}
 }
 
 func TestLevelTables(t *testing.T) {
 	m := SR1500AL()
-	for _, k := range PolicyKinds() {
-		lt := levelTable(m, k)
-		if len(lt) != 5 {
-			t.Fatalf("%v table = %d levels", k, len(lt))
+	// decide at a reading inside each of the five levels.
+	readings := []float64{80, 87, 91, 95, 99}
+	table := func(k PolicyKind) []dtm.Action {
+		p, _, err := newPolicy(m, k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Level 0 is always full speed.
-		if lt[0].cores != 4 || lt[0].freqIdx != 0 || !math.IsInf(lt[0].cap, 1) {
-			t.Fatalf("%v level0 = %+v", k, lt[0])
+		if p.Name() != k.String() {
+			t.Fatalf("policy name %q, want %q", p.Name(), k)
+		}
+		out := make([]dtm.Action, len(readings))
+		for i, r := range readings {
+			out[i] = p.Decide(dtm.Input{AMB: r})
+		}
+		return out
+	}
+	for _, k := range PolicyKinds() {
+		// Level 1 is always full speed.
+		if a := table(k)[0]; a.ActiveCores != 4 || a.FreqIndex != 0 || !math.IsInf(a.BWCapGBps, 1) {
+			t.Fatalf("%v level 1 = %+v", k, a)
 		}
 	}
-	acg := levelTable(m, ACG)
-	if acg[1].cores != 3 || acg[2].cores != 2 {
+	acg := table(ACG)
+	if acg[1].ActiveCores != 3 || acg[2].ActiveCores != 2 {
 		t.Fatal("ACG core ladder wrong")
 	}
 	// ACG keeps at least one core per socket (§5.2.2).
-	for _, rl := range acg {
-		if rl.cores < 2 {
+	for _, a := range acg {
+		if a.ActiveCores < 2 {
 			t.Fatal("ACG went below 2 cores")
 		}
 	}
-	comb := levelTable(m, COMB)
-	if comb[1].cores != 3 || comb[1].freqIdx != 1 {
+	comb := table(COMB)
+	if comb[1].ActiveCores != 3 || comb[1].FreqIndex != 1 {
 		t.Fatal("COMB ladder wrong")
 	}
 	if kinds := PolicyKinds(); len(kinds) != 5 || kinds[4].String() != "DTM-COMB" {
 		t.Fatal("policy kinds wrong")
+	}
+	if _, _, err := newPolicy(m, PolicyKind(42)); err == nil {
+		t.Fatal("unknown policy accepted")
 	}
 }
 
@@ -209,5 +230,102 @@ func TestTDPOverrideShiftsLevels(t *testing.T) {
 func TestPolicyKindString(t *testing.T) {
 	if !strings.HasPrefix(PolicyKind(42).String(), "PolicyKind(") {
 		t.Fatal("unknown kind rendering")
+	}
+}
+
+// refRunLevel, refLevelTable and refLevelOf are the Table 5.1 decision
+// code the platform used before it decided through dtm policies, kept
+// verbatim as the reference TestDecisionsMatchReference compares against.
+type refRunLevel struct {
+	cores   int
+	freqIdx int
+	cap     float64
+}
+
+func refLevelTable(m Machine, k PolicyKind) []refRunLevel {
+	inf := math.Inf(1)
+	switch k {
+	case NoLimit:
+		return []refRunLevel{{4, 0, inf}, {4, 0, inf}, {4, 0, inf}, {4, 0, inf}, {4, 0, inf}}
+	case BW:
+		return []refRunLevel{
+			{4, 0, inf}, {4, 0, m.BWCaps[0]}, {4, 0, m.BWCaps[1]}, {4, 0, m.BWCaps[2]},
+			{4, 0, m.BWCaps[2]},
+		}
+	case ACG:
+		return []refRunLevel{
+			{4, 0, inf}, {3, 0, inf}, {2, 0, inf}, {2, 0, m.BWCaps[2]},
+			{2, 0, m.BWCaps[2]},
+		}
+	case CDVFS:
+		return []refRunLevel{
+			{4, 0, inf}, {4, 1, inf}, {4, 2, inf}, {4, 3, inf},
+			{4, 3, m.BWCaps[2]},
+		}
+	case COMB:
+		return []refRunLevel{
+			{4, 0, inf}, {3, 1, inf}, {2, 2, inf}, {2, 3, inf},
+			{2, 3, m.BWCaps[2]},
+		}
+	default:
+		panic(fmt.Sprintf("platform: unknown policy %v", k))
+	}
+}
+
+func refLevelOf(m Machine, amb float64) int {
+	for i, b := range m.AMBLevels {
+		if amb < b {
+			return i
+		}
+	}
+	return len(m.AMBLevels)
+}
+
+// TestDecisionsMatchReference checks, reading by reading, that the
+// running state a server applies and the residency slot it charges
+// equal the reference Table 5.1 code: both machines, every policy,
+// several TDP overrides, with and without a pinned frequency, over
+// 60–115 °C in 0.125 °C steps plus every boundary exactly.
+func TestDecisionsMatchReference(t *testing.T) {
+	w1 := mustMix(t, "W1")
+	for _, m := range []Machine{PE1950(), SR1500AL()} {
+		store := NewStore(m, 1)
+		for _, k := range PolicyKinds() {
+			for _, tdp := range []float64{0, 88, 92, 100} {
+				for _, force := range []int{-1, 3} {
+					s, err := NewServer(RunConfig{Machine: m, Policy: k, Mix: w1,
+						TDPOverride: tdp, ForceFreqIdx: force}, store)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := m
+					if tdp != 0 {
+						shift := tdp - ref.AMBTDP
+						ref.AMBTDP = tdp
+						for i := range ref.AMBLevels {
+							ref.AMBLevels[i] += shift
+						}
+					}
+					table := refLevelTable(ref, k)
+					var readings []float64
+					for r := 60.0; r <= 115; r += 0.125 {
+						readings = append(readings, r)
+					}
+					readings = append(readings, ref.AMBLevels[:]...)
+					for _, r := range readings {
+						want, wantLvl := table[refLevelOf(ref, r)], refLevelOf(ref, r)
+						if force >= 0 && want.freqIdx < force {
+							want.freqIdx = force
+						}
+						a, lvl := s.decide(r)
+						if a.ActiveCores != want.cores || a.FreqIndex != want.freqIdx ||
+							a.BWCapGBps != want.cap || a.MemOff || lvl != wantLvl {
+							t.Fatalf("%s %v tdp %v force %d at %v °C: got %+v level %d, want %+v level %d",
+								m.Name, k, tdp, force, r, a, lvl, want, wantLvl)
+						}
+					}
+				}
+			}
+		}
 	}
 }

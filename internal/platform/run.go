@@ -8,12 +8,16 @@ import (
 	"fmt"
 	"math/rand"
 
+	"dramtherm/internal/dtm"
 	"dramtherm/internal/fbconfig"
 	"dramtherm/internal/power"
 	"dramtherm/internal/thermal"
 	"dramtherm/internal/trace"
 	"dramtherm/internal/workload"
 )
+
+// intervalS is the software DTM period in seconds (§5.2.1).
+const intervalS = 1.0
 
 // RunConfig describes one measured experiment.
 type RunConfig struct {
@@ -26,8 +30,6 @@ type RunConfig struct {
 	// QuantumS is the Linux scheduling time slice used when two programs
 	// share a core under DTM-ACG (default 100 ms, Fig. 5.15 varies it).
 	QuantumS float64
-	// IntervalS is the DTM policy period (default 1 s, §5.2.1).
-	IntervalS float64
 	// InstrScale shrinks run lengths for tests.
 	InstrScale float64
 	// SensorSeed seeds sensor noise (0 = noiseless).
@@ -54,9 +56,6 @@ func (c RunConfig) WithDefaults() RunConfig {
 	}
 	if c.QuantumS == 0 {
 		c.QuantumS = 0.1
-	}
-	if c.IntervalS == 0 {
-		c.IntervalS = 1
 	}
 	if c.InstrScale == 0 {
 		c.InstrScale = 1
@@ -96,7 +95,8 @@ type Server struct {
 	cfg    RunConfig
 	m      Machine
 	store  *trace.Store
-	levels []runLevel
+	policy dtm.Policy
+	bounds dtm.Levels // the policy's boundaries, for LevelTimeS
 
 	model  *thermal.Model
 	amb    *thermal.AmbientModel
@@ -141,7 +141,11 @@ func NewServer(cfg RunConfig, store *trace.Store) (*Server, error) {
 		}
 	}
 
-	s := &Server{cfg: cfg, m: m, store: store, levels: levelTable(m, cfg.Policy)}
+	policy, bounds, err := newPolicy(m, cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	s := &Server{cfg: cfg, m: m, store: store, policy: policy, bounds: bounds}
 	amb := fbconfig.Ambient{PsiXi: m.PsiXi, TauCPUDRAM: 20}
 	s.amb = thermal.NewAmbientModel(amb, m.SystemAmbient)
 	idle := power.DIMMPower{AMB: fbconfig.DefaultAMBPower.IdleLast, DRAM: fbconfig.DefaultDRAMPower.Static}
@@ -266,25 +270,32 @@ func (s *Server) Run() (RunResult, error) {
 	return s.res, nil
 }
 
-// step advances one DTM interval (one second by default).
+// decide returns the running state the policy picks for an AMB sensor
+// reading, with ForceFreqIdx applied, and the LevelTimeS index of the
+// reading's emergency level.
+func (s *Server) decide(reading fbconfig.Celsius) (dtm.Action, int) {
+	a := s.policy.Decide(dtm.Input{AMB: reading, Now: s.now, Dt: intervalS})
+	if s.cfg.ForceFreqIdx >= 0 && a.FreqIndex < s.cfg.ForceFreqIdx {
+		a.FreqIndex = s.cfg.ForceFreqIdx
+	}
+	return a, s.bounds.Level(reading, 0) - 1
+}
+
+// step advances one DTM interval.
 func (s *Server) step(cpuWattSum, inletSum *float64) error {
-	dt := s.cfg.IntervalS
+	const dt = intervalS
 
 	// Sensor read and policy decision.
 	reading := s.model.HottestAMB()
 	if s.sensor != nil {
 		reading = s.sensor.Read(reading)
 	}
-	lvl := levelOf(s.m, reading)
-	rl := s.levels[lvl]
-	if s.cfg.ForceFreqIdx >= 0 && rl.freqIdx < s.cfg.ForceFreqIdx {
-		rl.freqIdx = s.cfg.ForceFreqIdx
-	}
+	a, lvl := s.decide(reading)
 	s.res.LevelTimeS[lvl] += dt
 	s.rot++
 
-	freq := s.m.CPU.Levels[rl.freqIdx]
-	scheds := s.schedules(rl.cores)
+	freq := s.m.CPU.Levels[a.FreqIndex]
+	scheds := s.schedules(a.ActiveCores)
 
 	// Linux time-quantum switch cost on shared cores (§5.4.5, Fig. 5.15):
 	// each switch-in refills the incoming program's share of the L2; below
@@ -331,7 +342,7 @@ func (s *Server) step(cpuWattSum, inletSum *float64) error {
 		dp := trace.DesignPoint{
 			Apps:      domainKey(doms),
 			FreqGHz:   freq.FreqGHz,
-			BWCapGBps: rl.cap,
+			BWCapGBps: a.BWCapGBps,
 		}
 		rates, err := s.store.Get(dp)
 		if err != nil {
@@ -389,9 +400,9 @@ func (s *Server) step(cpuWattSum, inletSum *float64) error {
 	// CPU power: active cores per socket under the current level.
 	var perSock [2]int
 	switch {
-	case rl.cores >= 4:
+	case a.ActiveCores >= 4:
 		perSock = [2]int{2, 2}
-	case rl.cores == 3:
+	case a.ActiveCores == 3:
 		perSock = [2]int{2, 1}
 		if s.rot%2 == 0 {
 			perSock = [2]int{1, 2}
@@ -403,7 +414,7 @@ func (s *Server) step(cpuWattSum, inletSum *float64) error {
 	if util < 0 {
 		util = 0
 	}
-	cpuW := s.m.CPU.Watts(perSock, rl.freqIdx, util)
+	cpuW := s.m.CPU.Watts(perSock, a.FreqIndex, util)
 	s.res.CPUEnergyJ += cpuW * dt
 	*cpuWattSum += cpuW
 

@@ -8,6 +8,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 
@@ -52,6 +54,16 @@ func NewLevel1(seed int64) *Level1 {
 		MeasureNS:  1.5e6,
 		Seed:       seed,
 	}
+}
+
+// Digest returns a short stable hash of every field that changes
+// Build's output. A record built under one digest is valid only for a
+// builder with the same digest: the sweep engine's segment log tags
+// level-1 records with it and replays only its own.
+func (l *Level1) Digest() string {
+	sum := sha256.Sum256(fmt.Appendf(nil, "%+v|%v|%v|%v|%v|%v",
+		l.Params, l.MaxFreqGHz, l.FSBGBps, l.WarmupNS, l.MeasureNS, l.Seed))
+	return hex.EncodeToString(sum[:8])
 }
 
 // Build implements trace.Builder: it simulates the design point and

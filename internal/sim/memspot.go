@@ -19,6 +19,15 @@ import (
 	"dramtherm/internal/workload"
 )
 
+const (
+	// dtmOverheadS is the processor time one DTM invocation costs.
+	dtmOverheadS = 25e-6
+	// rotatePeriodS is the DTM-ACG round-robin rotation period (§4.2.2).
+	rotatePeriodS = 0.1
+	// recordPeriodS is the temperature-trace sampling period.
+	recordPeriodS = 1.0
+)
+
 // MEMSpotConfig configures one level-2 run.
 type MEMSpotConfig struct {
 	Mix      workload.Mix
@@ -32,13 +41,10 @@ type MEMSpotConfig struct {
 	CPU     fbconfig.CPUPower
 	DVFS    []fbconfig.DVFSLevel
 
-	WindowS       float64 // simulation window (default 10 ms)
-	DTMIntervalS  float64 // policy invocation period (default 10 ms)
-	DTMOverheadS  float64 // per-invocation overhead (default 25 µs)
-	RotatePeriodS float64 // ACG round-robin rotation period (default 100 ms)
-	RecordPeriodS float64 // temperature trace sampling (default 1 s)
-	MaxSeconds    float64 // safety bound (default 50,000 s)
-	InstrScale    float64 // scales application lengths (tests use <1)
+	WindowS      float64 // simulation window (default 10 ms)
+	DTMIntervalS float64 // policy invocation period (default 10 ms)
+	MaxSeconds   float64 // safety bound (default 50,000 s)
+	InstrScale   float64 // scales application lengths (tests use <1)
 
 	// SensorSeed enables sensor noise when nonzero (Chapter 5 platform
 	// runs); zero keeps the Chapter 4 noiseless simulation sensors.
@@ -65,15 +71,6 @@ func (c *MEMSpotConfig) applyDefaults() {
 	}
 	if c.DTMIntervalS == 0 {
 		c.DTMIntervalS = 0.01
-	}
-	if c.DTMOverheadS == 0 {
-		c.DTMOverheadS = 25e-6
-	}
-	if c.RotatePeriodS == 0 {
-		c.RotatePeriodS = 0.1
-	}
-	if c.RecordPeriodS == 0 {
-		c.RecordPeriodS = 1
 	}
 	if c.MaxSeconds == 0 {
 		c.MaxSeconds = 50000
@@ -111,7 +108,7 @@ type MEMSpotResult struct {
 	MaxAMB, MaxDRAM float64
 	Overshoots      int // episodes in which a DTM decision observed T ≥ TDP
 
-	// Sampled once per RecordPeriodS.
+	// Sampled once per second of simulated time.
 	AMBTrace     []float64
 	DRAMTrace    []float64
 	AmbientTrace []float64
@@ -408,12 +405,12 @@ func (m *MEMSpot) step() error {
 		m.act = act
 		m.decisions++
 		m.nextDTM += m.cfg.DTMIntervalS
-		overheadThisWindow = m.cfg.DTMOverheadS
+		overheadThisWindow = dtmOverheadS
 	}
 	// ACG rotation for fairness (§4.2.2).
 	if m.now >= m.nextRot {
 		m.rot++
-		m.nextRot += m.cfg.RotatePeriodS
+		m.nextRot += rotatePeriodS
 		m.stale = true
 	}
 	// The ExactThermal reference re-resolves every window.
@@ -511,7 +508,7 @@ func (m *MEMSpot) step() error {
 		m.res.AMBTrace = append(m.res.AMBTrace, m.model.HottestAMB())
 		m.res.DRAMTrace = append(m.res.DRAMTrace, m.model.HottestDRAM())
 		m.res.AmbientTrace = append(m.res.AmbientTrace, m.amb.T)
-		m.nextRec += m.cfg.RecordPeriodS
+		m.nextRec += recordPeriodS
 	}
 
 	m.now += win

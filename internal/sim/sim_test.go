@@ -227,3 +227,26 @@ func TestMEMSpotIntegratedAmbient(t *testing.T) {
 		t.Fatalf("ambient %v never rose above inlet", last)
 	}
 }
+
+// TestLevel1Digest: equal builders share a digest, and changing any field
+// that changes Build's output changes it.
+func TestLevel1Digest(t *testing.T) {
+	base := NewLevel1(1)
+	if NewLevel1(1).Digest() != base.Digest() {
+		t.Fatal("equal builders digest differently")
+	}
+	for name, mod := range map[string]func(*Level1){
+		"Params":     func(l *Level1) { l.Params.L2Ways = 16 },
+		"MaxFreqGHz": func(l *Level1) { l.MaxFreqGHz = 3.0 },
+		"FSBGBps":    func(l *Level1) { l.FSBGBps = 8 },
+		"WarmupNS":   func(l *Level1) { l.WarmupNS = 1e6 },
+		"MeasureNS":  func(l *Level1) { l.MeasureNS = 1e6 },
+		"Seed":       func(l *Level1) { l.Seed = 7 },
+	} {
+		l := NewLevel1(1)
+		mod(l)
+		if l.Digest() == base.Digest() {
+			t.Errorf("changing %s keeps the digest", name)
+		}
+	}
+}

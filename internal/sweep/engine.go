@@ -100,7 +100,7 @@ type delivery struct {
 // actual simulation work is bounded by the engine's worker pool.
 type Engine struct {
 	sys      *core.System
-	digest   string
+	digest   string // sys.ConfigDigest(): the scope of run-cache keys
 	cache    *memo.Table[Key, sim.MEMSpotResult]
 	sem      chan struct{}  // worker pool: one slot per leader build
 	buildDur *obs.Histogram // leader build latency; nil until Instrument
@@ -120,9 +120,12 @@ type Engine struct {
 	// Durable-state machinery (state.go); all nil/zero until
 	// EnableSegmentLog.
 	seglog      *SegmentLog
+	l1digest    string // sys.Level1Digest(): the scope of persisted trace records
 	compactStop chan struct{}
 	compactDone chan struct{}
 	appendErrs  atomic.Int64
+	// Foreign records replay dropped, by kind.
+	skippedRuns, skippedTraces atomic.Int64
 }
 
 // NewEngine builds an engine over sys with the given worker-pool width

@@ -85,15 +85,13 @@ type JobSnapshot struct {
 // JobsOptions tunes a Jobs registry.
 type JobsOptions struct {
 	// TTL evicts finished (done/error/cancelled) jobs this long after
-	// they finish. <= 0 disables time-based eviction.
+	// they finish; a background reaper checks every TTL/4, clamped to
+	// [10ms, 1min]. <= 0 disables time-based eviction.
 	TTL time.Duration
 	// MaxJobs bounds the registry. When full, Create evicts the oldest
 	// finished jobs; if every job is still running, Create fails.
 	// <= 0 selects DefaultMaxJobs.
 	MaxJobs int
-	// ReapEvery overrides the background reaper period (default TTL/4,
-	// clamped to [10ms, 1min]). Ignored when TTL <= 0.
-	ReapEvery time.Duration
 	// Now overrides the clock, for tests. Defaults to time.Now.
 	Now func() time.Time
 }
@@ -141,11 +139,7 @@ func NewJobs(opts JobsOptions) *Jobs {
 		stop:    make(chan struct{}),
 	}
 	if opts.TTL > 0 {
-		every := opts.ReapEvery
-		if every <= 0 {
-			every = opts.TTL / 4
-		}
-		every = min(max(every, 10*time.Millisecond), time.Minute)
+		every := min(max(opts.TTL/4, 10*time.Millisecond), time.Minute)
 		r.reaper = time.NewTicker(every)
 		go func() {
 			for {

@@ -79,7 +79,7 @@ func TestJobsTTLSparesRunning(t *testing.T) {
 }
 
 func TestJobsBackgroundReaper(t *testing.T) {
-	r := newTestJobs(t, JobsOptions{TTL: 20 * time.Millisecond, ReapEvery: 10 * time.Millisecond})
+	r := newTestJobs(t, JobsOptions{TTL: 20 * time.Millisecond})
 	j, err := r.Create(context.Background(), JobRun, []Spec{{Mix: "W1"}})
 	if err != nil {
 		t.Fatal(err)

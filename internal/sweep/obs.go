@@ -8,8 +8,9 @@ import (
 )
 
 // Instrument registers the engine's metric families on reg: run-cache
-// lookup outcomes, completed entries, worker-pool saturation, the
-// leader build-latency histogram and the adaptive-search families, plus
+// lookup outcomes, completed entries, worker-pool saturation, records
+// segment-log replay skipped as foreign, the leader build-latency
+// histogram and the adaptive-search families, plus
 // the prefix-sharing families when EnablePrefixSharing has been called.
 // The counter and gauge families read the cache's own counters and the
 // pool channel, so /metrics and Stats report identical numbers by
@@ -36,6 +37,14 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("dramtherm_cache_entries",
 		"Completed run-cache entries.",
 		func() float64 { return float64(e.cache.Len()) })
+	reg.SampleFunc(obs.KindCounter, "dramtherm_state_replay_skipped_total",
+		"Segment-log records replay dropped as foreign, by kind: run (keyed under another config digest), trace (built by another level-1 configuration).",
+		[]string{"kind"}, func() []obs.Sample {
+			return []obs.Sample{
+				{LabelValues: []string{"run"}, Value: float64(e.skippedRuns.Load())},
+				{LabelValues: []string{"trace"}, Value: float64(e.skippedTraces.Load())},
+			}
+		})
 	reg.GaugeFunc("dramtherm_pool_workers",
 		"Simulation worker-pool width.",
 		func() float64 { return float64(cap(e.sem)) })

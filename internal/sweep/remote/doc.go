@@ -6,7 +6,7 @@
 // Backend implements sweep.BatchBackend; install it with
 // Engine.SetBatchBackend. Each spec is canonicalized into its cache Key
 // (Config.Key, normally Engine.Key) and routed by consistent hashing:
-// every peer contributes Vnodes points to a hash ring, and the spec
+// every peer contributes 64 points to a hash ring, and the spec
 // goes to the first peer clockwise of the key's hash. The same key
 // therefore always lands on the same peer while the membership is
 // stable, so each peer's run cache (and level-1 trace store) stays hot

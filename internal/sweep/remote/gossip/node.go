@@ -45,12 +45,8 @@ type Config struct {
 	// Quarantine is how long a Dead member is remembered before being
 	// forgotten (default 30×Interval).
 	Quarantine time.Duration
-	// Timeout bounds one exchange (default 2s).
-	Timeout time.Duration
 	// Transport overrides the HTTP exchange, for tests.
 	Transport Transport
-	// Client overrides the HTTP client behind the default transport.
-	Client *http.Client
 	// OnChange, when non-nil, observes every membership change with a
 	// fresh table snapshot, in change order — the seam that re-forms the
 	// sweep ring. It is called from gossip and handler goroutines and
@@ -70,6 +66,9 @@ type Config struct {
 	// Now overrides the clock, for tests.
 	Now func() time.Time
 }
+
+// exchangeTimeout bounds one gossip exchange.
+const exchangeTimeout = 2 * time.Second
 
 // Node gossips one membership table: a background loop anti-entropy
 // syncs it with Fanout random members per Interval, and HandleExchange
@@ -124,9 +123,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Quarantine == 0 {
 		cfg.Quarantine = 30 * base
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = time.Now().UnixNano()
 	}
@@ -141,11 +137,7 @@ func NewNode(cfg Config) (*Node, error) {
 		n.log = slog.New(slog.DiscardHandler)
 	}
 	if n.cfg.Transport == nil {
-		client := cfg.Client
-		if client == nil {
-			client = &http.Client{}
-		}
-		n.cfg.Transport = httpTransport(client)
+		n.cfg.Transport = httpTransport(&http.Client{})
 	}
 	n.table = NewTable(cfg.Self, cfg.SuspectAfter, cfg.Quarantine, cfg.Now)
 	n.instrument(cfg.Metrics)
@@ -237,7 +229,7 @@ func (n *Node) Round(ctx context.Context) {
 // exchange push-pulls with the member id at url; an empty id dials a
 // seed, and whoever answers there becomes the member reached at url.
 func (n *Node) exchange(ctx context.Context, id, url string) {
-	tctx, cancel := context.WithTimeout(ctx, n.cfg.Timeout)
+	tctx, cancel := context.WithTimeout(ctx, exchangeTimeout)
 	reply, err := n.cfg.Transport(tctx, url, Message{From: n.cfg.Self.ID, Members: n.table.Snapshot()})
 	cancel()
 	if err != nil {

@@ -56,8 +56,6 @@ type Config struct {
 	// MaxPerPeer bounds concurrent in-flight requests per peer
 	// (default 4); excess dispatches to the same peer queue.
 	MaxPerPeer int
-	// Vnodes is the number of ring points per peer (default 64).
-	Vnodes int
 	// Backoff is how long an ejected peer stays out of the ring before
 	// request routing retries it half-open (default 15s).
 	Backoff time.Duration
@@ -164,9 +162,6 @@ func New(cfg Config) (*Backend, error) {
 	}
 	if cfg.MaxPerPeer <= 0 {
 		cfg.MaxPerPeer = 4
-	}
-	if cfg.Vnodes <= 0 {
-		cfg.Vnodes = 64
 	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 15 * time.Second
@@ -309,8 +304,8 @@ func (b *Backend) SetMembers(peers []Peer) {
 // reaches it by — and passes b's dispatch-failure ejections to the node
 // as suspicions, after Config.OnPeerDown. The node gossips as an
 // observer (cfg.Self.URL is cleared), so no other coordinator's ring can
-// hold this one. Follow runs the first round (bounded by cfg.Timeout
-// per exchange) before it returns, so the ring holds the answering seeds
+// hold this one. Follow runs the first round (each exchange bounded by
+// the gossip exchange timeout) before it returns, so the ring holds the answering seeds
 // before the backend takes traffic. Follow replaces cfg.OnChange. Call
 // it once, before the backend is shared; Close the node when done.
 func (b *Backend) Follow(cfg gossip.Config) (*gossip.Node, error) {
@@ -466,7 +461,7 @@ func (b *Backend) ringOf(peers []*peer, skip *peer) *ring {
 			members = append(members, i)
 		}
 	}
-	return buildRing(ids, members, b.cfg.Vnodes)
+	return buildRing(ids, members, vnodes)
 }
 
 // OwnerOf reports the id of the ring member spec currently routes to —

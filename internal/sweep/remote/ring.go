@@ -5,6 +5,9 @@ import (
 	"sort"
 )
 
+// vnodes is the number of ring points each admitted peer contributes.
+const vnodes = 64
+
 // ring is an immutable consistent-hash ring over peer indices. Each
 // admitted peer contributes vnodes points, hashed from "id#i", so keys
 // spread evenly and membership changes only move the ejected peer's

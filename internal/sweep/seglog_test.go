@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"dramtherm/internal/core"
+	"dramtherm/internal/obs"
 	"dramtherm/internal/sim"
 	"dramtherm/internal/trace"
 )
@@ -532,5 +533,125 @@ func TestTraceRecordsReplayAfterCompact(t *testing.T) {
 	}
 	if err := checkTraceReplay(t, dir, "compacted log", recs).Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// seededEngine opens dir in a fresh default-config engine whose level-1
+// streams use seed.
+func seededEngine(t *testing.T, dir string, seed int64) *Engine {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.Seed = seed
+	e := NewEngine(core.NewSystem(cfg), 1)
+	if err := e.EnableSegmentLog(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestTraceRecordsScopedByLevel1Digest: level-1 records built at one
+// seed are not replayed into an engine at another. The reader skips and
+// counts them, rebuilds the point on demand, and a same-seed reader
+// replays its own record bit-identically. Compaction drops the foreign
+// records.
+func TestTraceRecordsScopedByLevel1Digest(t *testing.T) {
+	dir := t.TempDir()
+	dp := trace.DesignPoint{Apps: "swim", FreqGHz: 3.2, BWCapGBps: math.Inf(1)}
+
+	w := seededEngine(t, dir, 7)
+	if _, err := w.System().Store().Get(dp); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := seededEngine(t, dir, 1)
+	store := r.System().Store()
+	if st, _ := r.StateStats(); store.Len() != 0 || st.SkippedTraces != 1 {
+		t.Fatalf("seed-1 reader of a seed-7 log: replayed %d, skipped %d; want 0 and 1", store.Len(), st.SkippedTraces)
+	}
+	own, err := store.Get(dp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds, _ := store.Counts(); builds != 1 {
+		t.Fatalf("foreign point: %d level-1 builds, want 1", builds)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again := seededEngine(t, dir, 1)
+	store = again.System().Store()
+	got, err := store.Get(dp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds, _ := store.Counts(); builds != 0 || traceBits(got) != traceBits(own) {
+		t.Fatalf("same-digest replay: %d builds, rates\n%s\nwant\n%s", builds, traceBits(got), traceBits(own))
+	}
+	if st, _ := again.StateStats(); st.SkippedTraces != 1 {
+		t.Fatalf("skipped %d, want the seed-7 record", st.SkippedTraces)
+	}
+	if err := again.CompactState(); err != nil {
+		t.Fatal(err)
+	}
+	if err := again.Close(); err != nil {
+		t.Fatal(err)
+	}
+	compacted := seededEngine(t, dir, 1)
+	defer compacted.Close()
+	if st, _ := compacted.StateStats(); compacted.System().Store().Len() != 1 || st.SkippedTraces != 0 {
+		t.Fatalf("after compaction: replayed %d, skipped %d; want 1 and 0", compacted.System().Store().Len(), st.SkippedTraces)
+	}
+}
+
+// TestForeignRecordsSkippedOnReplay: a trace frame without a digest (as
+// binaries before digests wrote them) and a run record keyed under
+// another ConfigDigest are both skipped: neither is served, Range does
+// not return the run, and StateStats and /metrics count them by kind.
+func TestForeignRecordsSkippedOnReplay(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenSegmentLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := roundTripRecords()[0]
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct{ Rates trace.Rates }{rec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(recordTrace, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(recordRun, runPayload(t, "deadbeef|W1|...", 42)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e := NewEngine(core.NewSystem(core.DefaultConfig()), 1)
+	reg := obs.NewRegistry()
+	e.Instrument(reg)
+	if err := e.EnableSegmentLog(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if n := e.System().Store().Len(); n != 0 {
+		t.Fatalf("replayed %d digest-less trace records, want 0", n)
+	}
+	e.Range(func(k Key, _ sim.MEMSpotResult) bool {
+		t.Errorf("Range returned foreign run record %q", k)
+		return true
+	})
+	if st, _ := e.StateStats(); st.SkippedRuns != 1 || st.SkippedTraces != 1 {
+		t.Fatalf("state stats = %+v, want one skipped run and one skipped trace", st)
+	}
+	for _, kind := range []string{"run", "trace"} {
+		if n := reg.Sum("dramtherm_state_replay_skipped_total", map[string]string{"kind": kind}); n != 1 {
+			t.Errorf("skipped %s records: metric reads %v, want 1", kind, n)
+		}
 	}
 }

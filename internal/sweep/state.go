@@ -24,11 +24,17 @@ type runRecord struct {
 // be +Inf; gob round-trips IEEE bit patterns, so no sentinel is needed.
 type traceRecord struct {
 	Rates trace.Rates
+	// Digest is the sim.Level1 digest of the builder that produced
+	// Rates. A record written before frames carried it decodes with an
+	// empty digest, which matches no builder.
+	Digest string
 }
 
 // EnableSegmentLog makes the engine's warm state durable under crashes:
 // it opens (or creates) the append-only segment log in dir, replays it
-// into the run cache and the level-1 trace store, and registers hooks so
+// into the run cache and the level-1 trace store (keeping only records
+// this engine's configuration produced; see replayState), and registers
+// hooks so
 // every freshly built run and trace record is appended as it completes —
 // there is no shutdown flush to lose. compactEvery > 0 starts a
 // background compactor folding the log into one snapshot segment on that
@@ -42,6 +48,7 @@ func (e *Engine) EnableSegmentLog(dir string, compactEvery time.Duration) error 
 	if err != nil {
 		return err
 	}
+	e.l1digest = e.sys.Level1Digest()
 	if err := e.replayState(l); err != nil {
 		l.Close()
 		return err
@@ -78,7 +85,7 @@ func (e *Engine) appendRun(k Key, v sim.MEMSpotResult) {
 // log.
 func (e *Engine) appendTrace(r trace.Rates) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(traceRecord{Rates: r}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(traceRecord{Rates: r, Digest: e.l1digest}); err != nil {
 		e.appendErrs.Add(1)
 		return
 	}
@@ -87,8 +94,13 @@ func (e *Engine) appendTrace(r trace.Rates) {
 	}
 }
 
-// replayState folds every log record into the in-memory layers. Inserts
-// go through Put, which does not re-trigger the append hooks.
+// replayState folds the log's records into the in-memory layers. Inserts
+// go through Put, which does not re-trigger the append hooks. A record
+// another configuration produced is skipped and counted, never served:
+// a run record keyed under another ConfigDigest, or a level-1 record
+// whose builder digest differs from this engine's (a directory reused
+// after a seed or parameter change). A skipped record is rebuilt on
+// demand and drops out at the next compaction.
 func (e *Engine) replayState(l *SegmentLog) error {
 	return l.Replay(func(kind byte, payload []byte) error {
 		switch kind {
@@ -97,11 +109,19 @@ func (e *Engine) replayState(l *SegmentLog) error {
 			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
 				return fmt.Errorf("sweep: replaying run record: %w", err)
 			}
+			if !e.ownKey(rec.Key) {
+				e.skippedRuns.Add(1)
+				break
+			}
 			e.cache.Put(rec.Key, rec.Result)
 		case recordTrace:
 			var rec traceRecord
 			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
 				return fmt.Errorf("sweep: replaying trace record: %w", err)
+			}
+			if rec.Digest != e.l1digest {
+				e.skippedTraces.Add(1)
+				break
 			}
 			e.sys.Store().Put(rec.Rates)
 		case recordCheckpoint:
@@ -161,7 +181,7 @@ func (e *Engine) CompactState() error {
 		}
 		e.sys.Store().Range(func(r trace.Rates) bool {
 			var buf bytes.Buffer
-			if err = gob.NewEncoder(&buf).Encode(traceRecord{Rates: r}); err != nil {
+			if err = gob.NewEncoder(&buf).Encode(traceRecord{Rates: r, Digest: e.l1digest}); err != nil {
 				return false
 			}
 			err = emit(recordTrace, buf.Bytes())
@@ -210,6 +230,11 @@ type StateStats struct {
 	// AppendErrors counts hook-side encode/append failures — state that
 	// stayed warm in memory but did not persist.
 	AppendErrors int64 `json:"append_errors,omitempty"`
+	// SkippedRuns and SkippedTraces count the records replay dropped as
+	// foreign: run records keyed under another ConfigDigest, and level-1
+	// records built under another (or no) level-1 digest.
+	SkippedRuns   int64 `json:"skipped_runs,omitempty"`
+	SkippedTraces int64 `json:"skipped_traces,omitempty"`
 }
 
 // StateStats reports the segment log's shape; ok is false when no
@@ -219,9 +244,11 @@ func (e *Engine) StateStats() (StateStats, bool) {
 		return StateStats{}, false
 	}
 	return StateStats{
-		SegLogStats:  e.seglog.Stats(),
-		Dir:          e.seglog.Dir(),
-		AppendErrors: e.appendErrs.Load(),
+		SegLogStats:   e.seglog.Stats(),
+		Dir:           e.seglog.Dir(),
+		AppendErrors:  e.appendErrs.Load(),
+		SkippedRuns:   e.skippedRuns.Load(),
+		SkippedTraces: e.skippedTraces.Load(),
 	}, true
 }
 
@@ -232,7 +259,7 @@ func (e *Engine) StateStats() (StateStats, bool) {
 // shadow this node's own results. Returns false for rejected or
 // already-present keys (the import is idempotent).
 func (e *Engine) ImportResult(key Key, res sim.MEMSpotResult) bool {
-	if !strings.HasPrefix(string(key), e.digest+"|") {
+	if !e.ownKey(key) {
 		return false
 	}
 	if !e.cache.Add(key, res) {
@@ -243,6 +270,10 @@ func (e *Engine) ImportResult(key Key, res sim.MEMSpotResult) bool {
 	}
 	return true
 }
+
+// ownKey reports whether key was minted under this engine's
+// ConfigDigest.
+func (e *Engine) ownKey(key Key) bool { return strings.HasPrefix(string(key), e.digest+"|") }
 
 // Range iterates the completed run cache (see memo.Table.Range) — the export
 // side of replication and handoff.
