@@ -10,8 +10,8 @@
 //	memtherm -run all -parallel 8  # run experiments concurrently; shared
 //	                               # (mix, policy) runs are deduplicated by
 //	                               # the sweep engine, not repeated, and
-//	                               # each Chapter 5 figure runs up to 8
-//	                               # platform emulations at once
+//	                               # each figure runs up to 8 simulations
+//	                               # or platform emulations at once
 //	memtherm -run all -segment-dir s.d
 //	                               # durable cache: results persist to the
 //	                               # s.d segment log as they complete
@@ -46,7 +46,7 @@ func main() {
 		run      = flag.String("run", "", "experiment ID(s), comma separated, or \"all\"")
 		quick    = flag.Bool("quick", false, "reduced-scale mode (smaller batches, fewer mixes)")
 		csv      = flag.Bool("csv", false, "emit tables as CSV")
-		parallel = flag.Int("parallel", 0, "experiments to run concurrently; also sizes the simulation worker pool and the fan-out of each Chapter 5 figure's platform runs (0 = GOMAXPROCS)")
+		parallel = flag.Int("parallel", 0, "experiments to run concurrently; also sizes the simulation worker pool, which every figure's runs fan out over: a Chapter 4 figure's simulations and a Chapter 5 figure's platform runs (0 = GOMAXPROCS)")
 		segDir   = flag.String("segment-dir", "", "durable state: results append to the segment-log directory as they complete and replay on the next run")
 		search   = flag.Bool("search", false, "adaptive search instead of an experiment: successive halving over cheap fidelity rungs finds the best (mix, DTM policy) of the Chapter 4 grid; faster than the grid on warm level-1 traces, slower on cold ones")
 	)

@@ -3,9 +3,10 @@
 // Zheng, Zhu, David, Zhang — ISCA 2007, plus the Chapter 5 follow-up
 // measurement study).
 //
-// The facade exposes the high-level workflow — build a System, pick a
-// workload mix, a DTM policy, a cooling configuration and a thermal
-// model, then Run — while the full machinery lives in the internal
+// The facade exposes the high-level workflow — build an Engine, name a
+// run by value as a Spec (workload mix, DTM policy, cooling
+// configuration, thermal model), then Run or Sweep it through the
+// engine's cache — while the full machinery lives in the internal
 // packages:
 //
 //	internal/fbdimm, internal/memctrl  FBDIMM + controller simulator
@@ -14,17 +15,16 @@
 //	internal/power, internal/thermal   Chapter 3 models (Eqs. 3.1–3.6)
 //	internal/pid, internal/dtm         PID controller and DTM policies
 //	internal/sim                       two-level simulator (Level1 + MEMSpot)
+//	internal/sweep                     cached, pooled, durable run engine
 //	internal/platform                  Chapter 5 server emulation
 //	internal/exp                       one driver per paper table/figure
 //
 // Quickstart:
 //
-//	sys := dramtherm.NewSystem(dramtherm.DefaultConfig())
-//	mix, _ := dramtherm.MixByName("W1")
-//	p, _ := sys.NewPolicy("DTM-ACG")
-//	res, _ := sys.Run(dramtherm.RunSpec{
-//		Mix: mix, Policy: p,
-//		Cooling: dramtherm.CoolingAOHS15, Model: dramtherm.Isolated,
+//	eng, _ := dramtherm.NewEngine(dramtherm.DefaultConfig())
+//	defer eng.Close()
+//	res, _, _ := eng.Run(context.Background(), dramtherm.Spec{
+//		Mix: "W1", Policy: "DTM-ACG", Cooling: "AOHS_1.5", Model: "isolated",
 //	})
 //	fmt.Println(res.Seconds, res.MaxAMB)
 package dramtherm
@@ -38,42 +38,19 @@ import (
 
 // Re-exported types. See the internal packages for full documentation.
 type (
-	// Config parameterizes a System (core.Config).
+	// Config parameterizes an Engine's simulation system (core.Config).
 	Config = core.Config
-	// System is the simulation engine (core.System).
-	System = core.System
-	// RunSpec describes one level-2 run (core.RunSpec).
-	RunSpec = core.RunSpec
 	// Result is a level-2 run result (sim.MEMSpotResult).
 	Result = sim.MEMSpotResult
 	// Mix is a multiprogramming workload (workload.Mix).
 	Mix = workload.Mix
-	// Cooling is a Table 3.2 cooling configuration (fbconfig.Cooling).
-	Cooling = fbconfig.Cooling
 	// ThermalLimits are the TDP/TRP thresholds DTM policies act on
 	// (fbconfig.ThermalLimits).
 	ThermalLimits = fbconfig.ThermalLimits
-	// ThermalModelKind selects isolated vs integrated ambient modeling.
-	ThermalModelKind = core.ThermalModelKind
-)
-
-// Thermal model kinds.
-const (
-	Isolated   = core.Isolated
-	Integrated = core.Integrated
-)
-
-// The two cooling configurations the paper evaluates (Table 3.2).
-var (
-	CoolingAOHS15 = fbconfig.CoolingAOHS15
-	CoolingFDHS10 = fbconfig.CoolingFDHS10
 )
 
 // DefaultConfig returns the Chapter 4 system configuration.
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// NewSystem builds a simulation engine.
-func NewSystem(cfg Config) *System { return core.NewSystem(cfg) }
 
 // MixByName returns a Table 4.2/5.2 workload mix (W1..W8, W11, W12).
 func MixByName(name string) (Mix, error) { return workload.MixByName(name) }

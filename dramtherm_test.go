@@ -6,12 +6,17 @@ import (
 )
 
 // TestFacade exercises the public API end-to-end at a tiny scale: the
-// exact code path the README quickstart shows.
+// exact code path the README quickstart shows, plus a sweep observed
+// through OnEvent.
 func TestFacade(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Replicas = 1
 	cfg.InstrScale = 0.01
-	sys := NewSystem(cfg)
+	eng, err := NewEngine(cfg, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
 
 	mix, err := MixByName("W1")
 	if err != nil {
@@ -20,16 +25,44 @@ func TestFacade(t *testing.T) {
 	if len(mix.Apps) != 4 {
 		t.Fatalf("W1 = %v", mix.Apps)
 	}
-	p, err := sys.NewPolicy("DTM-ACG")
+	spec := Spec{Mix: mix.Name, Policy: "DTM-ACG", Cooling: "AOHS_1.5", Model: "isolated"}
+	res, info, err := eng.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run(RunSpec{Mix: mix, Policy: p, Cooling: CoolingAOHS15, Model: Isolated})
+	if res.Seconds <= 0 || res.Completed != 4 || info.Outcome != Built {
+		t.Fatalf("facade run broken: %+v (%+v)", res, info)
+	}
+
+	var finished []Event
+	specs := []Spec{spec, {Mix: mix.Name}}
+	sw, err := eng.Sweep(context.Background(), specs, SweepOptions{
+		OnEvent: func(ev Event) {
+			if ev.Kind != EventStarted {
+				finished = append(finished, ev)
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Seconds <= 0 || res.Completed != 4 {
-		t.Fatalf("facade run broken: %+v", res)
+	if sw.Results[0].Seconds != res.Seconds {
+		t.Fatalf("sweep result %v differs from the cached run %v", sw.Results[0].Seconds, res.Seconds)
+	}
+	if len(finished) != 2 {
+		t.Fatalf("%d finish events, want 2", len(finished))
+	}
+	for i, ev := range finished {
+		if ev.Kind != EventFinished || ev.Done != i+1 || ev.Total != 2 {
+			t.Fatalf("finish event %d: %+v", i, ev)
+		}
+		want := Built // the No-limit spec is new; spec 0 was cached by Run
+		if ev.Index == 0 {
+			want = Hit
+		}
+		if ev.Outcome != want {
+			t.Fatalf("spec %d served %v, want %v", ev.Index, ev.Outcome, want)
+		}
 	}
 }
 
@@ -81,12 +114,6 @@ func TestFacadeCatalog(t *testing.T) {
 	}
 	if len(PolicyNames()) != 9 {
 		t.Fatalf("policies = %d", len(PolicyNames()))
-	}
-	if CoolingAOHS15.Name() != "AOHS_1.5" || CoolingFDHS10.Name() != "FDHS_1.0" {
-		t.Fatal("cooling exports wrong")
-	}
-	if Isolated.String() != "isolated" || Integrated.String() != "integrated" {
-		t.Fatal("model kinds wrong")
 	}
 	if _, err := MixByName("W0"); err == nil {
 		t.Fatal("unknown mix accepted")

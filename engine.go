@@ -22,8 +22,6 @@ type (
 	// SweepResult is a completed sweep: per-spec results plus rendered
 	// tables (sweep.Result).
 	SweepResult = sweep.Result
-	// Progress is one OnProgress callback payload (sweep.Progress).
-	Progress = sweep.Progress
 	// CacheStats snapshots the engine's run cache (sweep.Stats).
 	CacheStats = sweep.Stats
 	// StateStats snapshots the durable segment log (sweep.StateStats).

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -23,38 +24,32 @@ func main() {
 	if *scale > 0 {
 		cfg.InstrScale = *scale
 	}
-	sys := dramtherm.NewSystem(cfg)
-
-	mix, err := dramtherm.MixByName(*mixName)
+	eng, err := dramtherm.NewEngine(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cool := dramtherm.CoolingAOHS15
-	if *cooling == "FDHS_1.0" {
-		cool = dramtherm.CoolingFDHS10
-	}
+	defer eng.Close()
 
-	base, err := sys.Baseline(mix, cool, dramtherm.Isolated)
+	// One sweep runs the baseline and every policy; a bad -cooling fails.
+	specs := []dramtherm.Spec{{Mix: *mixName, Policy: "No-limit", Cooling: *cooling}}
+	for _, name := range dramtherm.PolicyNames() {
+		if name != "No-limit" {
+			specs = append(specs, dramtherm.Spec{Mix: *mixName, Policy: name, Cooling: *cooling})
+		}
+	}
+	sw, err := eng.Sweep(context.Background(), specs, dramtherm.SweepOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s under %s — baseline %.0f s, %.0f GB\n\n", mix.Name, cool.Name(), base.Seconds, base.TotalTrafficGB())
+
+	base := sw.Results[0]
+	fmt.Printf("%s under %s — baseline %.0f s, %.0f GB\n\n", *mixName, *cooling, base.Seconds, base.TotalTrafficGB())
 	fmt.Printf("%-15s %9s %9s %9s %9s %7s %6s\n",
 		"policy", "norm time", "traffic", "mem kJ", "cpu kJ", "maxAMB", "overs")
-	for _, name := range dramtherm.PolicyNames() {
-		if name == "No-limit" {
-			continue
-		}
-		p, err := sys.NewPolicy(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := sys.Run(dramtherm.RunSpec{Mix: mix, Policy: p, Cooling: cool, Model: dramtherm.Isolated})
-		if err != nil {
-			log.Fatal(err)
-		}
+	for i, spec := range specs[1:] {
+		res := sw.Results[i+1]
 		fmt.Printf("%-15s %9.3f %9.3f %9.0f %9.0f %7.1f %6d\n",
-			name,
+			spec.Policy,
 			res.Seconds/base.Seconds,
 			res.TotalTrafficGB()/base.TotalTrafficGB(),
 			res.MemEnergyJ/1e3, res.CPUEnergyJ/1e3,

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -18,15 +19,18 @@ func main() {
 	if *scale > 0 {
 		cfg.InstrScale = *scale
 	}
-	sys := dramtherm.NewSystem(cfg)
-
-	mix, err := dramtherm.MixByName("W1") // swim, mgrid, applu, galgel
+	eng, err := dramtherm.NewEngine(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer eng.Close()
+
+	// W1 (swim, mgrid, applu, galgel) under the default cooling and model.
+	spec := dramtherm.Spec{Mix: "W1", Cooling: "AOHS_1.5", Model: "isolated"}
 
 	// Baseline: the ideal machine without a thermal limit.
-	base, err := sys.Baseline(mix, dramtherm.CoolingAOHS15, dramtherm.Isolated)
+	spec.Policy = "No-limit"
+	base, _, err := eng.Run(context.Background(), spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,16 +38,8 @@ func main() {
 		base.Seconds, base.MaxAMB)
 
 	// The same machine under adaptive core gating.
-	policy, err := sys.NewPolicy("DTM-ACG")
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := sys.Run(dramtherm.RunSpec{
-		Mix:     mix,
-		Policy:  policy,
-		Cooling: dramtherm.CoolingAOHS15,
-		Model:   dramtherm.Isolated,
-	})
+	spec.Policy = "DTM-ACG"
+	res, _, err := eng.Run(context.Background(), spec)
 	if err != nil {
 		log.Fatal(err)
 	}

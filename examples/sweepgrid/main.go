@@ -71,8 +71,10 @@ func main() {
 	start := time.Now()
 	res, err := eng.Sweep(context.Background(), specs, dramtherm.SweepOptions{
 		Normalize: true,
-		OnProgress: func(p dramtherm.Progress) {
-			fmt.Printf("  [%2d/%2d] %s\n", p.Done, p.Total, p.Spec)
+		OnEvent: func(ev dramtherm.Event) {
+			if ev.Kind != dramtherm.EventStarted {
+				fmt.Printf("  [%2d/%2d] %s\n", ev.Done, ev.Total, ev.Spec)
+			}
 		},
 	})
 	if err != nil {

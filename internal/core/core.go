@@ -137,14 +137,11 @@ func (s *System) ConfigDigest() string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// Run executes the spec and returns the MEMSpot result.
-func (s *System) Run(spec RunSpec) (sim.MEMSpotResult, error) {
-	return s.RunCtx(context.Background(), spec)
-}
-
-// RunCtx is Run with cancellation: the level-2 simulation aborts between
-// windows once ctx is done. The concurrent sweep engine uses it to tear
-// down in-flight work promptly.
+// RunCtx executes the spec and returns the MEMSpot result, uncached:
+// it is the run function behind the sweep engine's cache
+// (internal/sweep), which is how callers run specs. The level-2
+// simulation aborts between windows once ctx is done, so the engine
+// tears down in-flight work promptly.
 func (s *System) RunCtx(ctx context.Context, spec RunSpec) (sim.MEMSpotResult, error) {
 	ms, err := s.NewRun(spec)
 	if err != nil {
@@ -207,7 +204,7 @@ func (s *System) NewRun(spec RunSpec) (*sim.MEMSpot, error) {
 }
 
 // PolicyNames lists the Chapter 4 policy constructors available through
-// NewPolicy, in the paper's presentation order.
+// NewPolicyFor, in the paper's presentation order.
 func PolicyNames() []string {
 	return []string{
 		"No-limit", "DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS", "DTM-COMB",
@@ -215,16 +212,11 @@ func PolicyNames() []string {
 	}
 }
 
-// NewPolicy builds a Chapter 4 policy by name using the system's limits
-// and Table 4.3 levels. Each call returns a fresh policy (policies are
-// stateful).
-func (s *System) NewPolicy(name string) (dtm.Policy, error) {
-	return s.NewPolicyFor(name, s.cfg.Limits)
-}
-
-// NewPolicyFor builds a policy by name against explicit thermal limits,
-// for TRP/TDP sweeps where the swept limit must reach the policy itself
-// (e.g. Fig. 4.2's DTM-TS TRP sweep).
+// NewPolicyFor builds a Chapter 4 policy by name against thermal limits
+// lim and the Table 4.3 levels they select. Each call returns a fresh
+// policy (policies are stateful). The limits are explicit so that in
+// TRP/TDP sweeps the swept limit reaches the policy itself (e.g. Fig.
+// 4.2's DTM-TS TRP sweep).
 func (s *System) NewPolicyFor(name string, lim fbconfig.ThermalLimits) (dtm.Policy, error) {
 	cores := s.cfg.Params.Cores
 	levels := dtm.LevelsForTDP(lim.AMBTDP, lim.DRAMTDP)
@@ -250,35 +242,4 @@ func (s *System) NewPolicyFor(name string, lim fbconfig.ThermalLimits) (dtm.Poli
 	default:
 		return nil, fmt.Errorf("core: unknown policy %q", name)
 	}
-}
-
-// NormalizedRuntime runs the mix under the named policy and under
-// No-limit, returning runtime(policy)/runtime(No-limit) — the unit of
-// Figs. 4.2/4.3/4.12.
-func (s *System) NormalizedRuntime(mix workload.Mix, policyName string, cooling fbconfig.Cooling, model ThermalModelKind) (float64, error) {
-	p, err := s.NewPolicy(policyName)
-	if err != nil {
-		return 0, err
-	}
-	res, err := s.Run(RunSpec{Mix: mix, Policy: p, Cooling: cooling, Model: model})
-	if err != nil {
-		return 0, err
-	}
-	base, err := s.Baseline(mix, cooling, model)
-	if err != nil {
-		return 0, err
-	}
-	return res.Seconds / base.Seconds, nil
-}
-
-// Baseline runs the No-limit run for mix/cooling/model. It simulates
-// afresh on every call (only level-1 records are shared through the
-// store); the sweep engine's run cache is what memoizes baselines.
-func (s *System) Baseline(mix workload.Mix, cooling fbconfig.Cooling, model ThermalModelKind) (sim.MEMSpotResult, error) {
-	return s.Run(RunSpec{
-		Mix:     mix,
-		Policy:  &dtm.NoLimit{Cores: s.cfg.Params.Cores},
-		Cooling: cooling,
-		Model:   model,
-	})
 }

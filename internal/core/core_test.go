@@ -1,16 +1,42 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dramtherm/internal/fbconfig"
+	"dramtherm/internal/sim"
 	"dramtherm/internal/workload"
 )
+
+// runPolicy runs mix under a fresh policy named name, built against the
+// system's limits, under cooling and model.
+func runPolicy(t *testing.T, sys *System, mix workload.Mix, name string, cooling fbconfig.Cooling, model ThermalModelKind) sim.MEMSpotResult {
+	t.Helper()
+	p, err := sys.NewPolicyFor(name, sys.Config().Limits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.RunCtx(context.Background(), RunSpec{Mix: mix, Policy: p, Cooling: cooling, Model: model})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res
+}
+
+// normalizedRuntime is runtime(name)/runtime(No-limit) for mix under
+// AOHS 1.5 and the isolated model: the unit of Figs. 4.2/4.3/4.12.
+func normalizedRuntime(t *testing.T, sys *System, mix workload.Mix, name string) float64 {
+	t.Helper()
+	res := runPolicy(t, sys, mix, name, fbconfig.CoolingAOHS15, Isolated)
+	base := runPolicy(t, sys, mix, "No-limit", fbconfig.CoolingAOHS15, Isolated)
+	return res.Seconds / base.Seconds
+}
 
 func TestPolicyConstruction(t *testing.T) {
 	sys := NewSystem(DefaultConfig())
 	for _, name := range PolicyNames() {
-		p, err := sys.NewPolicy(name)
+		p, err := sys.NewPolicyFor(name, sys.Config().Limits)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -18,7 +44,7 @@ func TestPolicyConstruction(t *testing.T) {
 			t.Fatalf("policy name %q != %q", p.Name(), name)
 		}
 	}
-	if _, err := sys.NewPolicy("DTM-NOPE"); err == nil {
+	if _, err := sys.NewPolicyFor("DTM-NOPE", sys.Config().Limits); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
@@ -43,7 +69,7 @@ func TestModelKindString(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	sys := NewSystem(DefaultConfig())
-	if _, err := sys.Run(RunSpec{}); err == nil {
+	if _, err := sys.RunCtx(context.Background(), RunSpec{}); err == nil {
 		t.Fatal("nil policy accepted")
 	}
 }
@@ -61,10 +87,7 @@ func TestNormalizedRuntimeTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := sys.NormalizedRuntime(mix, "DTM-TS", fbconfig.CoolingAOHS15, Isolated)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := normalizedRuntime(t, sys, mix, "DTM-TS")
 	if n <= 1.0 {
 		t.Fatalf("DTM-TS normalized runtime %v, want > 1", n)
 	}
@@ -81,8 +104,8 @@ func TestSpecOverrides(t *testing.T) {
 	cfg.InstrScale = 0.01
 	sys := NewSystem(cfg)
 	mix, _ := workload.MixByName("W8")
-	p, _ := sys.NewPolicy("No-limit")
-	res, err := sys.Run(RunSpec{
+	p, _ := sys.NewPolicyFor("No-limit", cfg.Limits)
+	res, err := sys.RunCtx(context.Background(), RunSpec{
 		Mix: mix, Policy: p, Cooling: fbconfig.CoolingFDHS10, Model: Integrated,
 		PsiXi: 2.0, Interval: 0.02,
 	})

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"dramtherm/internal/fbconfig"
 	"dramtherm/internal/workload"
 )
 
@@ -24,12 +23,7 @@ func TestBatchDepthSensitivity(t *testing.T) {
 	norm := func(replicas int) float64 {
 		cfg := DefaultConfig()
 		cfg.Replicas = replicas
-		sys := NewSystem(cfg)
-		n, err := sys.NormalizedRuntime(mix, "DTM-TS", fbconfig.CoolingAOHS15, Isolated)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
+		return normalizedRuntime(t, NewSystem(cfg), mix, "DTM-TS")
 	}
 	n2, n6 := norm(2), norm(6)
 	if n2 <= 1 || n6 <= 1 {

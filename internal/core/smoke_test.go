@@ -22,10 +22,7 @@ func TestSmokeW1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := sys.Baseline(mix, fbconfig.CoolingAOHS15, Isolated)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runPolicy(t, sys, mix, "No-limit", fbconfig.CoolingAOHS15, Isolated)
 	t.Logf("No-limit: %.0f s, %.0f GB traffic, maxAMB=%.1f maxDRAM=%.1f",
 		base.Seconds, base.TotalTrafficGB(), base.MaxAMB, base.MaxDRAM)
 	if base.TimedOut {
@@ -33,14 +30,7 @@ func TestSmokeW1(t *testing.T) {
 	}
 	for _, name := range []string{"DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS", "DTM-ACG+PID", "DTM-CDVFS+PID", "DTM-BW+PID"} {
 		start := time.Now()
-		p, err := sys.NewPolicy(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run(RunSpec{Mix: mix, Policy: p, Cooling: fbconfig.CoolingAOHS15, Model: Isolated})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		res := runPolicy(t, sys, mix, name, fbconfig.CoolingAOHS15, Isolated)
 		norm := res.Seconds / base.Seconds
 		t.Logf("%-14s norm=%.2f  (%.0f s, traffic %.0f GB, maxAMB %.1f, overshoots %d, memE %.0f kJ, cpuE %.0f kJ) [wall %.1fs]",
 			name, norm, res.Seconds, res.TotalTrafficGB(), res.MaxAMB, res.Overshoots,

@@ -1,14 +1,18 @@
-// Chapter 4 figures: the simulation study of the DTM schemes.
+// Chapter 4 figures: the simulation study of the DTM schemes. Each
+// driver plans its figure as one spec list (the zero Model is the
+// isolated one) and runs it with one engine Sweep, so the figure's runs
+// share the worker pool; it then reads the results back in plan order.
 
 package exp
 
 import (
+	"context"
 	"fmt"
 
-	"dramtherm/internal/core"
 	"dramtherm/internal/fbconfig"
 	"dramtherm/internal/report"
 	"dramtherm/internal/stats"
+	"dramtherm/internal/sweep"
 )
 
 func init() {
@@ -32,47 +36,50 @@ func coolings() []fbconfig.Cooling { return fbconfig.ExperimentCoolings }
 
 func fig42(r *Runner) (Result, error) {
 	res := Result{ID: "fig4.2"}
-	type sweep struct {
+	type panel struct {
 		cooling fbconfig.Cooling
 		isAMB   bool
 		trps    []float64
 	}
-	sweeps := []sweep{
+	panels := []panel{
 		{fbconfig.CoolingFDHS10, false, []float64{81, 82, 83, 84, 84.5}},
 		{fbconfig.CoolingAOHS15, true, []float64{106, 107, 108, 109, 109.5}},
 	}
-	for _, sw := range sweeps {
-		kind := "DRAM TRP"
-		if sw.isAMB {
-			kind = "AMB TRP"
-		}
-		fig := report.NewFigure(
-			fmt.Sprintf("Fig 4.2 (%s): DTM-TS normalized runtime vs %s", sw.cooling.Name(), kind),
-			kind+" (C)", "normalized running time")
+	var specs []sweep.Spec
+	for _, p := range panels {
 		for _, mix := range r.mixes() {
-			var ys []float64
-			for _, trp := range sw.trps {
+			for _, trp := range p.trps {
 				lim := fbconfig.DefaultLimits
-				if sw.isAMB {
+				if p.isAMB {
 					lim.AMBTRP = trp
 				} else {
 					lim.DRAMTRP = trp
 				}
 				// The TS policy carries its own limits; the engine
 				// builds it with the swept TRP because the spec's Limits
-				// override reaches policy construction.
-				res2, err := r.run(mix, "DTM-TS", sw.cooling, core.Isolated,
-					core.RunSpec{Limits: lim})
-				if err != nil {
-					return res, err
-				}
-				base, err := r.run(mix, "No-limit", sw.cooling, core.Isolated, core.RunSpec{})
-				if err != nil {
-					return res, err
-				}
-				ys = append(ys, res2.Seconds/base.Seconds)
+				// override reaches policy construction. The No-limit
+				// baseline runs under the default limits.
+				specs = append(specs, sweep.Spec{Mix: mix.Name, Policy: "DTM-TS",
+					Cooling: p.cooling.Name(), Limits: lim})
 			}
-			fig.AddXY(mix.Name, sw.trps, ys)
+		}
+	}
+	sw, err := r.Eng.Sweep(context.TODO(), specs, sweep.Options{Normalize: true})
+	if err != nil {
+		return res, err
+	}
+	norms := sw.Norms
+	for _, p := range panels {
+		kind := "DRAM TRP"
+		if p.isAMB {
+			kind = "AMB TRP"
+		}
+		fig := report.NewFigure(
+			fmt.Sprintf("Fig 4.2 (%s): DTM-TS normalized runtime vs %s", p.cooling.Name(), kind),
+			kind+" (C)", "normalized running time")
+		for _, mix := range r.mixes() {
+			fig.AddXY(mix.Name, p.trps, norms[:len(p.trps):len(p.trps)])
+			norms = norms[len(p.trps):]
 		}
 		res.Figures = append(res.Figures, fig)
 	}
@@ -88,33 +95,40 @@ func schemeSet(r *Runner) []string {
 		"DTM-BW+PID", "DTM-ACG+PID", "DTM-CDVFS+PID"}
 }
 
-// byScheme runs every (mix, scheme) pair for both coolings and hands the
-// per-run values to get.
+// byScheme runs every (mix, scheme) pair for both coolings, with each
+// mix's No-limit and DTM-TS runs, and hands the per-run values to get.
 func (r *Runner) byScheme(id, caption, ylabel string,
 	get func(res, ts, base statsIn) float64) (Result, error) {
 	out := Result{ID: id}
+	schemes := schemeSet(r)
+	// Per (cooling, mix): No-limit, DTM-TS, then every scheme. DTM-TS is
+	// also a scheme; the engine runs it once.
+	var specs []sweep.Spec
+	for _, cool := range coolings() {
+		for _, mix := range r.mixes() {
+			for _, p := range append([]string{"No-limit", "DTM-TS"}, schemes...) {
+				specs = append(specs, sweep.Spec{Mix: mix.Name, Policy: p, Cooling: cool.Name()})
+			}
+		}
+	}
+	sw, err := r.Eng.Sweep(context.TODO(), specs, sweep.Options{})
+	if err != nil {
+		return out, err
+	}
+	in := func(i int) statsIn {
+		res := sw.Results[i]
+		return statsIn{res.Seconds, res.TotalTrafficGB(), res.MemEnergyJ, res.CPUEnergyJ}
+	}
+	k := 0
 	for _, cool := range coolings() {
 		fig := report.NewFigure(fmt.Sprintf("%s (%s)", caption, cool.Name()), "workload", ylabel)
-		schemes := schemeSet(r)
 		series := make(map[string][]float64, len(schemes))
-		for _, mix := range r.mixes() {
-			base, err := r.run(mix, "No-limit", cool, core.Isolated, core.RunSpec{})
-			if err != nil {
-				return out, err
+		for range r.mixes() {
+			base, ts := in(k), in(k+1)
+			for j, s := range schemes {
+				series[s] = append(series[s], get(in(k+2+j), ts, base))
 			}
-			ts, err := r.run(mix, "DTM-TS", cool, core.Isolated, core.RunSpec{})
-			if err != nil {
-				return out, err
-			}
-			for _, s := range schemes {
-				res, err := r.run(mix, s, cool, core.Isolated, core.RunSpec{})
-				if err != nil {
-					return out, err
-				}
-				series[s] = append(series[s], get(statsIn{res.Seconds, res.TotalTrafficGB(), res.MemEnergyJ, res.CPUEnergyJ},
-					statsIn{ts.Seconds, ts.TotalTrafficGB(), ts.MemEnergyJ, ts.CPUEnergyJ},
-					statsIn{base.Seconds, base.TotalTrafficGB(), base.MemEnergyJ, base.CPUEnergyJ}))
-			}
+			k += 2 + len(schemes)
 		}
 		for _, s := range schemes {
 			ys := series[s]
@@ -156,7 +170,8 @@ func fig410(r *Runner) (Result, error) {
 func figTemp(id, scheme string) func(*Runner) (Result, error) {
 	return func(r *Runner) (Result, error) {
 		mix := r.mixes()[0] // W1
-		res, err := r.run(mix, scheme, fbconfig.CoolingAOHS15, core.Isolated, core.RunSpec{})
+		res, _, err := r.Eng.Run(context.TODO(), sweep.Spec{Mix: mix.Name, Policy: scheme,
+			Cooling: fbconfig.CoolingAOHS15.Name()})
 		if err != nil {
 			return Result{}, err
 		}
@@ -176,6 +191,22 @@ func fig411(r *Runner) (Result, error) {
 	out := Result{ID: "fig4.11"}
 	intervals := []float64{0.001, 0.01, 0.02, 0.1}
 	schemes := []string{"DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"}
+	var specs []sweep.Spec
+	for _, cool := range coolings() {
+		for _, s := range schemes {
+			for _, iv := range intervals {
+				for _, mix := range r.mixes() {
+					specs = append(specs, sweep.Spec{Mix: mix.Name, Policy: s,
+						Cooling: cool.Name(), Interval: iv})
+				}
+			}
+		}
+	}
+	sw, err := r.Eng.Sweep(context.TODO(), specs, sweep.Options{})
+	if err != nil {
+		return out, err
+	}
+	k := 0
 	for _, cool := range coolings() {
 		fig := report.NewFigure(
 			fmt.Sprintf("Fig 4.11 (%s): normalized avg runtime vs DTM interval", cool.Name()),
@@ -185,12 +216,9 @@ func fig411(r *Runner) (Result, error) {
 			var ref float64
 			for _, iv := range intervals {
 				var sum float64
-				for _, mix := range r.mixes() {
-					res, err := r.run(mix, s, cool, core.Isolated, core.RunSpec{Interval: iv})
-					if err != nil {
-						return out, err
-					}
-					sum += res.Seconds
+				for range r.mixes() {
+					sum += sw.Results[k].Seconds
+					k++
 				}
 				if iv == 0.01 {
 					ref = sum
@@ -210,18 +238,29 @@ func fig411(r *Runner) (Result, error) {
 func fig412(r *Runner) (Result, error) {
 	out := Result{ID: "fig4.12"}
 	schemes := []string{"DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"}
+	var specs []sweep.Spec
+	for _, cool := range coolings() {
+		for _, mix := range r.mixes() {
+			for _, s := range schemes {
+				specs = append(specs, sweep.Spec{Mix: mix.Name, Policy: s,
+					Cooling: cool.Name(), Model: "integrated"})
+			}
+		}
+	}
+	sw, err := r.Eng.Sweep(context.TODO(), specs, sweep.Options{Normalize: true})
+	if err != nil {
+		return out, err
+	}
+	norms := sw.Norms
 	for _, cool := range coolings() {
 		fig := report.NewFigure(
 			fmt.Sprintf("Fig 4.12 (%s): normalized runtime, integrated thermal model", cool.Name()),
 			"workload", "runtime / No-limit")
 		series := make(map[string][]float64)
-		for _, mix := range r.mixes() {
+		for range r.mixes() {
 			for _, s := range schemes {
-				n, _, err := r.norm(mix, s, cool, core.Integrated, core.RunSpec{})
-				if err != nil {
-					return out, err
-				}
-				series[s] = append(series[s], n)
+				series[s] = append(series[s], norms[0])
+				norms = norms[1:]
 			}
 		}
 		for _, s := range schemes {
@@ -241,20 +280,28 @@ func fig413(r *Runner) (Result, error) {
 	out := Result{ID: "fig4.13"}
 	schemes := []string{"DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"}
 	cool := fbconfig.CoolingFDHS10
+	var specs []sweep.Spec
+	for _, s := range schemes {
+		for _, deg := range interactionDegrees {
+			for _, mix := range r.mixes() {
+				specs = append(specs, sweep.Spec{Mix: mix.Name, Policy: s,
+					Cooling: cool.Name(), Model: "integrated", PsiXi: deg})
+			}
+		}
+	}
+	sw, err := r.Eng.Sweep(context.TODO(), specs, sweep.Options{Normalize: true})
+	if err != nil {
+		return out, err
+	}
+	norms := sw.Norms
 	fig := report.NewFigure("Fig 4.13 (FDHS 1.0): avg normalized runtime vs thermal interaction degree",
 		"PsiCPU_MEM*xi", "runtime / No-limit")
 	for _, s := range schemes {
 		var ys []float64
-		for _, deg := range interactionDegrees {
-			var ns []float64
-			for _, mix := range r.mixes() {
-				n, _, err := r.norm(mix, s, cool, core.Integrated, core.RunSpec{PsiXi: deg})
-				if err != nil {
-					return out, err
-				}
-				ns = append(ns, n)
-			}
-			ys = append(ys, stats.Mean(ns))
+		for range interactionDegrees {
+			n := len(r.mixes())
+			ys = append(ys, stats.Mean(norms[:n]))
+			norms = norms[n:]
 		}
 		fig.AddXY(s, interactionDegrees, ys)
 	}
@@ -265,22 +312,34 @@ func fig413(r *Runner) (Result, error) {
 func fig414(r *Runner) (Result, error) {
 	out := Result{ID: "fig4.14"}
 	cool := fbconfig.CoolingFDHS10
+	schemes := []string{"DTM-ACG", "DTM-CDVFS"}
+	// Per (scheme, degree, mix): the DTM-BW run, then the scheme's.
+	var specs []sweep.Spec
+	for _, s := range schemes {
+		for _, deg := range interactionDegrees {
+			for _, mix := range r.mixes() {
+				for _, p := range []string{"DTM-BW", s} {
+					specs = append(specs, sweep.Spec{Mix: mix.Name, Policy: p,
+						Cooling: cool.Name(), Model: "integrated", PsiXi: deg})
+				}
+			}
+		}
+	}
+	sw, err := r.Eng.Sweep(context.TODO(), specs, sweep.Options{})
+	if err != nil {
+		return out, err
+	}
+	k := 0
 	fig := report.NewFigure("Fig 4.14 (FDHS 1.0): avg improvement over DTM-BW vs interaction degree",
 		"PsiCPU_MEM*xi", "improvement over DTM-BW (%)")
-	for _, s := range []string{"DTM-ACG", "DTM-CDVFS"} {
+	for _, s := range schemes {
 		var ys []float64
-		for _, deg := range interactionDegrees {
+		for range interactionDegrees {
 			var imps []float64
-			for _, mix := range r.mixes() {
-				bw, err := r.run(mix, "DTM-BW", cool, core.Integrated, core.RunSpec{PsiXi: deg})
-				if err != nil {
-					return out, err
-				}
-				res, err := r.run(mix, s, cool, core.Integrated, core.RunSpec{PsiXi: deg})
-				if err != nil {
-					return out, err
-				}
+			for range r.mixes() {
+				bw, res := sw.Results[k], sw.Results[k+1]
 				imps = append(imps, (bw.Seconds-res.Seconds)/bw.Seconds*100)
+				k += 2
 			}
 			ys = append(ys, stats.Mean(imps))
 		}

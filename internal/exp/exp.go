@@ -19,7 +19,6 @@ import (
 	"dramtherm/internal/memo"
 	"dramtherm/internal/platform"
 	"dramtherm/internal/report"
-	"dramtherm/internal/sim"
 	"dramtherm/internal/sweep"
 	"dramtherm/internal/trace"
 	"dramtherm/internal/workload"
@@ -56,7 +55,6 @@ func (r Result) String() string {
 // both kinds of run: Chapter 4 simulations through the engine's pool,
 // platform emulations through pfSem.
 type Runner struct {
-	Sys *core.System
 	// Eng serves every Chapter 4 level-2 run.
 	Eng *sweep.Engine
 
@@ -119,7 +117,6 @@ func RunnerConfig(quick bool) core.Config {
 // the paper's tables.
 func NewRunnerFor(eng *sweep.Engine, quick bool) *Runner {
 	r := &Runner{
-		Sys:    eng.System(),
 		Eng:    eng,
 		Quick:  quick,
 		pe:     platform.PE1950(),
@@ -139,34 +136,6 @@ func (r *Runner) mixes() []workload.Mix {
 		return ms[:2]
 	}
 	return ms
-}
-
-// run executes one Chapter 4 level-2 run through the sweep engine, which
-// memoizes it and deduplicates concurrent requests for the same spec.
-func (r *Runner) run(mix workload.Mix, policyName string, cooling fbconfig.Cooling, model core.ThermalModelKind, spec core.RunSpec) (sim.MEMSpotResult, error) {
-	res, _, err := r.Eng.Run(context.Background(), sweep.Spec{
-		Mix:      mix.Name,
-		Policy:   policyName,
-		Cooling:  cooling.Name(),
-		Model:    model.String(),
-		PsiXi:    spec.PsiXi,
-		Interval: spec.Interval,
-		Limits:   spec.Limits,
-	})
-	return res, err
-}
-
-// norm returns runtime normalized to the No-limit baseline.
-func (r *Runner) norm(mix workload.Mix, policyName string, cooling fbconfig.Cooling, model core.ThermalModelKind, spec core.RunSpec) (float64, sim.MEMSpotResult, error) {
-	res, err := r.run(mix, policyName, cooling, model, spec)
-	if err != nil {
-		return 0, res, err
-	}
-	base, err := r.run(mix, "No-limit", cooling, model, core.RunSpec{PsiXi: spec.PsiXi})
-	if err != nil {
-		return 0, res, err
-	}
-	return res.Seconds / base.Seconds, res, nil
 }
 
 // pfConfig applies the runner's defaults (batch depth by mode, sensor

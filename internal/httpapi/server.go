@@ -627,27 +627,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		go func() {
-			start := time.Now()
-			onEvent := func(ev sweep.Event) { job.Publish(sweep.JobEventFrom(ev)) }
-			if search != nil {
-				search.OnEvent = onEvent
-				res, err := s.eng.Search(job.Context(), specs, *search)
-				if err != nil {
-					job.Finish(nil, err)
-					return
-				}
-				job.Finish(&searchPayload{res: res, wall: time.Since(start).Seconds()}, nil)
-				return
-			}
-			res, err := s.eng.Sweep(job.Context(), specs, sweep.Options{
-				Normalize: req.Normalize,
-				OnEvent:   onEvent,
-			})
-			if err != nil {
-				job.Finish(nil, err)
-				return
-			}
-			job.Finish(&sweepPayload{res: res, normalize: req.Normalize, wall: time.Since(start).Seconds()}, nil)
+			job.Finish(s.execSweep(job.Context(), specs, req.Normalize, search,
+				func(ev sweep.Event) { job.Publish(sweep.JobEventFrom(ev)) }))
 		}()
 		writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID()})
 		return
@@ -657,22 +638,38 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// disconnect cancels it) bounded by the server lifetime.
 	ctx, cancel := mergeDone(r.Context(), s.base)
 	defer cancel()
-	start := time.Now()
-	if search != nil {
-		res, err := s.eng.Search(ctx, specs, *search)
-		if err != nil {
-			s.writeServerErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, s.searchResponseOf(res, time.Since(start).Seconds(), wantFlag(r, "specs")))
-		return
-	}
-	res, err := s.eng.Sweep(ctx, specs, sweep.Options{Normalize: req.Normalize})
+	payload, err := s.execSweep(ctx, specs, req.Normalize, search, nil)
 	if err != nil {
 		s.writeServerErr(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.sweepResponseOf(specs, res, req.Normalize, time.Since(start).Seconds(), wantFlag(r, "traces")))
+	switch p := payload.(type) {
+	case *sweepPayload:
+		writeJSON(w, http.StatusOK, s.sweepResponseOf(specs, p.res, p.normalize, p.wall, wantFlag(r, "traces")))
+	case *searchPayload:
+		writeJSON(w, http.StatusOK, s.searchResponseOf(p.res, p.wall, wantFlag(r, "specs")))
+	}
+}
+
+// execSweep runs a validated sweep request under ctx — a search when
+// search is non-nil — observed by onEvent (may be nil), and returns the
+// payload viewJob renders: a *searchPayload or a *sweepPayload.
+func (s *Server) execSweep(ctx context.Context, specs []sweep.Spec, normalize bool, search *sweep.SearchOptions, onEvent func(sweep.Event)) (any, error) {
+	start := time.Now()
+	if search != nil {
+		opts := *search
+		opts.OnEvent = onEvent
+		res, err := s.eng.Search(ctx, specs, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &searchPayload{res: res, wall: time.Since(start).Seconds()}, nil
+	}
+	res, err := s.eng.Sweep(ctx, specs, sweep.Options{Normalize: normalize, OnEvent: onEvent})
+	if err != nil {
+		return nil, err
+	}
+	return &sweepPayload{res: res, normalize: normalize, wall: time.Since(start).Seconds()}, nil
 }
 
 // decodeStrict decodes a client request body, rejecting fields the

@@ -58,7 +58,7 @@ func BenchmarkMEMSpotSecond(b *testing.B) {
 }
 
 // BenchmarkMEMSpotRunShared measures whole level-2 runs in the shape of
-// a sweep: two goroutines each run RunMixCtx to completion under one
+// a sweep: two goroutines each run a MEMSpot to completion under one
 // shared cancelable context, over a store warmed before the timer
 // starts. Unlike BenchmarkMEMSpotSecond, which calls step directly, it
 // includes RunHooked's per-window cancellation poll on the shared
@@ -79,7 +79,7 @@ func BenchmarkMEMSpotRunShared(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := warm.Run(); err != nil {
+	if _, err := warm.RunCtx(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	windows := warm.StepsTaken()
@@ -95,7 +95,12 @@ func BenchmarkMEMSpotRunShared(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, errs[g] = RunMixCtx(ctx, cfg(), store)
+				ms, err := NewMEMSpot(cfg(), store)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				_, errs[g] = ms.RunCtx(ctx)
 			}()
 		}
 		wg.Wait()

@@ -304,16 +304,10 @@ func (m *MEMSpot) canonApps(names []string) string {
 	return m.lastApps
 }
 
-// Run executes the batch to completion (or MaxSeconds) and returns the
-// result.
-func (m *MEMSpot) Run() (MEMSpotResult, error) {
-	return m.RunCtx(context.Background())
-}
-
 // StepWindow advances the simulation by exactly one window. It is the
 // per-timestep unit of the level-2 hot loop, exposed for the
 // differential test harness (internal/simtest) and the pinned
-// benchmarks (cmd/benchsnap); normal callers use Run/RunCtx.
+// benchmarks (cmd/benchsnap); normal callers use RunCtx.
 func (m *MEMSpot) StepWindow() error { return m.step() }
 
 // Done reports whether the batch has completed (all jobs finished).
@@ -333,9 +327,10 @@ func (m *MEMSpot) StepsTaken() int64 { return m.steps }
 // of the next decision the policy will be asked for.
 func (m *MEMSpot) Decisions() int { return m.decisions }
 
-// RunCtx is Run with cancellation: the simulation loop aborts between
-// windows as soon as ctx is done, returning the context error and the
-// partial result accumulated so far.
+// RunCtx executes the batch to completion (or MaxSeconds) and returns
+// the result. The simulation loop aborts between windows as soon as ctx
+// is done, returning the context error and the partial result
+// accumulated so far.
 func (m *MEMSpot) RunCtx(ctx context.Context) (MEMSpotResult, error) {
 	return m.RunHooked(ctx, nil)
 }
@@ -614,14 +609,9 @@ func (m *MEMSpot) cpuWatts(lv fbconfig.DVFSLevel, runningCores int) float64 {
 
 // RunMix is the high-level helper: build MEMSpot, run it, return results.
 func RunMix(cfg MEMSpotConfig, store *trace.Store) (MEMSpotResult, error) {
-	return RunMixCtx(context.Background(), cfg, store)
-}
-
-// RunMixCtx is RunMix with cancellation.
-func RunMixCtx(ctx context.Context, cfg MEMSpotConfig, store *trace.Store) (MEMSpotResult, error) {
 	ms, err := NewMEMSpot(cfg, store)
 	if err != nil {
 		return MEMSpotResult{}, err
 	}
-	return ms.RunCtx(ctx)
+	return ms.RunCtx(context.Background())
 }

@@ -1,7 +1,7 @@
-// Package sweep is the concurrent simulation-serving subsystem: it
-// turns the blocking, in-process core.System.Run call into a service
-// that many clients (experiment drivers, CLIs, the dramthermd HTTP
-// server) share.
+// Package sweep is the concurrent simulation-serving subsystem and the
+// one way callers run a level-2 spec: it turns the blocking, uncached
+// core.System.RunCtx call into a service that many clients (experiment
+// drivers, CLIs, examples, the dramthermd HTTP server) share.
 //
 // # Specs and keys
 //

@@ -69,10 +69,13 @@ func TestEngineSweepDedup(t *testing.T) {
 
 	var progress atomic.Int64
 	res, err := e.Sweep(context.Background(), specs, Options{
-		OnProgress: func(p Progress) {
+		OnEvent: func(ev Event) {
+			if ev.Kind == EventStarted {
+				return
+			}
 			progress.Add(1)
-			if p.Total != len(specs) {
-				t.Errorf("progress total %d, want %d", p.Total, len(specs))
+			if ev.Total != len(specs) {
+				t.Errorf("progress total %d, want %d", ev.Total, len(specs))
 			}
 		},
 	})
@@ -212,7 +215,7 @@ func TestEngineMatchesSerialRun(t *testing.T) {
 	}
 
 	serial := core.NewSystem(tinyConfig())
-	p, err := serial.NewPolicy("DTM-TS")
+	p, err := serial.NewPolicyFor("DTM-TS", serial.Config().Limits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +223,7 @@ func TestEngineMatchesSerialRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := serial.Run(core.RunSpec{Mix: mixRS.Mix, Policy: p, Cooling: fbconfig.CoolingAOHS15, Model: core.Isolated})
+	want, err := serial.RunCtx(context.Background(), core.RunSpec{Mix: mixRS.Mix, Policy: p, Cooling: fbconfig.CoolingAOHS15, Model: core.Isolated})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestRunColdOnImmediateDivergence(t *testing.T) {
 		t.Skip("real simulation skipped in -short mode")
 	}
 	sys := testSystem(t)
-	want, err := sys.Run(runSpec(t, sys, "DTM-TS"))
+	want, err := sys.RunCtx(context.Background(), runSpec(t, sys, "DTM-TS"))
 	if err != nil {
 		t.Fatal(err)
 	}

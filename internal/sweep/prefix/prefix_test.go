@@ -92,7 +92,7 @@ func runSpec(t *testing.T, sys *core.System, policy string) core.RunSpec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := sys.NewPolicy(policy)
+	pol, err := sys.NewPolicyFor(policy, sys.Config().Limits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestLeaderFollowerBitIdentical(t *testing.T) {
 
 	cold := make(map[string]sim.MEMSpotResult, len(policies))
 	for _, p := range policies {
-		res, err := sys.Run(runSpec(t, sys, p))
+		res, err := sys.RunCtx(context.Background(), runSpec(t, sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestCancelledLeaderHandsOff(t *testing.T) {
 	followers := []string{"DTM-BW", "DTM-ACG", "DTM-CDVFS"}
 	cold := make(map[string]sim.MEMSpotResult, len(followers))
 	for _, p := range followers {
-		res, err := sys.Run(runSpec(t, sys, p))
+		res, err := sys.RunCtx(context.Background(), runSpec(t, sys, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestCancelledLeaderHandsOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	newRun := func(policy string) (core.RunSpec, error) {
-		pol, err := sys.NewPolicy(policy)
+		pol, err := sys.NewPolicyFor(policy, sys.Config().Limits)
 		return core.RunSpec{Mix: mix, Policy: pol, Cooling: fbconfig.CoolingAOHS15}, err
 	}
 

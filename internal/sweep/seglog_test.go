@@ -552,8 +552,8 @@ func seededEngine(t *testing.T, dir string, seed int64) *Engine {
 // TestTraceRecordsScopedByLevel1Digest: level-1 records built at one
 // seed are not replayed into an engine at another. The reader skips and
 // counts them, rebuilds the point on demand, and a same-seed reader
-// replays its own record bit-identically. Compaction drops the foreign
-// records.
+// replays its own record bit-identically. The reader's open compacted
+// the foreign record away, so the next reader skips nothing.
 func TestTraceRecordsScopedByLevel1Digest(t *testing.T) {
 	dir := t.TempDir()
 	dp := trace.DesignPoint{Apps: "swim", FreqGHz: 3.2, BWCapGBps: math.Inf(1)}
@@ -591,8 +591,8 @@ func TestTraceRecordsScopedByLevel1Digest(t *testing.T) {
 	if builds, _ := store.Counts(); builds != 0 || traceBits(got) != traceBits(own) {
 		t.Fatalf("same-digest replay: %d builds, rates\n%s\nwant\n%s", builds, traceBits(got), traceBits(own))
 	}
-	if st, _ := again.StateStats(); st.SkippedTraces != 1 {
-		t.Fatalf("skipped %d, want the seed-7 record", st.SkippedTraces)
+	if st, _ := again.StateStats(); st.SkippedTraces != 0 {
+		t.Fatalf("skipped %d, want 0: the seed-1 reader's open dropped the seed-7 record", st.SkippedTraces)
 	}
 	if err := again.CompactState(); err != nil {
 		t.Fatal(err)
@@ -604,6 +604,58 @@ func TestTraceRecordsScopedByLevel1Digest(t *testing.T) {
 	defer compacted.Close()
 	if st, _ := compacted.StateStats(); compacted.System().Store().Len() != 1 || st.SkippedTraces != 0 {
 		t.Fatalf("after compaction: replayed %d, skipped %d; want 1 and 0", compacted.System().Store().Len(), st.SkippedTraces)
+	}
+}
+
+// TestForeignRecordsCompactedAtOpen: a directory holding one foreign
+// and one own run record replays as one entry and one skip, and the open
+// leaves only the own record in the directory.
+func TestForeignRecordsCompactedAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	e := NewEngine(core.NewSystem(core.DefaultConfig()), 1)
+	own := e.Key(Spec{Mix: "W1"})
+	l, err := OpenSegmentLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(recordRun, runPayload(t, "deadbeef|W1|...", 42)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(recordRun, runPayload(t, own, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := e.EnableSegmentLog(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := e.StateStats(); e.Stats().Entries != 1 || st.SkippedRuns != 1 {
+		t.Fatalf("replayed %d runs, skipped %d; want 1 and 1", e.Stats().Entries, st.SkippedRuns)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err = OpenSegmentLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var keys []Key
+	if err := l.Replay(func(kind byte, payload []byte) error {
+		var rec runRecord
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+			return err
+		}
+		keys = append(keys, rec.Key)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 1 || keys[0] != own {
+		t.Fatalf("directory holds %q after the open, want only %q", keys, own)
 	}
 }
 

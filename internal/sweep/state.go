@@ -34,9 +34,10 @@ type traceRecord struct {
 // it opens (or creates) the append-only segment log in dir, replays it
 // into the run cache and the level-1 trace store (keeping only records
 // this engine's configuration produced; see replayState), and registers
-// hooks so
-// every freshly built run and trace record is appended as it completes —
-// there is no shutdown flush to lose. compactEvery > 0 starts a
+// hooks so every freshly built run and trace record is appended as it
+// completes — there is no shutdown flush to lose. When replay skipped
+// any record, the log is compacted once before returning, so foreign
+// records are decoded on this open only. compactEvery > 0 starts a
 // background compactor folding the log into one snapshot segment on that
 // period (stopped by Close); <= 0 leaves compaction to CompactState
 // calls. Call once, before the engine is shared across goroutines.
@@ -54,6 +55,13 @@ func (e *Engine) EnableSegmentLog(dir string, compactEvery time.Duration) error 
 		return err
 	}
 	e.seglog = l
+	if e.skippedRuns.Load()+e.skippedTraces.Load() > 0 {
+		if err := e.CompactState(); err != nil {
+			l.Close()
+			e.seglog = nil
+			return err
+		}
+	}
 	e.cache.OnInsert(func(k Key, v sim.MEMSpotResult) {
 		e.appendRun(k, v)
 	})
@@ -100,7 +108,7 @@ func (e *Engine) appendTrace(r trace.Rates) {
 // a run record keyed under another ConfigDigest, or a level-1 record
 // whose builder digest differs from this engine's (a directory reused
 // after a seed or parameter change). A skipped record is rebuilt on
-// demand and drops out at the next compaction.
+// demand; EnableSegmentLog compacts it out of the log.
 func (e *Engine) replayState(l *SegmentLog) error {
 	return l.Replay(func(kind byte, payload []byte) error {
 		switch kind {

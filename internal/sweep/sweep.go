@@ -9,15 +9,6 @@ import (
 	"dramtherm/internal/sim"
 )
 
-// Progress reports one finished job of a sweep.
-type Progress struct {
-	Done  int // jobs finished so far, including this one
-	Total int
-	Index int // index of this job in the spec list
-	Spec  Spec
-	Err   error
-}
-
 // EventKind classifies a per-spec run lifecycle event.
 type EventKind string
 
@@ -39,9 +30,9 @@ const (
 )
 
 // Event is one per-spec lifecycle notification from Sweep or a
-// single-run job. Unlike Progress (finish-only), events also mark run
-// starts and carry the cache outcome, so observers can distinguish
-// fresh simulations from cache hits and deduplicated joins.
+// single-run job. Events mark run starts and finishes and carry the
+// cache outcome, so observers can distinguish fresh simulations from
+// cache hits and deduplicated joins.
 type Event struct {
 	Kind  EventKind
 	Index int // position in the sweep's spec list; 0 for single runs
@@ -75,16 +66,12 @@ type Options struct {
 	// Normalize additionally runs each spec's No-limit baseline and
 	// fills Result.Norms with normalized runtimes.
 	Normalize bool
-	// OnProgress, when non-nil, is called after each job completes. It
-	// is invoked from worker goroutines and must be safe for concurrent
-	// use.
-	OnProgress func(Progress)
-	// OnEvent, when non-nil, additionally observes run starts and cache
+	// OnEvent, when non-nil, observes run starts, finishes and cache
 	// outcomes (see Event). Finish events (EventFinished/EventError) are
 	// delivered serialized and in completion order — their Done counters
 	// never regress — so the callback must be fast and must not call
-	// back into the engine. Start events follow the OnProgress contract:
-	// concurrent, from worker goroutines.
+	// back into the engine. Start events are delivered concurrently, from
+	// worker goroutines, so the callback must be safe for concurrent use.
 	OnEvent func(Event)
 }
 
@@ -176,9 +163,6 @@ func (e *Engine) Sweep(ctx context.Context, specs []Spec, opts Options) (*Result
 				opts.OnEvent(ev)
 			}
 			mu.Unlock()
-			if opts.OnProgress != nil {
-				opts.OnProgress(Progress{Done: n, Total: len(specs), Index: i, Spec: specs[i], Err: err})
-			}
 		}(i)
 	}
 	wg.Wait()
