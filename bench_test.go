@@ -20,7 +20,7 @@ var (
 )
 
 func runner() *exp.Runner {
-	benchOnce.Do(func() { benchRunner = exp.NewRunner(true) })
+	benchOnce.Do(func() { benchRunner = exp.NewRunnerParallel(true, 0) })
 	return benchRunner
 }
 

@@ -8,10 +8,10 @@
 //	memtherm -run fig5.6 -quick    # reduced-scale run (seconds to ~1 min)
 //	memtherm -run fig4.4 -csv      # emit CSV instead of rendered tables
 //	memtherm -run all -parallel 8  # run experiments concurrently; shared
-//	                               # (mix, policy) runs are deduplicated by
-//	                               # the sweep engine, not repeated, and
-//	                               # each figure runs up to 8 simulations
-//	                               # or platform emulations at once
+//	                               # runs are deduplicated by the sweep
+//	                               # engine, not repeated, and at most 8
+//	                               # simulations or platform runs execute
+//	                               # at once, across all figures
 //	memtherm -run all -segment-dir s.d
 //	                               # durable cache: results persist to the
 //	                               # s.d segment log as they complete
@@ -46,7 +46,7 @@ func main() {
 		run      = flag.String("run", "", "experiment ID(s), comma separated, or \"all\"")
 		quick    = flag.Bool("quick", false, "reduced-scale mode (smaller batches, fewer mixes)")
 		csv      = flag.Bool("csv", false, "emit tables as CSV")
-		parallel = flag.Int("parallel", 0, "experiments to run concurrently; also sizes the simulation worker pool, which every figure's runs fan out over: a Chapter 4 figure's simulations and a Chapter 5 figure's platform runs (0 = GOMAXPROCS)")
+		parallel = flag.Int("parallel", 0, "experiments to run concurrently; also sizes the engine's one worker pool, which bounds the runs of every figure together, Chapter 4 simulations and Chapter 5 platform runs alike (0 = GOMAXPROCS)")
 		segDir   = flag.String("segment-dir", "", "durable state: results append to the segment-log directory as they complete and replay on the next run")
 		search   = flag.Bool("search", false, "adaptive search instead of an experiment: successive halving over cheap fidelity rungs finds the best (mix, DTM policy) of the Chapter 4 grid; faster than the grid on warm level-1 traces, slower on cold ones")
 	)
@@ -100,10 +100,10 @@ func main() {
 		}
 	}
 
-	// Run up to -parallel experiments concurrently. Their shared level-2
-	// runs (e.g. fig4.3/4.4/4.9/4.10 reuse the same simulations)
-	// collapse in the sweep engine's singleflight cache, so concurrency
-	// never duplicates work. Output streams in request order as each
+	// Run up to -parallel experiments concurrently. Their shared runs
+	// (e.g. fig4.3/4.4/4.9/4.10 reuse the same simulations, fig5.6/5.8/
+	// 5.9 the same platform runs) collapse in the sweep engine's
+	// singleflight cache, so concurrency never duplicates work. Output streams in request order as each
 	// experiment (and all before it) completes; the first failure in
 	// that order aborts the run, as in serial mode.
 	width := *parallel

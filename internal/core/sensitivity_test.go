@@ -1,3 +1,9 @@
+//go:build !race
+
+// The full-length W1 simulations here take about 28 s; the race
+// detector multiplies that more than tenfold (324 s on a 2-CPU host),
+// so, like the exp goldens, they run in the plain test suite only.
+
 package core
 
 import (

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"dramtherm/internal/fbconfig"
+	"dramtherm/internal/platform"
 	"dramtherm/internal/report"
 )
 
@@ -120,30 +121,23 @@ func table44(*Runner) (Result, error) {
 
 func table51(r *Runner) (Result, error) {
 	var tables []*report.Table
-	for _, m := range []struct {
-		name   string
-		levels [4]fbconfig.Celsius
-		caps   [3]float64
-	}{
-		{"PE1950", r.pe.AMBLevels, r.pe.BWCaps},
-		{"SR1500AL", r.sr.AMBLevels, r.sr.BWCaps},
-	} {
-		t := report.NewTable(fmt.Sprintf("Table 5.1 (%s): emergency levels and running states", m.name),
+	for _, m := range []platform.Machine{platform.PE1950(), platform.SR1500AL()} {
+		t := report.NewTable(fmt.Sprintf("Table 5.1 (%s): emergency levels and running states", m.Name),
 			"Level", "AMB range (C)", "BW", "ACG cores", "CDVFS", "COMB")
 		freq := []string{"3.00GHz", "2.67GHz", "2.33GHz", "2.00GHz"}
 		for i := 0; i < 4; i++ {
 			lo := "-"
 			if i > 0 {
-				lo = fmt.Sprintf("%.0f", m.levels[i-1])
+				lo = fmt.Sprintf("%.0f", m.AMBLevels[i-1])
 			}
 			bw := "No limit"
 			if i > 0 {
-				bw = fmt.Sprintf("%.1fGB/s", m.caps[i-1])
+				bw = fmt.Sprintf("%.1fGB/s", m.BWCaps[i-1])
 			}
 			cores := []string{"4", "3", "2", "2"}[i]
 			comb := fmt.Sprintf("%s@%s", []string{"4", "3", "2", "2"}[i], freq[i])
 			t.AddRow(fmt.Sprintf("L%d", i+1),
-				fmt.Sprintf("[%s,%.0f)", lo, m.levels[i]), bw, cores, freq[i], comb)
+				fmt.Sprintf("[%s,%.0f)", lo, m.AMBLevels[i]), bw, cores, freq[i], comb)
 		}
 		tables = append(tables, t)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"dramtherm/internal/fbconfig"
 	"dramtherm/internal/report"
+	"dramtherm/internal/sim"
 	"dramtherm/internal/stats"
 	"dramtherm/internal/sweep"
 )
@@ -98,7 +99,7 @@ func schemeSet(r *Runner) []string {
 // byScheme runs every (mix, scheme) pair for both coolings, with each
 // mix's No-limit and DTM-TS runs, and hands the per-run values to get.
 func (r *Runner) byScheme(id, caption, ylabel string,
-	get func(res, ts, base statsIn) float64) (Result, error) {
+	get func(res, ts, base sim.MEMSpotResult) float64) (Result, error) {
 	out := Result{ID: id}
 	schemes := schemeSet(r)
 	// Per (cooling, mix): No-limit, DTM-TS, then every scheme. DTM-TS is
@@ -115,18 +116,15 @@ func (r *Runner) byScheme(id, caption, ylabel string,
 	if err != nil {
 		return out, err
 	}
-	in := func(i int) statsIn {
-		res := sw.Results[i]
-		return statsIn{res.Seconds, res.TotalTrafficGB(), res.MemEnergyJ, res.CPUEnergyJ}
-	}
+	in := sw.Results
 	k := 0
 	for _, cool := range coolings() {
 		fig := report.NewFigure(fmt.Sprintf("%s (%s)", caption, cool.Name()), "workload", ylabel)
 		series := make(map[string][]float64, len(schemes))
 		for range r.mixes() {
-			base, ts := in(k), in(k+1)
+			base, ts := in[k], in[k+1]
 			for j, s := range schemes {
-				series[s] = append(series[s], get(in(k+2+j), ts, base))
+				series[s] = append(series[s], get(in[k+2+j], ts, base))
 			}
 			k += 2 + len(schemes)
 		}
@@ -140,29 +138,24 @@ func (r *Runner) byScheme(id, caption, ylabel string,
 	return out, nil
 }
 
-// statsIn bundles the quantities the byScheme getters need.
-type statsIn struct {
-	Seconds, TrafficGB, MemE, CPUE float64
-}
-
 func fig43(r *Runner) (Result, error) {
 	return r.byScheme("fig4.3", "Fig 4.3: normalized running time", "runtime / No-limit",
-		func(res, ts, base statsIn) float64 { return res.Seconds / base.Seconds })
+		func(res, ts, base sim.MEMSpotResult) float64 { return res.Seconds / base.Seconds })
 }
 
 func fig44(r *Runner) (Result, error) {
 	return r.byScheme("fig4.4", "Fig 4.4: normalized total memory traffic", "traffic / No-limit",
-		func(res, ts, base statsIn) float64 { return res.TrafficGB / base.TrafficGB })
+		func(res, ts, base sim.MEMSpotResult) float64 { return res.TotalTrafficGB() / base.TotalTrafficGB() })
 }
 
 func fig49(r *Runner) (Result, error) {
 	return r.byScheme("fig4.9", "Fig 4.9: normalized FBDIMM energy", "energy / DTM-TS",
-		func(res, ts, base statsIn) float64 { return res.MemE / ts.MemE })
+		func(res, ts, base sim.MEMSpotResult) float64 { return res.MemEnergyJ / ts.MemEnergyJ })
 }
 
 func fig410(r *Runner) (Result, error) {
 	return r.byScheme("fig4.10", "Fig 4.10: normalized processor energy", "energy / DTM-TS",
-		func(res, ts, base statsIn) float64 { return res.CPUE / ts.CPUE })
+		func(res, ts, base sim.MEMSpotResult) float64 { return res.CPUEnergyJ / ts.CPUEnergyJ })
 }
 
 // figTemp renders the first 1000 s of the AMB temperature trace of one

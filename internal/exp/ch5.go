@@ -1,16 +1,26 @@
 // Chapter 5 figures: the measurement-style study on the emulated PE1950
-// and SR1500AL testbeds.
+// and SR1500AL testbeds. Each driver plans its figure as one list of
+// machine specs and runs it with one engine Sweep, as the Chapter 4
+// drivers do. Where the plan allows, neighbouring specs differ in mix,
+// so runs that start together rarely wait on each other's level-1
+// builds.
 
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"dramtherm/internal/platform"
 	"dramtherm/internal/report"
+	"dramtherm/internal/sim"
 	"dramtherm/internal/stats"
+	"dramtherm/internal/sweep"
 	"dramtherm/internal/workload"
 )
+
+// The two testbeds, by sweep.Spec machine name.
+const pe, sr = "PE1950", "SR1500AL"
 
 func init() {
 	register("fig5.4", "AMB temperature, first 500s, homogeneous workloads (SR1500AL)", fig54)
@@ -27,13 +37,21 @@ func init() {
 	register("fig5.15", "Runtime and L2 misses vs scheduling quantum (PE1950)", fig515)
 }
 
-// homogeneous returns a 4-copy mix of one program.
-func homogeneous(name string) workload.Mix {
-	return workload.Mix{Name: name + "x4", Apps: []string{name, name, name, name}}
-}
+// homogeneous names the 4-copy mix of one program.
+func homogeneous(name string) string { return name + "x4" }
 
 // ch5Policies is the Fig. 5.6+ policy list.
 var ch5Policies = []platform.PolicyKind{platform.BW, platform.ACG, platform.CDVFS, platform.COMB}
+
+// pfSpec is policy k's run of mix on machine at the runner's batch
+// depth (1 in quick mode, else 3).
+func (r *Runner) pfSpec(machine string, k platform.PolicyKind, mix string) sweep.Spec {
+	n := 3
+	if r.Quick {
+		n = 1
+	}
+	return sweep.Spec{Machine: machine, Mix: mix, Policy: k.String(), RunsPerApp: n}
+}
 
 func fig54(r *Runner) (Result, error) {
 	out := Result{ID: "fig5.4"}
@@ -43,19 +61,17 @@ func fig54(r *Runner) (Result, error) {
 	}
 	fig := report.NewFigure("Fig 5.4: AMB temperature, first 500 s (SR1500AL, no DTM below safety cap)",
 		"time (s)", "AMB temperature (C)")
-	cfgs := make([]platform.RunConfig, len(apps))
+	specs := make([]sweep.Spec, len(apps))
 	for i, a := range apps {
-		cfgs[i] = platform.RunConfig{
-			Machine: r.sr, Policy: platform.NoLimit, Mix: homogeneous(a),
-			RunsPerApp: 5, MaxSeconds: 3000,
-		}
+		specs[i] = r.pfSpec(sr, platform.NoLimit, homogeneous(a))
+		specs[i].RunsPerApp, specs[i].MaxSeconds = 5, 3000
 	}
-	runs, err := r.pfRunAll(cfgs)
+	sw, err := r.Eng.Sweep(context.TODO(), specs, sweep.Options{})
 	if err != nil {
 		return out, err
 	}
 	for i, a := range apps {
-		tr := runs[i].AMBTrace
+		tr := sw.Results[i].AMBTrace
 		if len(tr) > 500 {
 			tr = tr[:500]
 		}
@@ -73,20 +89,18 @@ func fig55(r *Runner) (Result, error) {
 	}
 	t := report.NewTable("Fig 5.5: average AMB temperature, homogeneous workloads on PE1950 (no DTM)",
 		"benchmark", "avg AMB (C)", "max AMB (C)")
-	cfgs := make([]platform.RunConfig, len(progs))
+	specs := make([]sweep.Spec, len(progs))
 	for i, p := range progs {
-		cfgs[i] = platform.RunConfig{
-			Machine: r.pe, Policy: platform.NoLimit, Mix: homogeneous(p.Name),
-			RunsPerApp: 1, MaxSeconds: 5000,
-		}
+		specs[i] = r.pfSpec(pe, platform.NoLimit, homogeneous(p.Name))
+		specs[i].RunsPerApp, specs[i].MaxSeconds = 1, 5000
 	}
-	runs, err := r.pfRunAll(cfgs)
+	sw, err := r.Eng.Sweep(context.TODO(), specs, sweep.Options{})
 	if err != nil {
 		return out, err
 	}
 	var avgs []float64
 	for i, p := range progs {
-		res := runs[i]
+		res := sw.Results[i]
 		// The paper excludes the top 0.5% of samples to remove sensor
 		// spikes (§5.4.1).
 		trimmed := stats.TrimTop(res.AMBTrace, 0.005)
@@ -101,211 +115,111 @@ func fig55(r *Runner) (Result, error) {
 	return out, nil
 }
 
-// pfNormSeries runs mixes × policies on machine m and returns normalized
-// runtimes plus the raw results for derived figures.
-func (r *Runner) pfNormSeries(m platform.Machine, mixes []workload.Mix, variant func(*platform.RunConfig)) (map[platform.PolicyKind][]float64, map[string]platform.RunResult, error) {
+// pfFigure is experiment id's one figure: it runs No-limit and every
+// ch5Policies policy on each mix on machine (variant, when set, adjusts
+// every spec) and plots one series per policy, value(run, the mix's
+// No-limit run, the mix's DTM-BW run) over the mixes, then their mean
+// when mean is set.
+func (r *Runner) pfFigure(id, machine, title, ylabel string, mixes []string, variant func(*sweep.Spec),
+	mean bool, value func(res, base, bw sim.MEMSpotResult) float64) (Result, error) {
 	// Plan policy-major, so neighbouring runs in the batch differ in mix;
-	// run(p, i) is policy p (0 = No-limit, then ch5Policies) on mixes[i].
-	policies := append([]platform.PolicyKind{platform.NoLimit}, ch5Policies...)
-	var cfgs []platform.RunConfig
-	for _, k := range policies {
+	// run(p, i) is policy p (0 = No-limit, then ch5Policies, whose first
+	// is DTM-BW) on mixes[i].
+	var specs []sweep.Spec
+	for _, k := range append([]platform.PolicyKind{platform.NoLimit}, ch5Policies...) {
 		for _, mix := range mixes {
-			cfg := platform.RunConfig{Machine: m, Policy: k, Mix: mix}
+			spec := r.pfSpec(machine, k, mix)
 			if variant != nil {
-				variant(&cfg)
+				variant(&spec)
 			}
-			cfgs = append(cfgs, cfg)
+			specs = append(specs, spec)
 		}
 	}
-	runs, err := r.pfRunAll(cfgs)
+	sw, err := r.Eng.Sweep(context.TODO(), specs, sweep.Options{})
 	if err != nil {
-		return nil, nil, err
+		return Result{ID: id}, err
 	}
-	run := func(p, i int) platform.RunResult { return runs[p*len(mixes)+i] }
-
-	norm := make(map[platform.PolicyKind][]float64)
-	raw := make(map[string]platform.RunResult)
-	for i, mix := range mixes {
-		base := run(0, i)
-		raw[mix.Name+"/No-limit"] = base
-		for p, k := range ch5Policies {
-			res := run(p+1, i)
-			raw[mix.Name+"/"+k.String()] = res
-			norm[k] = append(norm[k], res.Seconds/base.Seconds)
+	run := func(p, i int) sim.MEMSpotResult { return sw.Results[p*len(mixes)+i] }
+	fig := report.NewFigure(title, "workload", ylabel)
+	for p, k := range ch5Policies {
+		var ys []float64
+		for i := range mixes {
+			ys = append(ys, value(run(p+1, i), run(0, i), run(1, i)))
 		}
+		if mean {
+			ys = append(ys, stats.Mean(ys))
+		}
+		fig.Add(k.String(), ys)
 	}
-	return norm, raw, nil
+	return Result{ID: id, Figures: []*report.Figure{fig}}, nil
 }
 
-func ch5Mixes2000(r *Runner) []workload.Mix {
-	ms := workload.Chapter4Mixes()
-	if r.Quick {
-		return ms[:2]
+// runtimeRatio is a run's runtime normalized to its No-limit run's.
+func runtimeRatio(res, base, _ sim.MEMSpotResult) float64 { return res.Seconds / base.Seconds }
+
+// mixNames returns the SPEC CPU2000 mixes of Chapter 5 (the Chapter 4
+// ones), truncated in quick mode.
+func (r *Runner) mixNames() []string {
+	var out []string
+	for _, m := range r.mixes() {
+		out = append(out, m.Name)
 	}
-	return ms
+	return out
+}
+
+// perMachine is experiment id: pfFigure on each testbed in turn, over
+// the SPEC CPU2000 mixes, titled by the testbed's name.
+func (r *Runner) perMachine(id, title, ylabel string, value func(res, base, bw sim.MEMSpotResult) float64) (Result, error) {
+	out := Result{ID: id}
+	for _, m := range []string{pe, sr} {
+		res, err := r.pfFigure(id, m, fmt.Sprintf(title, m), ylabel, r.mixNames(), nil, true, value)
+		if err != nil {
+			return out, err
+		}
+		out.Figures = append(out.Figures, res.Figures...)
+	}
+	return out, nil
 }
 
 func fig56(r *Runner) (Result, error) {
-	out := Result{ID: "fig5.6"}
-	for _, m := range []platform.Machine{r.pe, r.sr} {
-		norm, _, err := r.pfNormSeries(m, ch5Mixes2000(r), nil)
-		if err != nil {
-			return out, err
-		}
-		fig := report.NewFigure(fmt.Sprintf("Fig 5.6 (%s): normalized running time, SPEC CPU2000", m.Name),
-			"workload", "runtime / No-limit")
-		for _, k := range ch5Policies {
-			ys := norm[k]
-			ys = append(ys, stats.Mean(ys))
-			fig.Add(k.String(), ys)
-		}
-		out.Figures = append(out.Figures, fig)
-	}
-	return out, nil
+	return r.perMachine("fig5.6", "Fig 5.6 (%s): normalized running time, SPEC CPU2000", "runtime / No-limit", runtimeRatio)
 }
 
 func fig57(r *Runner) (Result, error) {
-	out := Result{ID: "fig5.7"}
-	mixes := []workload.Mix{}
-	for _, n := range []string{"W11", "W12"} {
-		m, err := workload.MixByName(n)
-		if err != nil {
-			return out, err
-		}
-		mixes = append(mixes, m)
+	runs := 1 // CPU2006 runs are long; the paper uses 5
+	if !r.Quick {
+		runs = 2
 	}
-	norm, _, err := r.pfNormSeries(r.pe, mixes, func(c *platform.RunConfig) {
-		c.RunsPerApp = 1 // CPU2006 runs are long; the paper uses 5
-		if !r.Quick {
-			c.RunsPerApp = 2
-		}
-	})
-	if err != nil {
-		return out, err
-	}
-	fig := report.NewFigure("Fig 5.7 (PE1950): normalized running time, SPEC CPU2006",
-		"workload", "runtime / No-limit")
-	for _, k := range ch5Policies {
-		fig.Add(k.String(), norm[k])
-	}
-	out.Figures = append(out.Figures, fig)
-	return out, nil
+	return r.pfFigure("fig5.7", pe, "Fig 5.7 (PE1950): normalized running time, SPEC CPU2006",
+		"runtime / No-limit", []string{"W11", "W12"}, func(c *sweep.Spec) { c.RunsPerApp = runs }, false, runtimeRatio)
 }
 
 func fig58(r *Runner) (Result, error) {
-	out := Result{ID: "fig5.8"}
-	for _, m := range []platform.Machine{r.pe, r.sr} {
-		_, raw, err := r.pfNormSeries(m, ch5Mixes2000(r), nil)
-		if err != nil {
-			return out, err
-		}
-		fig := report.NewFigure(fmt.Sprintf("Fig 5.8 (%s): normalized L2 cache misses", m.Name),
-			"workload", "L2 misses / No-limit")
-		for _, k := range ch5Policies {
-			var ys []float64
-			for _, mix := range ch5Mixes2000(r) {
-				base := raw[mix.Name+"/No-limit"]
-				res := raw[mix.Name+"/"+k.String()]
-				ys = append(ys, res.L2Misses/base.L2Misses)
-			}
-			ys = append(ys, stats.Mean(ys))
-			fig.Add(k.String(), ys)
-		}
-		out.Figures = append(out.Figures, fig)
-	}
-	return out, nil
+	return r.perMachine("fig5.8", "Fig 5.8 (%s): normalized L2 cache misses", "L2 misses / No-limit",
+		func(res, base, _ sim.MEMSpotResult) float64 { return res.L2Misses / base.L2Misses })
 }
 
 func fig59(r *Runner) (Result, error) {
-	out := Result{ID: "fig5.9"}
-	_, raw, err := r.pfNormSeries(r.sr, ch5Mixes2000(r), nil)
-	if err != nil {
-		return out, err
-	}
-	fig := report.NewFigure("Fig 5.9 (SR1500AL): measured memory inlet temperature",
-		"workload", "inlet (C)")
-	for _, k := range ch5Policies {
-		var ys []float64
-		for _, mix := range ch5Mixes2000(r) {
-			ys = append(ys, raw[mix.Name+"/"+k.String()].AvgInletC)
-		}
-		ys = append(ys, stats.Mean(ys))
-		fig.Add(k.String(), ys)
-	}
-	out.Figures = append(out.Figures, fig)
-	return out, nil
+	return r.pfFigure("fig5.9", sr, "Fig 5.9 (SR1500AL): measured memory inlet temperature",
+		"inlet (C)", r.mixNames(), nil, true,
+		func(res, _, _ sim.MEMSpotResult) float64 { return res.AvgInletC })
 }
 
 func fig510(r *Runner) (Result, error) {
-	out := Result{ID: "fig5.10"}
-	_, raw, err := r.pfNormSeries(r.sr, ch5Mixes2000(r), nil)
-	if err != nil {
-		return out, err
-	}
-	fig := report.NewFigure("Fig 5.10 (SR1500AL): CPU power, normalized to DTM-BW",
-		"workload", "power / DTM-BW")
-	for _, k := range ch5Policies {
-		var ys []float64
-		for _, mix := range ch5Mixes2000(r) {
-			bw := raw[mix.Name+"/DTM-BW"]
-			ys = append(ys, raw[mix.Name+"/"+k.String()].AvgCPUWatt/bw.AvgCPUWatt)
-		}
-		ys = append(ys, stats.Mean(ys))
-		fig.Add(k.String(), ys)
-	}
-	out.Figures = append(out.Figures, fig)
-	return out, nil
+	return r.pfFigure("fig5.10", sr, "Fig 5.10 (SR1500AL): CPU power, normalized to DTM-BW",
+		"power / DTM-BW", r.mixNames(), nil, true,
+		func(res, _, bw sim.MEMSpotResult) float64 { return res.AvgCPUWatt / bw.AvgCPUWatt })
 }
 
 func fig511(r *Runner) (Result, error) {
-	out := Result{ID: "fig5.11"}
-	_, raw, err := r.pfNormSeries(r.sr, ch5Mixes2000(r), nil)
-	if err != nil {
-		return out, err
-	}
-	fig := report.NewFigure("Fig 5.11 (SR1500AL): CPU+DRAM energy, normalized to DTM-BW",
-		"workload", "energy / DTM-BW")
-	for _, k := range ch5Policies {
-		var ys []float64
-		for _, mix := range ch5Mixes2000(r) {
-			bw := raw[mix.Name+"/DTM-BW"]
-			ys = append(ys, raw[mix.Name+"/"+k.String()].TotalEnergyJ()/bw.TotalEnergyJ())
-		}
-		ys = append(ys, stats.Mean(ys))
-		fig.Add(k.String(), ys)
-	}
-	out.Figures = append(out.Figures, fig)
-	return out, nil
+	return r.pfFigure("fig5.11", sr, "Fig 5.11 (SR1500AL): CPU+DRAM energy, normalized to DTM-BW",
+		"energy / DTM-BW", r.mixNames(), nil, true,
+		func(res, _, bw sim.MEMSpotResult) float64 { return res.TotalEnergyJ() / bw.TotalEnergyJ() })
 }
 
 func fig512(r *Runner) (Result, error) {
-	out := Result{ID: "fig5.12"}
-	norm, _, err := r.pfNormSeries(r.sr, ch5Mixes2000(r), func(c *platform.RunConfig) {
-		c.AmbientOverride = 26
-		c.TDPOverride = 90
-	})
-	if err != nil {
-		return out, err
-	}
-	fig := report.NewFigure("Fig 5.12 (SR1500AL): normalized runtime at 26C ambient, TDP 90C",
-		"workload", "runtime / No-limit")
-	for _, k := range ch5Policies {
-		ys := norm[k]
-		ys = append(ys, stats.Mean(ys))
-		fig.Add(k.String(), ys)
-	}
-	out.Figures = append(out.Figures, fig)
-	return out, nil
-}
-
-// pfBaselines returns the No-limit baseline config of every mix on
-// machine m.
-func pfBaselines(m platform.Machine, mixes []workload.Mix) []platform.RunConfig {
-	cfgs := make([]platform.RunConfig, len(mixes))
-	for i, mix := range mixes {
-		cfgs[i] = platform.RunConfig{Machine: m, Policy: platform.NoLimit, Mix: mix}
-	}
-	return cfgs
+	return r.pfFigure("fig5.12", sr, "Fig 5.12 (SR1500AL): normalized runtime at 26C ambient, TDP 90C",
+		"runtime / No-limit", r.mixNames(), func(c *sweep.Spec) { c.Ambient, c.Limits.AMBTDP = 26, 90 }, true, runtimeRatio)
 }
 
 func fig513(r *Runner) (Result, error) {
@@ -315,26 +229,29 @@ func fig513(r *Runner) (Result, error) {
 	variants := []struct {
 		label string
 		force int
-	}{{"3.0GHz", -1}, {"2.0GHz", 3}}
+	}{{"3.0GHz", 0}, {"2.0GHz", 3}}
 	policies := []platform.PolicyKind{platform.BW, platform.ACG}
-	mixes := ch5Mixes2000(r)
+	mixes := r.mixNames()
 	// The batch is the baselines, then every variant × policy × mix in
 	// loop order, mix innermost.
-	cfgs := pfBaselines(r.sr, mixes)
+	var specs []sweep.Spec
+	for _, mix := range mixes {
+		specs = append(specs, r.pfSpec(sr, platform.NoLimit, mix))
+	}
 	for _, v := range variants {
 		for _, k := range policies {
 			for _, mix := range mixes {
-				cfgs = append(cfgs, platform.RunConfig{
-					Machine: r.sr, Policy: k, Mix: mix, ForceFreqIdx: v.force,
-				})
+				spec := r.pfSpec(sr, k, mix)
+				spec.ForceFreq = v.force
+				specs = append(specs, spec)
 			}
 		}
 	}
-	runs, err := r.pfRunAll(cfgs)
+	sw, err := r.Eng.Sweep(context.TODO(), specs, sweep.Options{})
 	if err != nil {
 		return out, err
 	}
-	base, runs := runs[:len(mixes)], runs[len(mixes):]
+	base, runs := sw.Results[:len(mixes)], sw.Results[len(mixes):]
 	for _, v := range variants {
 		for _, k := range policies {
 			var ys []float64
@@ -355,24 +272,27 @@ func fig514(r *Runner) (Result, error) {
 	tdps := []float64{88, 90, 92}
 	fig := report.NewFigure("Fig 5.14 (PE1950): avg normalized runtime vs AMB TDP",
 		"AMB TDP (C)", "runtime / No-limit")
-	mixes := ch5Mixes2000(r)
+	mixes := r.mixNames()
 	// The batch is the baselines, then every policy × TDP × mix in loop
 	// order, mix innermost.
-	cfgs := pfBaselines(r.pe, mixes)
+	var specs []sweep.Spec
+	for _, mix := range mixes {
+		specs = append(specs, r.pfSpec(pe, platform.NoLimit, mix))
+	}
 	for _, k := range ch5Policies {
 		for _, tdp := range tdps {
 			for _, mix := range mixes {
-				cfgs = append(cfgs, platform.RunConfig{
-					Machine: r.pe, Policy: k, Mix: mix, TDPOverride: tdp,
-				})
+				spec := r.pfSpec(pe, k, mix)
+				spec.Limits.AMBTDP = tdp
+				specs = append(specs, spec)
 			}
 		}
 	}
-	runs, err := r.pfRunAll(cfgs)
+	sw, err := r.Eng.Sweep(context.TODO(), specs, sweep.Options{})
 	if err != nil {
 		return out, err
 	}
-	base, runs := runs[:len(mixes)], runs[len(mixes):]
+	base, runs := sw.Results[:len(mixes)], sw.Results[len(mixes):]
 	for _, k := range ch5Policies {
 		var ys []float64
 		for range tdps {
@@ -396,19 +316,20 @@ func fig515(r *Runner) (Result, error) {
 		"quantum (ms)", "runtime / 100ms quantum")
 	figM := report.NewFigure("Fig 5.15 (PE1950): avg L2 misses vs scheduling quantum (DTM-ACG)",
 		"quantum (ms)", "L2 misses / 100ms quantum")
-	mixes := ch5Mixes2000(r)
-	var cfgs []platform.RunConfig
+	mixes := r.mixNames()
+	var specs []sweep.Spec
 	for _, q := range quanta {
 		for _, mix := range mixes {
-			cfgs = append(cfgs, platform.RunConfig{
-				Machine: r.pe, Policy: platform.ACG, Mix: mix, QuantumS: q,
-			})
+			spec := r.pfSpec(pe, platform.ACG, mix)
+			spec.Quantum = q
+			specs = append(specs, spec)
 		}
 	}
-	runs, err := r.pfRunAll(cfgs)
+	sw, err := r.Eng.Sweep(context.TODO(), specs, sweep.Options{})
 	if err != nil {
 		return out, err
 	}
+	runs := sw.Results
 	var rt, ms []float64
 	for range quanta {
 		var sumT, sumM float64

@@ -33,7 +33,7 @@ func TestRegistryComplete(t *testing.T) {
 // TestStaticTables runs every parameter-table driver and checks paper
 // constants appear in the rendering.
 func TestStaticTables(t *testing.T) {
-	r := NewRunner(true)
+	r := NewRunnerParallel(true, 0)
 	cases := map[string][]string{
 		"table3.1": {"4.0 watt", "5.1 watt", "0.19", "0.75", "0.98", "1.12", "1.16"},
 		"table3.2": {"AOHS_1.5", "FDHS_1.0", "9.3", "4.1", "50", "100"},
@@ -63,7 +63,7 @@ func TestStaticTables(t *testing.T) {
 
 // TestResultString covers figure rendering through the Result type.
 func TestResultString(t *testing.T) {
-	r := NewRunner(true)
+	r := NewRunnerParallel(true, 0)
 	d, _ := Lookup("table3.2")
 	res, err := d.Run(r)
 	if err != nil {

@@ -2,8 +2,8 @@
 
 // The goldens run real simulations and platform emulations (tens of
 // seconds in total); the race detector would multiply that several-fold,
-// so the -race suite covers the batch paths with stub builders instead
-// (TestPlatformRunAll).
+// so the -race suite covers the sweep paths with stub builders instead
+// (internal/sweep's TestMachineSweep and its neighbours).
 
 package exp
 
@@ -111,5 +111,58 @@ func TestChapter4Golden(t *testing.T) {
 				t.Errorf("%s differs from %s:\n%s", id, path, got)
 			}
 		})
+	}
+}
+
+// TestChapter5RunsShareEngine checks that Chapter 5 runs go through the
+// engine's run cache and segment log as Chapter 4 runs do. fig5.15's
+// 100 ms-quantum runs are fig5.6's PE1950 DTM-ACG runs, so fig5.15
+// after fig5.6 scores hits; and fig5.15 rerun on a reopened segment log
+// builds no run and no level-1 record (nothing is appended) and renders
+// the same figure.
+func TestChapter5RunsShareEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs quick-mode emulations; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	open := func() *Runner {
+		eng := sweep.NewEngine(core.NewSystem(RunnerConfig(true)), 2)
+		if err := eng.EnableSegmentLog(dir, 0); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		return NewRunnerFor(eng, true)
+	}
+	run := func(r *Runner, id string) string {
+		d, err := Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Run(r)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		return res.String()
+	}
+
+	r := open()
+	run(r, "fig5.6")
+	before := r.Eng.Stats().Hits
+	want := run(r, "fig5.15")
+	if hits := r.Eng.Stats().Hits - before; hits < 2 {
+		t.Fatalf("fig5.15 after fig5.6 scored %d run-cache hits, want >= 2", hits)
+	}
+	if err := r.Eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r = open()
+	if got := run(r, "fig5.15"); got != want {
+		t.Fatalf("fig5.15 replayed from the segment log differs:\n%s\nwant:\n%s", got, want)
+	}
+	st, _ := r.Eng.StateStats()
+	if b := r.Eng.Stats().Builds; b != 0 || st.Appends != 0 || st.SkippedRuns+st.SkippedTraces != 0 {
+		t.Fatalf("fig5.15 rerun built %d runs and appended %d records (skipped %d runs, %d level-1 records), want none",
+			b, st.Appends, st.SkippedRuns, st.SkippedTraces)
 	}
 }

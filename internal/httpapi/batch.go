@@ -26,13 +26,7 @@ const maxBatchBytes = 8 << 20
 // instead, which the coordinator reads as "fail the remainder over".
 func (s *Server) handleExecBatch(w http.ResponseWriter, r *http.Request) {
 	var req remote.BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, CodeTooLarge, fmt.Errorf("batch body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("decoding batch: %w", err))
+	if !decodeBody(w, r, maxBatchBytes, false, "batch", &req) {
 		return
 	}
 	if len(req.Specs) == 0 {

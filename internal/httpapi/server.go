@@ -339,8 +339,7 @@ func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg gossip.Message
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&msg); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("decoding gossip message: %w", err))
+	if !decodeBody(w, r, 8<<20, false, "gossip message", &msg) {
 		return
 	}
 	if len(msg.Members) > gossip.MaxMembers {
@@ -357,8 +356,7 @@ func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
 // owns the timeout via its request context.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	var spec sweep.Spec
-	if err := decodeStrict(r.Body, &spec); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("decoding spec: %w", err))
+	if !decodeBody(w, r, maxClientBytes, true, "spec", &spec) {
 		return
 	}
 	if err := s.eng.Validate(spec); err != nil {
@@ -440,8 +438,7 @@ func (s *Server) viewJob(snap sweep.JobSnapshot, traces, specs bool) jobView {
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var spec sweep.Spec
-	if err := decodeStrict(r.Body, &spec); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("decoding spec: %w", err))
+	if !decodeBody(w, r, maxClientBytes, true, "spec", &spec) {
 		return
 	}
 	// Validate now so the client gets a 400 rather than a failed job.
@@ -591,8 +588,12 @@ func (s *Server) sweepResponseOf(specs []sweep.Spec, res *sweep.Result, normaliz
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("decoding sweep: %w", err))
+	if !decodeBody(w, r, maxClientBytes, true, "sweep", &req) {
+		return
+	}
+	if len(req.Specs)+gridSize(req.Grid) > maxSweepSpecs {
+		writeErr(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
+			fmt.Errorf("sweep exceeds %d specs (explicit plus grid)", maxSweepSpecs))
 		return
 	}
 	specs := req.Specs
@@ -672,14 +673,49 @@ func (s *Server) execSweep(ctx context.Context, specs []sweep.Spec, normalize bo
 	return &sweepPayload{res: res, normalize: normalize, wall: time.Since(start).Seconds()}, nil
 }
 
-// decodeStrict decodes a client request body, rejecting fields the
-// endpoint does not know: a misspelled or retired field must be a 400,
-// not a silently different run. Node-to-node endpoints (batch, handoff,
-// gossip) decode leniently so mixed-version clusters keep working.
-func decodeStrict(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+// maxClientBytes bounds a client request body (a spec or a sweep); a
+// sweep of maxSweepSpecs explicit specs fits well inside it.
+const maxClientBytes = 1 << 20
+
+// maxSweepSpecs bounds one sweep request: its explicit specs plus the
+// specs its grid expands to.
+const maxSweepSpecs = 10000
+
+// gridSize returns how many specs g expands to, or maxSweepSpecs+1 once
+// that is exceeded: the product of its dimension lengths, computed
+// without expanding it.
+func gridSize(g *sweep.Grid) int {
+	if g == nil {
+		return 0
+	}
+	n := min(len(g.Mixes), maxSweepSpecs+1)
+	for _, d := range []int{len(g.Policies), len(g.Coolings), len(g.Models), len(g.PsiXis), len(g.Intervals), len(g.Limits)} {
+		n = min(n*max(d, 1), maxSweepSpecs+1)
+	}
+	return n
+}
+
+// decodeBody decodes a request body of at most limit bytes. On failure
+// it answers the request itself (413 too_large for an oversized body,
+// else 400) and returns false. Client endpoints decode strictly,
+// rejecting fields they do not know: a misspelled or retired field must
+// be a 400, not a silently different run. Node-to-node endpoints
+// (batch, handoff, gossip) decode leniently so mixed-version clusters
+// keep working.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, strict bool, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, CodeTooLarge, fmt.Errorf("%s body exceeds %d bytes", what, tooBig.Limit))
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("decoding %s: %w", what, err))
+	}
+	return err == nil
 }
 
 // mergeDone returns a context that is cancelled when either parent is.

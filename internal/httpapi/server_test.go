@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dramtherm/internal/core"
+	"dramtherm/internal/fbconfig"
 	"dramtherm/internal/sim"
 	"dramtherm/internal/sweep"
 	"dramtherm/internal/sweep/remote"
@@ -720,6 +721,58 @@ func TestClientBodiesStrict(t *testing.T) {
 	}
 	if n := builds.Load(); n != 0 {
 		t.Fatalf("rejected bodies reached the run function %d times, want 0", n)
+	}
+}
+
+// TestClientBodiesBounded: a sweep whose explicit specs plus grid
+// expansion exceed maxSweepSpecs, and a client body over maxClientBytes
+// on any client endpoint, get 413 too_large before any spec is
+// expanded, validated or run.
+func TestClientBodiesBounded(t *testing.T) {
+	ts, builds, _ := newTestServer(t, 2, 0, Config{})
+	psis := make([]float64, maxSweepSpecs+1)
+	for i := range psis {
+		psis[i] = float64(i + 1)
+	}
+	oneOver := postJSON(t, ts.URL+"/v1/sweeps", sweepRequest{Grid: &sweep.Grid{Mixes: []string{"W1"}, PsiXis: psis}})
+	if oneOver.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("grid of %d specs: status %d, want 413", len(psis), oneOver.StatusCode)
+	}
+	if e := decode[errorEnvelope](t, oneOver); e.Error.Code != CodeTooLarge {
+		t.Errorf("grid of %d specs: error %+v, want too_large", len(psis), e.Error)
+	}
+	// The cap counts explicit specs too, and saturates on huge products.
+	mixes := make([]string, 1000)
+	for i := range mixes {
+		mixes[i] = "W1"
+	}
+	for _, req := range []sweepRequest{
+		{Specs: []sweep.Spec{{Mix: "W1"}}, Grid: &sweep.Grid{Mixes: []string{"W1"}, PsiXis: psis[:maxSweepSpecs]}},
+		{Grid: &sweep.Grid{Mixes: mixes, PsiXis: psis[:1000], Intervals: psis[:1000], Limits: make([]fbconfig.ThermalLimits, 1000)}},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/sweeps?async=1", req)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("sweep over the cap: status %d, want 413", resp.StatusCode)
+		}
+	}
+	big := `{"mix":"W1","policy":"` + strings.Repeat("x", maxClientBytes) + `"}`
+	for _, path := range []string{"/v1/exec", "/v1/runs", "/v1/sweeps"} {
+		body := big
+		if path == "/v1/sweeps" {
+			body = `{"specs":[` + big + `]}`
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s of %d bytes: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	if n := builds.Load(); n != 0 {
+		t.Fatalf("oversized requests ran %d specs, want 0", n)
 	}
 }
 

@@ -174,7 +174,7 @@ func PolicyKinds() []PolicyKind { return []PolicyKind{NoLimit, BW, ACG, CDVFS, C
 // level table over the machine's AMB boundaries, with a fifth, safety
 // level that engages the open-loop cap above the top band. The
 // platforms have no DRAM sensor, so their DRAM boundaries never bind.
-// It also returns the boundaries, which index RunResult.LevelTimeS.
+// It also returns the boundaries, which index the result's LevelTimeS.
 func newPolicy(m Machine, k PolicyKind) (dtm.Policy, dtm.Levels, error) {
 	inf := dtm.NoCap()
 	levels := dtm.Levels{AMB: m.AMBLevels, DRAM: [4]fbconfig.Celsius{inf, inf, inf, inf}}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dramtherm/internal/dtm"
+	"dramtherm/internal/sim"
 	"dramtherm/internal/trace"
 	"dramtherm/internal/workload"
 )
@@ -140,9 +141,9 @@ func TestPlatformLevel1(t *testing.T) {
 	}
 }
 
-func tinyRun(t *testing.T, m Machine, k PolicyKind, quantum float64) RunResult {
+func tinyRun(t *testing.T, m Machine, k PolicyKind, quantum float64) sim.MEMSpotResult {
 	t.Helper()
-	store := NewStore(m, 1)
+	store := trace.NewStore(NewLevel1(m, 1))
 	res, err := RunPlatform(RunConfig{
 		Machine: m, Policy: k, Mix: mustMix(t, "W1"),
 		RunsPerApp: 1, InstrScale: 0.01, QuantumS: quantum, SensorSeed: 3,
@@ -182,8 +183,8 @@ func TestServerRunCompletes(t *testing.T) {
 // TestQuantumThrashing: a 5 ms quantum increases both L2 misses and
 // runtime over a 100 ms quantum (Fig. 5.15 behaviour).
 func TestQuantumThrashing(t *testing.T) {
-	store := NewStore(PE1950(), 1)
-	run := func(q float64) RunResult {
+	store := trace.NewStore(NewLevel1(PE1950(), 1))
+	run := func(q float64) sim.MEMSpotResult {
 		// TDP 72 °C puts the machine deep in thermal emergency so ACG
 		// spends the run in shared-core mode, exposing the quantum cost.
 		res, err := RunPlatform(RunConfig{
@@ -207,7 +208,7 @@ func TestQuantumThrashing(t *testing.T) {
 
 func TestRunConfigValidation(t *testing.T) {
 	if _, err := NewServer(RunConfig{Machine: PE1950(), Policy: BW,
-		Mix: workload.Mix{Name: "x", Apps: []string{"nosuch"}}}, NewStore(PE1950(), 1)); err == nil {
+		Mix: workload.Mix{Name: "x", Apps: []string{"nosuch"}}}, trace.NewStore(NewLevel1(PE1950(), 1))); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 	if _, err := NewServer(RunConfig{Machine: PE1950(), Policy: BW, Mix: mustMix(t, "W1")}, nil); err == nil {
@@ -218,7 +219,7 @@ func TestRunConfigValidation(t *testing.T) {
 func TestTDPOverrideShiftsLevels(t *testing.T) {
 	cfg := RunConfig{Machine: PE1950(), Policy: BW, Mix: mustMix(t, "W1"),
 		TDPOverride: 92, RunsPerApp: 1, InstrScale: 0.005}
-	s, err := NewServer(cfg, NewStore(PE1950(), 1))
+	s, err := NewServer(cfg, trace.NewStore(NewLevel1(PE1950(), 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func refLevelOf(m Machine, amb float64) int {
 func TestDecisionsMatchReference(t *testing.T) {
 	w1 := mustMix(t, "W1")
 	for _, m := range []Machine{PE1950(), SR1500AL()} {
-		store := NewStore(m, 1)
+		store := trace.NewStore(NewLevel1(m, 1))
 		for _, k := range PolicyKinds() {
 			for _, tdp := range []float64{0, 88, 92, 100} {
 				for _, force := range []int{-1, 3} {

@@ -5,12 +5,14 @@
 package platform
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"dramtherm/internal/dtm"
 	"dramtherm/internal/fbconfig"
 	"dramtherm/internal/power"
+	"dramtherm/internal/sim"
 	"dramtherm/internal/thermal"
 	"dramtherm/internal/trace"
 	"dramtherm/internal/workload"
@@ -69,27 +71,6 @@ func (c RunConfig) WithDefaults() RunConfig {
 	return c
 }
 
-// RunResult is what the instrumented testbed reports.
-type RunResult struct {
-	Seconds  float64
-	TimedOut bool
-
-	ReadGB, WriteGB float64
-	L2Misses        float64
-
-	CPUEnergyJ float64
-	MemEnergyJ float64
-	AvgCPUWatt float64
-	AvgInletC  float64 // memory inlet (processor exhaust) temperature
-	MaxAMB     float64
-	AMBTrace   []float64 // per second (quantized sensor readings)
-	LevelTimeS [5]float64
-	Completed  int
-}
-
-// TotalEnergyJ returns CPU+DRAM energy (Fig. 5.11's unit).
-func (r RunResult) TotalEnergyJ() float64 { return r.CPUEnergyJ + r.MemEnergyJ }
-
 // Server is one emulated testbed run.
 type Server struct {
 	cfg    RunConfig
@@ -107,7 +88,9 @@ type Server struct {
 	rot   int
 
 	now float64
-	res RunResult
+	// res is what the instrumented testbed reports; its AMBTrace holds
+	// the per-second (noisy, quantized) sensor readings.
+	res sim.MEMSpotResult
 }
 
 // pjob is one batch entry on the platform.
@@ -118,8 +101,8 @@ type pjob struct {
 }
 
 // NewServer builds a run. The store should be shared across runs of the
-// same machine so level-1 results are reused; it must have been created
-// with NewLevel1(machine) as its builder (see NewStore).
+// same machine so level-1 results are reused; its builder must be
+// NewLevel1(machine).
 func NewServer(cfg RunConfig, store *trace.Store) (*Server, error) {
 	cfg = cfg.WithDefaults()
 	if store == nil {
@@ -161,11 +144,6 @@ func NewServer(cfg RunConfig, store *trace.Store) (*Server, error) {
 		s.dispatch(i)
 	}
 	return s, nil
-}
-
-// NewStore returns a trace store backed by the machine's level-1 builder.
-func NewStore(m Machine, seed int64) *trace.Store {
-	return trace.NewStore(NewLevel1(m, seed))
 }
 
 func (s *Server) dispatch(i int) {
@@ -248,11 +226,15 @@ func (s *Server) schedules(ncores int) []schedule {
 	}
 }
 
-// Run executes the batch and returns the measurements.
-func (s *Server) Run() (RunResult, error) {
+// Run executes the batch and returns the measurements. It checks ctx
+// once per DTM interval and returns ctx.Err() once it is done.
+func (s *Server) Run(ctx context.Context) (sim.MEMSpotResult, error) {
 	var cpuWattSum, inletSum float64
 	steps := 0
 	for !s.done() {
+		if err := ctx.Err(); err != nil {
+			return s.res, err
+		}
 		if s.now >= s.cfg.MaxSeconds {
 			s.res.TimedOut = true
 			break
@@ -442,11 +424,11 @@ func (s *Server) step(cpuWattSum, inletSum *float64) error {
 	return nil
 }
 
-// RunPlatform is the high-level helper.
-func RunPlatform(cfg RunConfig, store *trace.Store) (RunResult, error) {
+// RunPlatform builds a server and runs it to completion.
+func RunPlatform(cfg RunConfig, store *trace.Store) (sim.MEMSpotResult, error) {
 	s, err := NewServer(cfg, store)
 	if err != nil {
-		return RunResult{}, err
+		return sim.MEMSpotResult{}, err
 	}
-	return s.Run()
+	return s.Run(context.Background())
 }

@@ -3,6 +3,8 @@ package platform
 import (
 	"testing"
 
+	"dramtherm/internal/sim"
+	"dramtherm/internal/trace"
 	"dramtherm/internal/workload"
 )
 
@@ -17,8 +19,8 @@ func TestSmokePlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []Machine{PE1950(), SR1500AL()} {
-		store := NewStore(m, 1)
-		var base RunResult
+		store := trace.NewStore(NewLevel1(m, 1))
+		var base sim.MEMSpotResult
 		for _, k := range PolicyKinds() {
 			res, err := RunPlatform(RunConfig{
 				Machine: m, Policy: k, Mix: mix,

@@ -92,7 +92,9 @@ func (c *MEMSpotConfig) applyDefaults() {
 	}
 }
 
-// MEMSpotResult aggregates one run.
+// MEMSpotResult aggregates one run: a Chapter 4 simulation, or a
+// Chapter 5 platform run (internal/platform), which sets the last three
+// fields instead of the DRAM, ambient and residency ones.
 type MEMSpotResult struct {
 	Seconds   float64
 	TimedOut  bool
@@ -117,10 +119,19 @@ type MEMSpotResult struct {
 	TimeAtCores map[int]float64
 	TimeAtFreq  map[int]float64
 	TimeMemOff  float64
+
+	// Platform runs only: mean CPU power and memory inlet (processor
+	// exhaust) temperature, and seconds at each Table 5.1 level.
+	AvgCPUWatt float64    `json:",omitzero"`
+	AvgInletC  float64    `json:",omitzero"`
+	LevelTimeS [5]float64 `json:",omitzero"`
 }
 
 // TotalTrafficGB returns read+write traffic.
 func (r MEMSpotResult) TotalTrafficGB() float64 { return r.ReadGB + r.WriteGB }
+
+// TotalEnergyJ returns CPU+DRAM energy (Fig. 5.11's unit).
+func (r MEMSpotResult) TotalEnergyJ() float64 { return r.CPUEnergyJ + r.MemEnergyJ }
 
 // job is one batch entry.
 type job struct {

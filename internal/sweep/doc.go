@@ -1,13 +1,14 @@
 // Package sweep is the concurrent simulation-serving subsystem and the
-// one way callers run a level-2 spec: it turns the blocking, uncached
-// core.System.RunCtx call into a service that many clients (experiment
+// one way callers run a spec of either chapter: it turns the blocking,
+// uncached core.System.RunCtx call (Chapter 4) and platform.Server runs
+// (the Chapter 5 testbeds) into a service that many clients (experiment
 // drivers, CLIs, examples, the dramthermd HTTP server) share.
 //
 // # Specs and keys
 //
-// A Spec names one level-2 run entirely by value — mix, policy,
-// cooling, thermal model and overrides — so it can be transported as
-// JSON and canonicalized into a cache Key. The Key includes the
+// A Spec names one run entirely by value — mix, policy, cooling,
+// thermal model and overrides, or a testbed machine and its run shape —
+// so it can be transported as JSON and canonicalized into a cache Key. The Key includes the
 // system-configuration digest, so caches and state files from a
 // differently configured system can never satisfy a lookup. A Grid
 // expands cartesian products of spec fields into deterministic job

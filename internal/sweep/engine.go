@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,8 +14,10 @@ import (
 	"dramtherm/internal/fbconfig"
 	"dramtherm/internal/memo"
 	"dramtherm/internal/obs"
+	"dramtherm/internal/platform"
 	"dramtherm/internal/sim"
 	"dramtherm/internal/sweep/prefix"
+	"dramtherm/internal/trace"
 	"dramtherm/internal/workload"
 )
 
@@ -95,9 +98,11 @@ type delivery struct {
 	err  error
 }
 
-// Engine serves level-2 runs from a deduplicating cache over one
-// core.System. It is safe for concurrent use by any number of callers;
-// actual simulation work is bounded by the engine's worker pool.
+// Engine serves runs from a deduplicating cache over one core.System:
+// Chapter 4 simulations, and Chapter 5 platform runs on the emulated
+// testbeds (Spec.Machine). It is safe for concurrent use by any number
+// of callers; actual simulation work, of both kinds, is bounded by the
+// engine's worker pool.
 type Engine struct {
 	sys      *core.System
 	digest   string // sys.ConfigDigest(): the scope of run-cache keys
@@ -116,6 +121,11 @@ type Engine struct {
 	// the simulator directly rather than through the run function.
 	prefix    *prefix.Sharer
 	runCustom bool
+
+	// The testbeds' level-1 stores by builder digest, each created on
+	// first use (machineStore).
+	smu    sync.Mutex
+	stores map[string]*trace.Store
 
 	// Durable-state machinery (state.go); all nil/zero until
 	// EnableSegmentLog.
@@ -238,6 +248,17 @@ func (e *Engine) Validate(spec Spec) error {
 	if _, err := workload.MixByName(spec.Mix); err != nil {
 		return err
 	}
+	// normalize has already mapped 0 to 1, so anything non-positive (or
+	// non-finite) here was an explicit bad value.
+	if !(spec.InstrScale > 0) || math.IsInf(spec.InstrScale, 1) {
+		return fmt.Errorf("sweep: instr_scale %g out of range: must be a finite positive fidelity multiplier", spec.InstrScale)
+	}
+	if spec.Machine != "" {
+		return validateMachine(spec)
+	}
+	if spec.Quantum != 0 || spec.Ambient != 0 || spec.ForceFreq != 0 || spec.RunsPerApp != 0 || spec.MaxSeconds != 0 {
+		return errors.New("sweep: quantum, ambient, force_freq, runs_per_app and max_seconds need a machine")
+	}
 	if !e.policies[spec.Policy] {
 		return fmt.Errorf("core: unknown policy %q", spec.Policy)
 	}
@@ -251,10 +272,45 @@ func (e *Engine) Validate(spec Spec) error {
 		(lim.AMBTDP == 0 || lim.DRAMTDP == 0 || lim.AMBTRP == 0 || lim.DRAMTRP == 0) {
 		return fmt.Errorf("sweep: partial limits override %+v: all four of AMBTDP, DRAMTDP, AMBTRP, DRAMTRP must be set", lim)
 	}
-	// normalize has already mapped 0 to 1, so anything non-positive (or
-	// non-finite) here was an explicit bad value.
-	if !(spec.InstrScale > 0) || math.IsInf(spec.InstrScale, 1) {
-		return fmt.Errorf("sweep: instr_scale %g out of range: must be a finite positive fidelity multiplier", spec.InstrScale)
+	return nil
+}
+
+// maxRunsPerApp bounds a machine spec's batch depth, which sizes the
+// run's job queue (the paper uses 10).
+const maxRunsPerApp = 1000
+
+// testbeds are the Chapter 5 machines by Spec.Machine name.
+var testbeds = map[string]platform.Machine{"PE1950": platform.PE1950(), "SR1500AL": platform.SR1500AL()}
+
+// testbedPolicy returns the Chapter 5 policy called name.
+func testbedPolicy(name string) (platform.PolicyKind, bool) {
+	for _, k := range platform.PolicyKinds() {
+		if k.String() == name {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// validateMachine checks a normalized machine spec.
+func validateMachine(s Spec) error {
+	m, ok := testbeds[s.Machine]
+	if !ok {
+		return fmt.Errorf("sweep: unknown machine %q (want PE1950 or SR1500AL)", s.Machine)
+	}
+	if _, ok := testbedPolicy(s.Policy); !ok {
+		return fmt.Errorf("sweep: unknown policy %q for machine %s", s.Policy, s.Machine)
+	}
+	switch {
+	case s.Cooling != "" || s.Model != "" || s.PsiXi != 0 || s.Interval != 0 ||
+		s.Limits.DRAMTDP != 0 || s.Limits.AMBTRP != 0 || s.Limits.DRAMTRP != 0:
+		return fmt.Errorf("sweep: machine %s takes no cooling, model, psi_xi, interval or limits but AMBTDP", s.Machine)
+	case s.ForceFreq < 0 || s.ForceFreq >= len(m.CPU.Levels):
+		return fmt.Errorf("sweep: force_freq %d out of range [0, %d)", s.ForceFreq, len(m.CPU.Levels))
+	case s.RunsPerApp < 1 || s.RunsPerApp > maxRunsPerApp:
+		return fmt.Errorf("sweep: runs_per_app %d out of range [1, %d]", s.RunsPerApp, maxRunsPerApp)
+	case !(s.Quantum > 0) || !(s.MaxSeconds > 0):
+		return fmt.Errorf("sweep: quantum %g and max_seconds %g must be positive", s.Quantum, s.MaxSeconds)
 	}
 	return nil
 }
@@ -266,19 +322,13 @@ func (e *Engine) Resolve(spec Spec) (core.RunSpec, error) {
 	if err := e.Validate(spec); err != nil {
 		return core.RunSpec{}, err
 	}
+	if spec.Machine != "" {
+		return core.RunSpec{}, fmt.Errorf("sweep: %s is a platform run, not a Chapter 4 one", spec)
+	}
 	spec = spec.normalize()
-	mix, err := workload.MixByName(spec.Mix)
-	if err != nil {
-		return core.RunSpec{}, err
-	}
-	cool, err := fbconfig.CoolingByName(spec.Cooling)
-	if err != nil {
-		return core.RunSpec{}, err
-	}
-	model, err := spec.modelKind()
-	if err != nil {
-		return core.RunSpec{}, err
-	}
+	mix, _ := workload.MixByName(spec.Mix) // all three checked by Validate
+	cool, _ := fbconfig.CoolingByName(spec.Cooling)
+	model, _ := spec.modelKind()
 	lim := e.sys.Config().Limits
 	if spec.Limits.AMBTDP != 0 {
 		lim = spec.Limits
@@ -365,6 +415,10 @@ func (e *Engine) settle(ctx context.Context, spec Spec, d delivery) (sim.MEMSpot
 	return d.res, d.info, d.err
 }
 
+// startedKey carries, in a leader's ctx, the function do calls once the
+// leader holds its pool slot (Sweep's input-order start).
+type startedKey struct{}
+
 // do serves key from the run cache, running build as the leader body
 // inside a worker-pool slot. The slot is taken after the flight is
 // registered, so joiners wait on it; a leader whose ctx is done before
@@ -382,6 +436,9 @@ func (e *Engine) do(ctx context.Context, key Key, build func(context.Context) (s
 			// the slot.
 			return sim.MEMSpotResult{}, err
 		}
+		if started, ok := ctx.Value(startedKey{}).(func()); ok {
+			started()
+		}
 		if e.buildDur == nil {
 			return build(ctx)
 		}
@@ -393,12 +450,16 @@ func (e *Engine) do(ctx context.Context, key Key, build func(context.Context) (s
 }
 
 // Exec executes the spec locally, uncached: the leader body behind the
-// cache — prefix sharing when it is enabled and no custom RunFunc is
-// set, the run function otherwise. It is also what the engine runs for
-// a batch backend's ErrRunLocal deliveries, and the local-fallback hook
-// a SpecBackend calls from inside a cache leader, where Run would wait
-// on its own flight. Most callers want Run.
+// cache — a platform run for a machine spec, else prefix sharing when it
+// is enabled and no custom RunFunc is set, else the run function. It is
+// also what the engine runs for a batch backend's ErrRunLocal
+// deliveries, and the local-fallback hook a SpecBackend calls from
+// inside a cache leader, where Run would wait on its own flight. Most
+// callers want Run.
 func (e *Engine) Exec(ctx context.Context, spec Spec) (sim.MEMSpotResult, error) {
+	if spec.Machine != "" {
+		return e.execMachine(ctx, spec)
+	}
 	if e.prefix != nil && !e.runCustom {
 		return e.prefix.Run(ctx, e.sliceKey(spec), func() (core.RunSpec, error) {
 			return e.Resolve(spec)
@@ -411,9 +472,55 @@ func (e *Engine) Exec(ctx context.Context, spec Spec) (sim.MEMSpotResult, error)
 	return e.run(ctx, rs)
 }
 
-// Normalized executes the spec and its No-limit baseline (same mix,
-// cooling, model and psi-xi, default interval and limits) and returns
-// runtime(spec)/runtime(baseline) — the unit of the paper's figures.
+// execMachine runs a machine spec on its emulated testbed, over the
+// machine's level-1 store. Its fidelity multiplies the system's
+// application-length scale, as a Chapter 4 run's does.
+func (e *Engine) execMachine(ctx context.Context, spec Spec) (sim.MEMSpotResult, error) {
+	if err := e.Validate(spec); err != nil {
+		return sim.MEMSpotResult{}, err
+	}
+	spec = spec.normalize()
+	k, _ := testbedPolicy(spec.Policy) // both checked by Validate
+	mix, _ := workload.MixByName(spec.Mix)
+	scale := e.sys.Config().InstrScale
+	if scale == 0 {
+		scale = 1 // as core.System.NewRun reads it
+	}
+	srv, err := platform.NewServer(platform.RunConfig{
+		Machine: testbeds[spec.Machine], Policy: k, Mix: mix, RunsPerApp: spec.RunsPerApp, QuantumS: spec.Quantum,
+		InstrScale: scale * spec.InstrScale, SensorSeed: 7, AmbientOverride: spec.Ambient,
+		TDPOverride: spec.Limits.AMBTDP, ForceFreqIdx: spec.ForceFreq, MaxSeconds: spec.MaxSeconds,
+	}, e.machineStore(testbeds[spec.Machine]))
+	if err != nil {
+		return sim.MEMSpotResult{}, err
+	}
+	return srv.Run(ctx)
+}
+
+// machineStore returns m's level-1 store, creating it on first use with
+// platform.NewLevel1(m, the system's seed) as its builder. The store's
+// freshly built records append to the segment log under that builder's
+// digest, once a log is enabled.
+func (e *Engine) machineStore(m platform.Machine) *trace.Store {
+	l1 := platform.NewLevel1(m, e.sys.Config().Seed)
+	d := l1.Digest()
+	e.smu.Lock()
+	defer e.smu.Unlock()
+	if st := e.stores[d]; st != nil {
+		return st
+	}
+	st := trace.NewStore(l1)
+	st.SetOnBuild(func(r trace.Rates) { e.appendTrace(r, d) })
+	if e.stores == nil {
+		e.stores = make(map[string]*trace.Store)
+	}
+	e.stores[d] = st
+	return st
+}
+
+// Normalized executes the spec and its No-limit baseline (see
+// BaselineSpec) and returns runtime(spec)/runtime(baseline) — the unit
+// of the paper's figures.
 func (e *Engine) Normalized(ctx context.Context, spec Spec) (float64, error) {
 	res, _, err := e.Run(ctx, spec)
 	if err != nil {
@@ -429,18 +536,15 @@ func (e *Engine) Normalized(ctx context.Context, spec Spec) (float64, error) {
 	return res.Seconds / base.Seconds, nil
 }
 
-// BaselineSpec returns the No-limit normalization partner of spec. The
-// baseline shares the spec's fidelity rung, so a low-fidelity search
-// round normalizes against an equally cheap baseline.
+// BaselineSpec returns the No-limit normalization partner of spec: the
+// same workload, machine, environment and fidelity rung, with the
+// policy's own settings (interval, limits, forced frequency) at their
+// defaults. Sharing the rung lets a low-fidelity search round normalize
+// against an equally cheap baseline.
 func (e *Engine) BaselineSpec(spec Spec) Spec {
-	return Spec{
-		Mix:        spec.Mix,
-		Policy:     "No-limit",
-		Cooling:    spec.Cooling,
-		Model:      spec.Model,
-		PsiXi:      spec.PsiXi,
-		InstrScale: spec.InstrScale,
-	}
+	spec.Policy = "No-limit"
+	spec.Interval, spec.Limits, spec.ForceFreq = 0, fbconfig.ThermalLimits{}, 0
+	return spec
 }
 
 // Persistence lives in state.go: the engine appends completed runs and

@@ -32,8 +32,8 @@ type BatchRequest struct {
 type BatchLine struct {
 	// Index is the spec's position in the BatchRequest.
 	Index int `json:"index"`
-	// Key is the serving node's canonical cache key for the spec,
-	// for log correlation across nodes.
+	// Key is the serving node's canonical cache key for the spec. The
+	// coordinator checks it against its own key for the spec.
 	Key string `json:"key,omitempty"`
 	// Outcome is how the serving node obtained the result: "built",
 	// "hit" or "joined".
@@ -246,7 +246,7 @@ func (b *Backend) postBatch(ctx context.Context, p *peer, specs []sweep.Spec, id
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		unacked := b.decodeBatchStream(ctx, p, resp.Body, idxs, deliver)
+		unacked := b.decodeBatchStream(ctx, p, resp.Body, specs, idxs, deliver)
 		if unacked == nil && ctx.Err() == nil {
 			b.answered(p)
 		}
@@ -273,8 +273,11 @@ func (b *Backend) postBatch(ctx context.Context, p *peer, specs []sweep.Spec, id
 
 // decodeBatchStream consumes one batch response, delivering each line's
 // outcome. The remainder fails over when the stream dies or misbehaves
-// before acknowledging every spec.
-func (b *Backend) decodeBatchStream(ctx context.Context, p *peer, body io.Reader, idxs []int, deliver func(int, sim.MEMSpotResult, sweep.RunInfo, error)) (unacked []int) {
+// before acknowledging every spec. A line must echo the spec's key as
+// this node computes it: a peer that keys it otherwise (another
+// ConfigDigest, or an older binary that dropped a spec field it does
+// not know) ran some other run, whose result must not be cached here.
+func (b *Backend) decodeBatchStream(ctx context.Context, p *peer, body io.Reader, specs []sweep.Spec, idxs []int, deliver func(int, sim.MEMSpotResult, sweep.RunInfo, error)) (unacked []int) {
 	var zero sim.MEMSpotResult
 	acked := make([]bool, len(idxs))
 	remaining := func() []int {
@@ -301,6 +304,10 @@ func (b *Backend) decodeBatchStream(ctx context.Context, p *peer, body io.Reader
 		b.mStreamLines.Inc()
 		if line.Index < 0 || line.Index >= len(idxs) || acked[line.Index] {
 			b.eject(p, fmt.Errorf("batch protocol: unexpected line index %d", line.Index))
+			return remaining()
+		}
+		if want := string(b.cfg.Key(specs[idxs[line.Index]])); line.Key != want {
+			b.eject(p, fmt.Errorf("batch protocol: line %d keys %q, want %q", line.Index, line.Key, want))
 			return remaining()
 		}
 		acked[line.Index] = true

@@ -267,6 +267,53 @@ func TestBatchFallbackToSingles(t *testing.T) {
 	}
 }
 
+// TestForeignKeyEjectsPeer: a worker that keys specs under another
+// configuration (here a different batch depth, so another ConfigDigest)
+// ran other runs than the coordinator asked for. Its first line is a
+// protocol error: the peer is ejected, the shard fails over (to the
+// coordinator, the ring being empty), and none of its results is cached.
+func TestForeignKeyEjectsPeer(t *testing.T) {
+	specs := sweep.Grid{
+		Mixes:    []string{"W1", "W2"},
+		Policies: []string{"DTM-TS", "DTM-BW"},
+	}.Expand()
+	cfg := core.DefaultConfig()
+	cfg.Replicas++
+	eng := sweep.NewEngine(core.NewSystem(cfg), 4)
+	eng.SetRunFunc(func(context.Context, core.RunSpec) (sim.MEMSpotResult, error) {
+		return sim.MEMSpotResult{Seconds: 999, Completed: 1}, nil
+	})
+	api := httpapi.New(context.Background(), eng, httpapi.Config{Logf: func(string, ...any) {}})
+	t.Cleanup(api.Close)
+	w := httptest.NewServer(api)
+	t.Cleanup(w.Close)
+
+	coord := fakeEngine(nil, 0)
+	b := newBackend(t, coord, remote.Config{Peers: []remote.Peer{{ID: "w", URL: w.URL}}})
+	coord.SetBatchBackend(b)
+	var mu sync.Mutex
+	peers := map[string]int{}
+	res, err := coord.Sweep(context.Background(), specs, sweep.Options{OnEvent: func(ev sweep.Event) {
+		if ev.Kind == sweep.EventFinished {
+			mu.Lock()
+			peers[ev.Peer]++
+			mu.Unlock()
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Table("t").String(), singleNodeTable(t, specs); got != want {
+		t.Fatalf("table holds the foreign peer's results:\n--- single ---\n%s--- got ---\n%s", want, got)
+	}
+	if peers["local"] != len(specs) {
+		t.Errorf("runs served by %v, want all %d local", peers, len(specs))
+	}
+	if st := b.Status()[0]; st.Up {
+		t.Errorf("peer %s keying specs under another config is still up", st.ID)
+	}
+}
+
 // TestBatchRoute404IsTerminal: a healthy peer whose batch route 404s
 // rejected the batch — every spec of its shard gets a terminal error
 // (no retry, no local fallback) and the peer stays in the ring.

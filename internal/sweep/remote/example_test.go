@@ -19,16 +19,21 @@ import (
 // the single "peer" is a stub /v1/exec/batch handler, so the output is
 // deterministic; in production the peers are real dramthermd instances.
 func ExampleBackend() {
+	coord := sweep.NewEngine(core.NewSystem(core.DefaultConfig()), 0)
 	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req remote.BatchRequest
+		json.NewDecoder(r.Body).Decode(&req) //nolint:errcheck
+		// A line echoes the spec's key; a peer keying it otherwise (say,
+		// under another configuration) is ejected as faulty.
 		json.NewEncoder(w).Encode(remote.BatchLine{
 			Index:   0,
+			Key:     string(coord.Key(req.Specs[0])),
 			Outcome: "hit",
 			Result:  &sim.MEMSpotResult{Seconds: 412},
 		})
 	}))
 	defer worker.Close()
 
-	coord := sweep.NewEngine(core.NewSystem(core.DefaultConfig()), 0)
 	backend, err := remote.New(remote.Config{
 		Peers: []remote.Peer{{ID: "worker-1", URL: worker.URL}},
 		Key:   coord.Key,

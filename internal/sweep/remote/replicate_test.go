@@ -186,7 +186,8 @@ func newFakeWorker(t *testing.T, id string) *fakeWorker {
 		}
 		enc := json.NewEncoder(rw)
 		for i := range breq.Specs {
-			enc.Encode(BatchLine{Index: i, Outcome: "built", Result: &sim.MEMSpotResult{Seconds: 7}}) //nolint:errcheck
+			enc.Encode(BatchLine{Index: i, Key: "digest|" + breq.Specs[i].Mix, Outcome: "built", //nolint:errcheck
+				Result: &sim.MEMSpotResult{Seconds: 7}})
 		}
 	})
 	mux.HandleFunc("POST "+HandoffPath, func(rw http.ResponseWriter, req *http.Request) {

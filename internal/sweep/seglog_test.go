@@ -455,7 +455,7 @@ func writeTraceLog(t *testing.T, dir string, recs []trace.Rates) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		e.appendTrace(r)
+		e.appendTrace(r, e.l1digest)
 	}
 	if st, _ := e.StateStats(); st.Appends != int64(len(recs)) || st.AppendErrors != 0 {
 		t.Fatalf("state stats = %+v, want %d appends", st, len(recs))

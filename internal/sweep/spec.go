@@ -5,17 +5,20 @@ import (
 
 	"dramtherm/internal/core"
 	"dramtherm/internal/fbconfig"
+	"dramtherm/internal/platform"
 	"dramtherm/internal/workload"
 )
 
-// Spec names one level-2 run entirely by value, unlike core.RunSpec
-// whose Policy field is a live (stateful) object. The zero value of
-// every field selects the paper default.
+// Spec names one run entirely by value, unlike core.RunSpec whose
+// Policy field is a live (stateful) object: a Chapter 4 simulation, or
+// a Chapter 5 platform run when Machine is set. The zero value of every
+// field selects the paper default.
 type Spec struct {
-	// Mix is the workload mix name (W1..W8, W11, W12).
+	// Mix is the workload mix name (W1..W8, W11, W12, or "<program>x4";
+	// see workload.MixByName).
 	Mix string `json:"mix"`
-	// Policy is the DTM policy name (core.PolicyNames); empty means
-	// "No-limit".
+	// Policy is the DTM policy name (core.PolicyNames, or for a machine
+	// spec platform.PolicyKinds); empty means "No-limit".
 	Policy string `json:"policy,omitempty"`
 	// Cooling is the Table 3.2 column shorthand (e.g. "AOHS_1.5");
 	// empty selects AOHS_1.5.
@@ -29,19 +32,42 @@ type Spec struct {
 	Interval float64 `json:"interval,omitempty"`
 	// Limits overrides the thermal limits when AMBTDP is nonzero; the
 	// override reaches both the simulation and the policy construction
-	// (TRP/TDP sweeps).
+	// (TRP/TDP sweeps). A machine spec sets only AMBTDP, which shifts the
+	// machine's AMB TDP and its Table 5.1 levels with it.
 	Limits fbconfig.ThermalLimits `json:"limits,omitzero"`
 	// InstrScale is the run's fidelity: a multiplier on the system's
 	// base application-length scale. Zero and 1 both mean full fidelity
 	// (and share a cache key); Engine.Search uses fractional rungs
 	// (e.g. 0.25) as cheap approximations, each a distinct cache entry.
 	InstrScale float64 `json:"instr_scale,omitempty"`
+
+	// Machine runs the spec on an emulated Chapter 5 testbed, "PE1950"
+	// or "SR1500AL", instead of the Chapter 4 simulator (empty); such a
+	// spec leaves Cooling, Model, PsiXi and Interval empty. The fields
+	// after it apply to machine specs only: the scheduling quantum in
+	// seconds of two programs sharing a core (default 0.1), a system
+	// ambient override in °C, a DVFS level the processors are pinned at
+	// or below (3 is 2.0 GHz; 0 leaves it to the policy), the batch depth
+	// (default 10) and a bound on the run's seconds (default 100,000).
+	Machine    string  `json:"machine,omitempty"`
+	Quantum    float64 `json:"quantum,omitempty"`
+	Ambient    float64 `json:"ambient,omitempty"`
+	ForceFreq  int     `json:"force_freq,omitempty"`
+	RunsPerApp int     `json:"runs_per_app,omitempty"`
+	MaxSeconds float64 `json:"max_seconds,omitempty"`
 }
 
 // normalize fills defaulted fields so that equivalent specs share a key.
 func (s Spec) normalize() Spec {
 	if s.Policy == "" {
 		s.Policy = "No-limit"
+	}
+	if s.Machine != "" {
+		c := platform.RunConfig{RunsPerApp: s.RunsPerApp, QuantumS: s.Quantum,
+			InstrScale: s.InstrScale, MaxSeconds: s.MaxSeconds}.WithDefaults()
+		s.RunsPerApp, s.Quantum, s.InstrScale, s.MaxSeconds = c.RunsPerApp, c.QuantumS, c.InstrScale, c.MaxSeconds
+		s.Ambient, s.Limits.AMBTDP = canonZero(s.Ambient), canonZero(s.Limits.AMBTDP)
+		return s
 	}
 	if s.Cooling == "" {
 		s.Cooling = fbconfig.CoolingAOHS15.Name()
@@ -79,6 +105,11 @@ type Key string
 // Key canonicalizes the spec under the given system-config digest.
 func (s Spec) Key(configDigest string) Key {
 	n := s.normalize()
+	if n.Machine != "" {
+		return Key(fmt.Sprintf("%s|%s|%s|machine=%s|q=%g|amb=%g|tdp=%g|ff=%d|rpa=%d|max=%g|is=%g",
+			configDigest, n.Mix, n.Policy, n.Machine, n.Quantum, n.Ambient, n.Limits.AMBTDP,
+			n.ForceFreq, n.RunsPerApp, n.MaxSeconds, n.InstrScale))
+	}
 	k := fmt.Sprintf("%s|%s|%s|%s|%s|psixi=%g|iv=%g|lim=%g,%g,%g,%g",
 		configDigest, n.Mix, n.Policy, n.Cooling, n.Model,
 		n.PsiXi, n.Interval,
@@ -95,6 +126,10 @@ func (s Spec) Key(configDigest string) Key {
 // String renders the spec compactly for progress lines and logs.
 func (s Spec) String() string {
 	n := s.normalize()
+	if n.Machine != "" {
+		return fmt.Sprintf("%s/%s/%s/q=%g/amb=%g/tdp=%g/ff=%d/rpa=%d/max=%g/is=%g", n.Mix, n.Policy,
+			n.Machine, n.Quantum, n.Ambient, n.Limits.AMBTDP, n.ForceFreq, n.RunsPerApp, n.MaxSeconds, n.InstrScale)
+	}
 	out := fmt.Sprintf("%s/%s/%s/%s", n.Mix, n.Policy, n.Cooling, n.Model)
 	if n.PsiXi != 0 {
 		out += fmt.Sprintf("/psixi=%g", n.PsiXi)

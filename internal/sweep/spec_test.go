@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"dramtherm/internal/fbconfig"
@@ -147,5 +148,62 @@ func TestSpecLimitsOmitZero(t *testing.T) {
 		if got := c.spec.Key("d1"); got != c.key {
 			t.Errorf("Key(%v) = %s, want %s", c.spec, got, c.key)
 		}
+	}
+}
+
+// TestMachineSpecKey: a machine spec round-trips its JSON, keys -0 as
+// +0 (the codec cannot tell them apart), shares its key with the spec
+// that spells out its defaults, and every run-shape field separates
+// keys, from each other and from Chapter 4 keys.
+func TestMachineSpecKey(t *testing.T) {
+	base := Spec{Machine: "PE1950", Mix: "W1", Policy: "DTM-ACG"}
+	in := Spec{Machine: "SR1500AL", Mix: "swimx4", Policy: "DTM-BW", Quantum: 0.02, Ambient: 26,
+		ForceFreq: 3, RunsPerApp: 5, MaxSeconds: 3000, InstrScale: 0.5, Limits: fbconfig.ThermalLimits{AMBTDP: 90}}
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Spec
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out != in || out.Key("d") != in.Key("d") {
+		t.Fatalf("round trip: %+v != %+v", out, in)
+	}
+	if b, _ := json.Marshal(base); string(b) != `{"mix":"W1","policy":"DTM-ACG","machine":"PE1950"}` {
+		t.Fatalf("default machine spec marshals as %s", b)
+	}
+
+	negZero := math.Copysign(0, -1)
+	explicit := base
+	explicit.Quantum, explicit.RunsPerApp, explicit.MaxSeconds, explicit.InstrScale = 0.1, 10, 100000, 1
+	explicit.Ambient, explicit.Limits.AMBTDP = negZero, negZero
+	if base.Key("d") != explicit.Key("d") {
+		t.Fatalf("explicit defaults and -0 key differently:\n%s\n%s", base.Key("d"), explicit.Key("d"))
+	}
+	if got, want := base.Key("d"), Key("d|W1|DTM-ACG|machine=PE1950|q=0.1|amb=0|tdp=0|ff=0|rpa=10|max=100000|is=1"); got != want {
+		t.Fatalf("Key = %s, want %s", got, want)
+	}
+
+	keys := map[Key]string{base.Key("d"): "base", (Spec{Mix: "W1", Policy: "DTM-ACG"}).Key("d"): "chapter 4"}
+	for name, mod := range map[string]func(*Spec){
+		"Machine":    func(s *Spec) { s.Machine = "SR1500AL" },
+		"Mix":        func(s *Spec) { s.Mix = "swimx4" },
+		"Policy":     func(s *Spec) { s.Policy = "DTM-BW" },
+		"Quantum":    func(s *Spec) { s.Quantum = 0.02 },
+		"Ambient":    func(s *Spec) { s.Ambient = 26 },
+		"AMBTDP":     func(s *Spec) { s.Limits.AMBTDP = 90 },
+		"ForceFreq":  func(s *Spec) { s.ForceFreq = 3 },
+		"RunsPerApp": func(s *Spec) { s.RunsPerApp = 3 },
+		"MaxSeconds": func(s *Spec) { s.MaxSeconds = 5000 },
+		"InstrScale": func(s *Spec) { s.InstrScale = 0.5 },
+	} {
+		s := base
+		mod(&s)
+		k := s.Key("d")
+		if other, dup := keys[k]; dup {
+			t.Errorf("specs differing in %s share a key with %s", name, other)
+		}
+		keys[k] = name
 	}
 }

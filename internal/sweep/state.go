@@ -32,7 +32,7 @@ type traceRecord struct {
 
 // EnableSegmentLog makes the engine's warm state durable under crashes:
 // it opens (or creates) the append-only segment log in dir, replays it
-// into the run cache and the level-1 trace store (keeping only records
+// into the run cache and the level-1 trace stores (keeping only records
 // this engine's configuration produced; see replayState), and registers
 // hooks so every freshly built run and trace record is appended as it
 // completes — there is no shutdown flush to lose. When replay skipped
@@ -68,7 +68,7 @@ func (e *Engine) EnableSegmentLog(dir string, compactEvery time.Duration) error 
 	if e.prefix != nil {
 		e.prefix.OnGroupComplete(e.appendCheckpoint)
 	}
-	e.sys.Store().SetOnBuild(e.appendTrace)
+	e.sys.Store().SetOnBuild(func(r trace.Rates) { e.appendTrace(r, e.l1digest) })
 	if compactEvery > 0 {
 		e.compactStop = make(chan struct{})
 		e.compactDone = make(chan struct{})
@@ -89,11 +89,14 @@ func (e *Engine) appendRun(k Key, v sim.MEMSpotResult) {
 	}
 }
 
-// appendTrace frames one freshly built level-1 record into the segment
-// log.
-func (e *Engine) appendTrace(r trace.Rates) {
+// appendTrace frames one freshly built level-1 record, under its
+// builder's digest, into the segment log, if one is enabled.
+func (e *Engine) appendTrace(r trace.Rates, digest string) {
+	if e.seglog == nil {
+		return
+	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(traceRecord{Rates: r, Digest: e.l1digest}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(traceRecord{Rates: r, Digest: digest}); err != nil {
 		e.appendErrs.Add(1)
 		return
 	}
@@ -106,10 +109,16 @@ func (e *Engine) appendTrace(r trace.Rates) {
 // go through Put, which does not re-trigger the append hooks. A record
 // another configuration produced is skipped and counted, never served:
 // a run record keyed under another ConfigDigest, or a level-1 record
-// whose builder digest differs from this engine's (a directory reused
-// after a seed or parameter change). A skipped record is rebuilt on
-// demand; EnableSegmentLog compacts it out of the log.
+// whose builder digest matches none of this engine's builders (a
+// directory reused after a seed or parameter change). Level-1 records
+// go to the store of the builder that made them: the Chapter 4
+// system's or a testbed's. A skipped record is rebuilt on demand;
+// EnableSegmentLog compacts it out of the log.
 func (e *Engine) replayState(l *SegmentLog) error {
+	for _, m := range testbeds {
+		e.machineStore(m)
+	}
+	stores := e.level1Stores()
 	return l.Replay(func(kind byte, payload []byte) error {
 		switch kind {
 		case recordRun:
@@ -127,11 +136,12 @@ func (e *Engine) replayState(l *SegmentLog) error {
 			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
 				return fmt.Errorf("sweep: replaying trace record: %w", err)
 			}
-			if rec.Digest != e.l1digest {
+			st := stores[rec.Digest]
+			if st == nil {
 				e.skippedTraces.Add(1)
 				break
 			}
-			e.sys.Store().Put(rec.Rates)
+			st.Put(rec.Rates)
 		case recordCheckpoint:
 			// Checkpoints are droppable: a record that no longer decodes
 			// or validates costs one cold replay, not a failed startup.
@@ -167,9 +177,9 @@ func (e *Engine) compactLoop(every time.Duration) {
 	}
 }
 
-// CompactState folds the entire warm state (run cache + trace store)
-// into one fresh snapshot segment, retiring the older segments. Requires
-// EnableSegmentLog.
+// CompactState folds the entire warm state (run cache + level-1 trace
+// stores) into one fresh snapshot segment, retiring the older segments.
+// Requires EnableSegmentLog.
 func (e *Engine) CompactState() error {
 	if e.seglog == nil {
 		return errors.New("sweep: segment log not enabled")
@@ -187,16 +197,18 @@ func (e *Engine) CompactState() error {
 		if err != nil {
 			return err
 		}
-		e.sys.Store().Range(func(r trace.Rates) bool {
-			var buf bytes.Buffer
-			if err = gob.NewEncoder(&buf).Encode(traceRecord{Rates: r, Digest: e.l1digest}); err != nil {
-				return false
+		for digest, st := range e.level1Stores() {
+			st.Range(func(r trace.Rates) bool {
+				var buf bytes.Buffer
+				if err = gob.NewEncoder(&buf).Encode(traceRecord{Rates: r, Digest: digest}); err != nil {
+					return false
+				}
+				err = emit(recordTrace, buf.Bytes())
+				return err == nil
+			})
+			if err != nil {
+				return err
 			}
-			err = emit(recordTrace, buf.Bytes())
-			return err == nil
-		})
-		if err != nil {
-			return err
 		}
 		if e.prefix != nil {
 			e.prefix.Export(func(rec prefix.GroupRecord) bool {
@@ -214,6 +226,18 @@ func (e *Engine) CompactState() error {
 		}
 		return err
 	})
+}
+
+// level1Stores returns every level-1 store by its builder's digest:
+// the Chapter 4 system's and each testbed store created so far.
+func (e *Engine) level1Stores() map[string]*trace.Store {
+	e.smu.Lock()
+	defer e.smu.Unlock()
+	out := map[string]*trace.Store{e.l1digest: e.sys.Store()}
+	for d, st := range e.stores {
+		out[d] = st
+	}
+	return out
 }
 
 // Close stops the background compactor and closes the segment log. Safe

@@ -87,12 +87,15 @@ type Result struct {
 
 // Sweep executes all specs concurrently through the run cache (duplicate
 // specs collapse to one simulation; parallelism is bounded by the worker
-// pool) and returns positionally aligned results. The first error
-// cancels the remaining jobs and is returned; ctx cancellation does the
-// same with ctx.Err(). With a BatchBackend installed the grid's distinct
-// uncached specs are handed to the backend in one call (one request per
-// cluster peer) instead of one shard per spec; per-spec cache and event
-// semantics are unchanged.
+// pool) and returns positionally aligned results. The spec after a
+// machine spec starts once that spec holds a pool slot or was served
+// without one, so Chapter 5 plans, whose neighbours differ in mix, do
+// not wait on one level-1 build; Chapter 4 plans measured slower started
+// so. The first error cancels the remaining jobs and is returned; ctx
+// cancellation does the same with ctx.Err(). With a BatchBackend
+// installed the grid's distinct uncached specs are handed to the backend
+// in one call (one request per cluster peer) instead of one shard per
+// spec; per-spec cache and event semantics are unchanged.
 func (e *Engine) Sweep(ctx context.Context, specs []Spec, opts Options) (*Result, error) {
 	res := &Result{
 		Specs:   specs,
@@ -128,6 +131,17 @@ func (e *Engine) Sweep(ctx context.Context, specs []Spec, opts Options) (*Result
 		done     int
 		firstErr error
 	)
+	// started[i] closes once machine spec i holds a pool slot or was
+	// served without one, and only then does spec i+1 start. A repeat of
+	// an earlier spec joins or hits its run, so it gets none: it must not
+	// hold back the specs after it while that run lasts.
+	started := make([]chan struct{}, len(specs))
+	seen := make(map[Key]bool)
+	for i, sp := range specs {
+		if k := e.Key(sp); sp.Machine != "" && !seen[k] {
+			seen[k], started[i] = true, make(chan struct{})
+		}
+	}
 	for i := range specs {
 		wg.Add(1)
 		go func(i int) {
@@ -135,7 +149,13 @@ func (e *Engine) Sweep(ctx context.Context, specs []Spec, opts Options) (*Result
 			if opts.OnEvent != nil {
 				opts.OnEvent(Event{Kind: EventStarted, Index: i, Spec: specs[i], Total: len(specs)})
 			}
-			r, info, err := runOne(ctx, specs[i])
+			runCtx, signal := ctx, func() {}
+			if ch := started[i]; ch != nil {
+				signal = sync.OnceFunc(func() { close(ch) })
+				runCtx = context.WithValue(ctx, startedKey{}, signal)
+			}
+			r, info, err := runOne(runCtx, specs[i])
+			signal()
 			if err == nil {
 				res.Results[i] = r
 				if opts.Normalize {
@@ -164,6 +184,12 @@ func (e *Engine) Sweep(ctx context.Context, specs []Spec, opts Options) (*Result
 			}
 			mu.Unlock()
 		}(i)
+		if started[i] != nil {
+			select {
+			case <-started[i]:
+			case <-ctx.Done():
+			}
+		}
 	}
 	wg.Wait()
 	if firstErr != nil {

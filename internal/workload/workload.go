@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"dramtherm/internal/cache"
 )
@@ -301,12 +302,16 @@ var Mixes = []Mix{
 	{Name: "W12", Apps: []string{"libquantum", "lbm", "omnetpp", "wrf"}},
 }
 
-// MixByName returns the named mix.
+// MixByName returns the named mix: one of Mixes, or "<program>x4",
+// four copies of one program (the Chapter 5 homogeneous workloads).
 func MixByName(name string) (Mix, error) {
 	for _, m := range Mixes {
 		if m.Name == name {
 			return m, nil
 		}
+	}
+	if p, ok := strings.CutSuffix(name, "x4"); ok && byName[p] != nil {
+		return Mix{Name: name, Apps: []string{p, p, p, p}}, nil
 	}
 	return Mix{}, fmt.Errorf("workload: unknown mix %q", name)
 }

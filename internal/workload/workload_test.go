@@ -103,6 +103,16 @@ func TestMixes(t *testing.T) {
 	if _, err := MixByName("W99"); err == nil {
 		t.Fatal("unknown mix accepted")
 	}
+	// Homogeneous Chapter 5 mixes: four copies of one known program.
+	if m, err := MixByName("swimx4"); err != nil || m.Name != "swimx4" ||
+		len(m.Apps) != 4 || m.Apps[0] != "swim" || m.Apps[3] != "swim" {
+		t.Fatalf("swimx4 = %+v, %v", m, err)
+	}
+	for _, bad := range []string{"x4", "nosuchx4", "swimx2", "W1x4"} {
+		if _, err := MixByName(bad); err == nil {
+			t.Errorf("mix %q accepted", bad)
+		}
+	}
 }
 
 func TestPhaseMul(t *testing.T) {
