@@ -261,7 +261,7 @@ func main() {
 		}()
 		if st, ok := eng.StateStats(); ok {
 			logger.Info("state replayed", "dir", *segDir, "segments", st.Segments,
-				"bytes", st.Bytes, "traces", eng.System().Store().Len())
+				"bytes", st.Bytes, "traces", eng.Level1Records())
 		}
 	}
 

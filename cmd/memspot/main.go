@@ -48,7 +48,7 @@ func main() {
 	if *segDir != "" {
 		fail(eng.EnableSegmentLog(*segDir, 0))
 		st, _ := eng.StateStats()
-		fmt.Printf("replayed %d level-1 records, skipped %d, from %s\n", eng.System().Store().Len(), st.SkippedTraces, *segDir)
+		fmt.Printf("replayed %d level-1 records, skipped %d, from %s\n", eng.Level1Records(), st.SkippedTraces, *segDir)
 	}
 
 	spec := sweep.Spec{Mix: *mixName, Policy: *policy, Cooling: *cooling, Model: *model}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"dramtherm/internal/dtm"
 	"dramtherm/internal/fbconfig"
@@ -52,12 +53,15 @@ type MEMSpotConfig struct {
 
 	// ExactThermal selects the per-window reference path: the retained
 	// per-step math.Exp thermal math (thermal.Model.AdvanceExact) instead
-	// of the cached-decay fast path, and a design point re-resolved and
-	// residency written into the result maps every window instead of
-	// only when the action, rotation or jobs change. The two paths agree
-	// bit-for-bit today; the flag exists so the differential harness
-	// (internal/simtest) can drive both through the identical simulation
-	// stack.
+	// of the cached-decay fast path; a design point re-resolved and
+	// fetched from the store every window, where the fast path
+	// re-resolves only when the action, the gated set or the jobs change
+	// and asks the run's design-point memo first; the hottest
+	// temperatures recomputed at each use instead of once per window;
+	// and residency written into the result maps every window instead of
+	// through cells. The two paths agree bit-for-bit today; the flag
+	// exists so the differential harness (internal/simtest) can drive
+	// both through the identical simulation stack.
 	ExactThermal bool
 }
 
@@ -160,23 +164,26 @@ type MEMSpot struct {
 
 	// Hot-loop scratch state, reused across windows so the steady-state
 	// step allocates nothing: the precomputed channel power model, the
-	// power/gating/activity buffers, and a one-entry design-point → rates
-	// memo (a re-resolution mostly lands on the previous design point, so
-	// it skips the store lock and key canonicalization).
+	// power/gating/name/activity buffers, and the run's design-point
+	// memo (see lookup), which keeps re-resolutions off the store's lock
+	// and key hashing.
 	chanModel   *power.ChannelModel
 	pwBuf       []power.DIMMPower
 	gatedBuf    []bool
 	namesBuf    []string
+	sortedBuf   []string
 	activityBuf []thermal.CoreActivity
-	lastNames   []string
-	lastApps    string
-	lastDP      trace.DesignPoint
-	lastRates   trace.Rates
-	haveLast    bool
+	dps         [dpMemoSize]dpEntry
+	dpTick      uint64
+
+	// The hottest AMB and DRAM temperatures of the thermal state, taken
+	// once per window after Advance; hotOK marks them current.
+	hotAMB, hotDRAM float64
+	hotOK           bool
 
 	// The resolved window: what resolve derives from the DTM action, the
-	// rotation offset and the per-core jobs. stale marks a change to one
-	// of those inputs; step re-resolves only then.
+	// gated set and the per-core jobs. stale marks a change to one of
+	// those inputs; step re-resolves only then.
 	stale    bool
 	freqIdx  int
 	lv       fbconfig.DVFSLevel
@@ -293,28 +300,6 @@ func (m *MEMSpot) gatedSet() []bool {
 	return gated
 }
 
-// canonApps returns trace.CanonApps(names), memoized on the previous
-// window's name sequence: consecutive windows almost always run the
-// same jobs in the same core order, so the sort+join and its
-// allocations are skipped in steady state.
-func (m *MEMSpot) canonApps(names []string) string {
-	if len(names) == len(m.lastNames) {
-		same := true
-		for i := range names {
-			if names[i] != m.lastNames[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return m.lastApps
-		}
-	}
-	m.lastNames = append(m.lastNames[:0], names...)
-	m.lastApps = trace.CanonApps(names)
-	return m.lastApps
-}
-
 // StepWindow advances the simulation by exactly one window. It is the
 // per-timestep unit of the level-2 hot loop, exposed for the
 // differential test harness (internal/simtest) and the pinned
@@ -393,7 +378,7 @@ func (m *MEMSpot) step() error {
 
 	// DTM decision.
 	if m.now >= m.nextDTM {
-		ambR, dramR := m.model.HottestAMB(), m.model.HottestDRAM()
+		ambR, dramR := m.hottest()
 		if m.sensor != nil {
 			ambR, dramR = m.sensor.Read(ambR), m.sensor.Read(dramR)
 		}
@@ -413,11 +398,15 @@ func (m *MEMSpot) step() error {
 		m.nextDTM += m.cfg.DTMIntervalS
 		overheadThisWindow = dtmOverheadS
 	}
-	// ACG rotation for fairness (§4.2.2).
+	// ACG rotation for fairness (§4.2.2). The offset always advances,
+	// but it moves the gated set only while some, not all, cores are
+	// gated.
 	if m.now >= m.nextRot {
 		m.rot++
 		m.nextRot += rotatePeriodS
-		m.stale = true
+		if n := m.act.ActiveCores; n > 0 && n < len(m.cores) {
+			m.stale = true
+		}
 	}
 	// The ExactThermal reference re-resolves every window.
 	if m.stale || m.cfg.ExactThermal {
@@ -481,6 +470,7 @@ func (m *MEMSpot) step() error {
 	m.res.CPUEnergyJ += m.cpuW * win
 
 	// Thermal.
+	m.hotOK = false
 	if m.cfg.ExactThermal {
 		m.model.Ambient = m.amb.AdvanceExact(activity, win)
 		if err := m.model.AdvanceExact(pw, win); err != nil {
@@ -492,11 +482,12 @@ func (m *MEMSpot) step() error {
 			return err
 		}
 	}
-	if a := m.model.HottestAMB(); a > m.res.MaxAMB {
-		m.res.MaxAMB = a
+	hotAMB, hotDRAM := m.hottest()
+	if hotAMB > m.res.MaxAMB {
+		m.res.MaxAMB = hotAMB
 	}
-	if d := m.model.HottestDRAM(); d > m.res.MaxDRAM {
-		m.res.MaxDRAM = d
+	if hotDRAM > m.res.MaxDRAM {
+		m.res.MaxDRAM = hotDRAM
 	}
 
 	// Residency and traces.
@@ -511,8 +502,9 @@ func (m *MEMSpot) step() error {
 		m.freqCell.add(m.res.TimeAtFreq, m.freqIdx, win)
 	}
 	if m.now >= m.nextRec {
-		m.res.AMBTrace = append(m.res.AMBTrace, m.model.HottestAMB())
-		m.res.DRAMTrace = append(m.res.DRAMTrace, m.model.HottestDRAM())
+		hotAMB, hotDRAM := m.hottest()
+		m.res.AMBTrace = append(m.res.AMBTrace, hotAMB)
+		m.res.DRAMTrace = append(m.res.DRAMTrace, hotDRAM)
 		m.res.AmbientTrace = append(m.res.AmbientTrace, m.amb.T)
 		m.nextRec += recordPeriodS
 	}
@@ -556,6 +548,19 @@ func (m *MEMSpot) flushResidency() {
 	m.freqCell.flush(m.res.TimeAtFreq)
 }
 
+// hottest returns the hottest AMB and DRAM temperatures of the thermal
+// state. The fast path takes them once per window and reuses them until
+// the next Advance; the ExactThermal reference recomputes them at each
+// use.
+func (m *MEMSpot) hottest() (amb, dram fbconfig.Celsius) {
+	if m.hotOK {
+		return m.hotAMB, m.hotDRAM
+	}
+	amb, dram = m.model.HottestAMB(), m.model.HottestDRAM()
+	m.hotAMB, m.hotDRAM, m.hotOK = amb, dram, !m.cfg.ExactThermal
+	return amb, dram
+}
+
 // resolve derives the window's design point from its inputs — the DTM
 // action, the ACG rotation offset and the per-core jobs — and looks up
 // the rates of every running job and the processor power.
@@ -580,27 +585,87 @@ func (m *MEMSpot) resolve() error {
 		}
 	}
 	m.namesBuf, m.running = names, running
-	dp := trace.DesignPoint{
-		Apps:      m.canonApps(names),
-		FreqGHz:   m.lv.FreqGHz,
-		BWCapGBps: m.act.BWCapGBps,
-		MemOff:    m.act.MemOff,
+	var rates trace.Rates
+	var err error
+	if m.cfg.ExactThermal {
+		rates, err = m.store.Get(m.designPoint(names))
+	} else {
+		rates, err = m.lookup(names)
 	}
-	if !m.haveLast || dp != m.lastDP {
-		rates, err := m.store.Get(dp)
-		if err != nil {
-			return err
-		}
-		m.lastDP, m.lastRates, m.haveLast = dp, rates, true
+	if err != nil {
+		return err
 	}
 	ar := m.appRates[:0]
 	for _, name := range names {
-		ar = append(ar, m.lastRates.PerApp[name])
+		ar = append(ar, rates.PerApp[name])
 	}
 	m.appRates = ar
 	m.cpuW = m.cpuWatts(m.lv, len(running))
 	m.stale = false
 	return nil
+}
+
+// designPoint is the design point of the running names under the
+// resolved frequency and the current action.
+func (m *MEMSpot) designPoint(names []string) trace.DesignPoint {
+	return trace.DesignPoint{
+		Apps:      trace.CanonApps(names),
+		FreqGHz:   m.lv.FreqGHz,
+		BWCapGBps: m.act.BWCapGBps,
+		MemOff:    m.act.MemOff,
+	}
+}
+
+// dpMemoSize bounds a run's design-point memo. A run's working set is
+// the running combination under each action and, while ACG gates some
+// cores, each rotation of it: a few dozen points at most.
+const dpMemoSize = 32
+
+// dpEntry is one design point of the memo and its rates. The point is
+// held in parts, the sorted names standing for its canonical Apps key,
+// so a lookup compares without building that key. used is the tick of
+// the entry's last use; 0 marks an empty entry.
+type dpEntry struct {
+	apps   []string
+	freq   float64
+	bwCap  float64
+	memOff bool
+	rates  trace.Rates
+	used   uint64
+}
+
+// lookup returns the rates of the running names' design point from the
+// run's memo, going to the store only for a point the memo does not
+// hold and evicting the least recently used entry for it. Records are
+// pure functions of their design point, so a memo hit returns what the
+// store would. A hit takes no lock and allocates nothing.
+func (m *MEMSpot) lookup(names []string) (trace.Rates, error) {
+	sorted := append(m.sortedBuf[:0], names...)
+	slices.Sort(sorted)
+	m.sortedBuf = sorted
+	freq, bwCap, memOff := m.lv.FreqGHz, m.act.BWCapGBps, m.act.MemOff
+	m.dpTick++
+	victim := &m.dps[0]
+	for i := range m.dps {
+		e := &m.dps[i]
+		if e.used != 0 && e.freq == freq && e.bwCap == bwCap && e.memOff == memOff &&
+			slices.Equal(e.apps, sorted) {
+			e.used = m.dpTick
+			return e.rates, nil
+		}
+		if e.used < victim.used {
+			victim = e
+		}
+	}
+	rates, err := m.store.Get(m.designPoint(names))
+	if err != nil {
+		return trace.Rates{}, err
+	}
+	*victim = dpEntry{
+		apps: append(victim.apps[:0], sorted...), freq: freq, bwCap: bwCap, memOff: memOff,
+		rates: rates, used: m.dpTick,
+	}
+	return rates, nil
 }
 
 // cpuWatts evaluates Table 4.4 for the current action.

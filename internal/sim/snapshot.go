@@ -10,12 +10,15 @@
 // state (model + ambient), the batch queue and per-core jobs, the live
 // DTM action and overshoot flag, and the result accumulator. Snapshot
 // first writes the residency cells back, so the captured maps are
-// current. What is deliberately excluded: the hot-loop scratch state
-// (the resolved window, design-point memo, residency cells,
-// power/gating buffers) — Restore drops it and marks the resolution
-// inputs changed, so the next step re-resolves from the shared
-// deterministic trace store — and the decay caches, which
-// self-revalidate (see internal/thermal/snapshot.go).
+// current. What is deliberately excluded: the hot-loop scratch state.
+// Restore drops the resolved window (it marks the resolution inputs
+// changed, so the next step re-resolves), the hottest AMB/DRAM
+// temperatures taken after the last window (the next use takes them
+// from the restored thermal state) and the residency cells. It keeps
+// the run's design-point memo, whose records are pure functions of
+// their points, and the power/gating/name buffers, which every use
+// overwrites. The decay caches self-revalidate (see
+// internal/thermal/snapshot.go).
 //
 // Runs with sensor noise enabled cannot be snapshotted: the sensor's
 // math/rand state is not capturable, so a resumed run could not
@@ -159,15 +162,16 @@ func (m *MEMSpot) Restore(st *MEMSpotState) error {
 	m.hot = st.Hot
 	m.res = cloneResult(st.Res)
 
-	// Drop the hot-loop memo and the residency cells, which belong to
-	// the replaced accumulator: the next step re-resolves its design
-	// point from the shared store, which is deterministic, so the resumed
-	// run sees the identical rates a never-checkpointed run would.
+	// Drop the resolved window, the hottest temperatures of the replaced
+	// thermal state and the residency cells, which belong to the replaced
+	// accumulator: the next step re-resolves its design point and takes
+	// the temperatures afresh. The design-point memo stays: its records
+	// are pure functions of their points, the same ones the shared store
+	// returns, so the resumed run sees the identical rates a
+	// never-checkpointed run would.
 	m.stale = true
+	m.hotOK = false
 	m.coresCell, m.freqCell = resCell{}, resCell{}
-	m.haveLast = false
-	m.lastNames = m.lastNames[:0]
-	m.lastApps = ""
 	return nil
 }
 

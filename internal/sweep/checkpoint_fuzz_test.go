@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dramtherm/internal/dtm"
@@ -95,6 +97,31 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("checkpoint frame did not replay byte-identically (%d frames)", len(got))
 		}
 	})
+}
+
+// TestCheckedInRecordValidates: the checked-in valid fuzz seed, encoded
+// by an earlier build, still decodes and validates, so checkpoint
+// records written by older binaries stay usable.
+func TestCheckedInRecordValidates(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointDecode", "seed_valid_record"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(data)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("not a fuzz corpus file: %q", data)
+	}
+	payload, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := decodeCheckpointRecord([]byte(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Decisions) == 0 || len(rec.Checkpoints) == 0 {
+		t.Fatalf("seed record holds %d decisions and %d checkpoints", len(rec.Decisions), len(rec.Checkpoints))
+	}
 }
 
 // TestSegmentLogDropsMangledCheckpointFrames: a torn tail or a flipped

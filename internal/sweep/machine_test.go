@@ -269,6 +269,34 @@ func TestMachineReplay(t *testing.T) {
 	}
 }
 
+// TestLevel1RecordsCountsEveryStore: a level-1 record replayed into a
+// testbed store counts among the engine's level-1 records, though the
+// Chapter 4 store stays empty.
+func TestLevel1RecordsCountsEveryStore(t *testing.T) {
+	dir := t.TempDir()
+	a := NewEngine(core.NewSystem(core.DefaultConfig()), 1)
+	if err := a.EnableSegmentLog(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	digest := platform.NewLevel1(platform.PE1950(), a.System().Config().Seed).Digest()
+	a.appendTrace(trace.Zero(trace.DesignPoint{Apps: "swim", FreqGHz: 3, BWCapGBps: 12.8}), digest)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b := NewEngine(core.NewSystem(core.DefaultConfig()), 1)
+	if err := b.EnableSegmentLog(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if n := b.Level1Records(); n != 1 {
+		t.Fatalf("engine counts %d level-1 records after replaying one PE1950 record, want 1", n)
+	}
+	if n := b.System().Store().Len(); n != 0 {
+		t.Fatalf("Chapter 4 store holds %d records, want 0", n)
+	}
+}
+
 // TestMachineSpecValidation: machine specs take only their own fields
 // and Chapter 5 policy names, and Chapter 4 specs take none of them.
 func TestMachineSpecValidation(t *testing.T) {

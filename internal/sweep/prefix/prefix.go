@@ -35,6 +35,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 
 	"dramtherm/internal/core"
@@ -65,10 +68,10 @@ type DecisionRecord struct {
 
 // Checkpoint is a restorable simulator state at a decision boundary:
 // the state was taken immediately before decision Decision was asked.
+// Its digest is taken only when the checkpoint is persisted (export).
 type Checkpoint struct {
-	Decision    int
-	StateDigest string
-	State       *sim.MEMSpotState
+	Decision int
+	State    *sim.MEMSpotState
 }
 
 // CheckpointRecord is the persistable form of one checkpoint.
@@ -246,6 +249,14 @@ func DivergencePoint(log []DecisionRecord, pol dtm.Policy) int {
 	return len(log)
 }
 
+// logPool recycles the leaders' decision-log scratch. Each scratch holds
+// maxDecisions records, so recording never regrows it; a leader copies
+// its exact-length log into the group and returns the scratch.
+var logPool = sync.Pool{New: func() any {
+	log := make([]DecisionRecord, 0, maxDecisions)
+	return &log
+}}
+
 // runLeader executes a cold run, recording decisions and checkpointing
 // at strided decision boundaries.
 func (s *Sharer) runLeader(ctx context.Context, g *group, newRun func() (core.RunSpec, error)) (sim.MEMSpotResult, error) {
@@ -254,7 +265,9 @@ func (s *Sharer) runLeader(ctx context.Context, g *group, newRun func() (core.Ru
 	if err != nil {
 		return sim.MEMSpotResult{}, err
 	}
-	rec := NewRecorder(rs.Policy)
+	scratch := logPool.Get().(*[]DecisionRecord)
+	defer logPool.Put(scratch)
+	rec := &Recorder{inner: rs.Policy, log: (*scratch)[:0]}
 	rs.Policy = rec
 	ms, err := s.builder.NewRun(rs)
 	if err != nil {
@@ -279,7 +292,7 @@ func (s *Sharer) runLeader(ctx context.Context, g *group, newRun func() (core.Ru
 			cps = nil
 			return nil
 		}
-		cps = append(cps, Checkpoint{Decision: d, StateDigest: st.Digest(), State: st})
+		cps = append(cps, Checkpoint{Decision: d, State: st})
 		if len(cps) >= maxCheckpoints {
 			// Thin to every other checkpoint and double the stride.
 			kept := cps[:0]
@@ -296,7 +309,7 @@ func (s *Sharer) runLeader(ctx context.Context, g *group, newRun func() (core.Ru
 		return res, err
 	}
 	s.checkpoints.Add(int64(len(cps)))
-	g.decisions = rec.Log()
+	g.decisions = append([]DecisionRecord(nil), rec.Log()...)
 	g.checkpoints = cps
 	g.truncated = rec.Truncated()
 	g.res = res
@@ -395,7 +408,7 @@ func export(key string, g *group) GroupRecord {
 	for _, cp := range g.checkpoints {
 		rec.Checkpoints = append(rec.Checkpoints, CheckpointRecord{
 			Decision:    cp.Decision,
-			StateDigest: cp.StateDigest,
+			StateDigest: cp.State.Digest(),
 			State:       *cp.State,
 		})
 	}
@@ -435,12 +448,33 @@ func (rec *GroupRecord) Validate() error {
 		if cp.Decision > len(rec.Decisions) {
 			return fmt.Errorf("prefix: checkpoint at decision %d beyond the %d-entry log", cp.Decision, len(rec.Decisions))
 		}
-		if got := cp.State.Digest(); got != cp.StateDigest {
+		if !stateDigestValid(&cp.State, cp.StateDigest) {
 			return fmt.Errorf("prefix: state digest mismatch at decision %d", cp.Decision)
 		}
 		last = cp.Decision
 	}
 	return nil
+}
+
+// legacyResultTail ends the rendering of a state whose result carries
+// zero Chapter 5 platform fields. Builds from before those fields
+// existed rendered such a state without it.
+const legacyResultTail = " AvgCPUWatt:0 AvgInletC:0 LevelTimeS:[0 0 0 0 0]}}"
+
+// stateDigestValid reports whether digest is the state digest of st,
+// either as sim.MEMSpotState.Digest takes it or as builds from before
+// the result's platform fields took it, so checkpoint records those
+// builds persisted stay usable.
+func stateDigestValid(st *sim.MEMSpotState, digest string) bool {
+	if st.Digest() == digest {
+		return true
+	}
+	s, ok := strings.CutSuffix(fmt.Sprintf("%+v", *st), legacyResultTail)
+	if !ok {
+		return false
+	}
+	sum := sha256.Sum256([]byte(s + "}}"))
+	return hex.EncodeToString(sum[:8]) == digest
 }
 
 // Import installs a persisted group record (segment-log replay). The
@@ -458,11 +492,7 @@ func (s *Sharer) Import(rec GroupRecord) error {
 	for i := range rec.Checkpoints {
 		cp := &rec.Checkpoints[i]
 		st := cp.State
-		g.checkpoints = append(g.checkpoints, Checkpoint{
-			Decision:    cp.Decision,
-			StateDigest: cp.StateDigest,
-			State:       &st,
-		})
+		g.checkpoints = append(g.checkpoints, Checkpoint{Decision: cp.Decision, State: &st})
 	}
 	s.groups.Add(rec.Key, g)
 	return nil
@@ -470,12 +500,44 @@ func (s *Sharer) Import(rec GroupRecord) error {
 
 // TraceDigest is the canonical digest of a group's identity: the slice
 // key plus the full-precision rendering of its decision log, hashed and
-// truncated to 16 hex digits (the core.ConfigDigest idiom).
+// truncated to 16 hex digits (the core.ConfigDigest idiom). Each record
+// renders as fmt's "%+v" would, one per line, written out field by field
+// with strconv: the digests of logs and records persisted before stay
+// valid.
 func TraceDigest(key string, log []DecisionRecord) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\n", key)
+	buf := make([]byte, 0, 4096)
+	buf = append(append(buf, key...), '\n')
 	for i := range log {
-		fmt.Fprintf(h, "%+v\n", log[i])
+		buf = appendDecision(buf, &log[i])
+		if len(buf) > 3*1024 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// appendDecision appends d rendered as fmt's "%+v" and a newline: floats
+// in shortest 'g' form (+Inf keeps its sign, NaN has none), ints in
+// decimal, field names spelled out.
+func appendDecision(b []byte, d *DecisionRecord) []byte {
+	b = append(b, "{In:{AMB:"...)
+	b = strconv.AppendFloat(b, d.In.AMB, 'g', -1, 64)
+	b = append(b, " DRAM:"...)
+	b = strconv.AppendFloat(b, d.In.DRAM, 'g', -1, 64)
+	b = append(b, " Now:"...)
+	b = strconv.AppendFloat(b, d.In.Now, 'g', -1, 64)
+	b = append(b, " Dt:"...)
+	b = strconv.AppendFloat(b, d.In.Dt, 'g', -1, 64)
+	b = append(b, "} Act:{MemOff:"...)
+	b = strconv.AppendBool(b, d.Act.MemOff)
+	b = append(b, " BWCapGBps:"...)
+	b = strconv.AppendFloat(b, d.Act.BWCapGBps, 'g', -1, 64)
+	b = append(b, " ActiveCores:"...)
+	b = strconv.AppendInt(b, int64(d.Act.ActiveCores), 10)
+	b = append(b, " FreqIndex:"...)
+	b = strconv.AppendInt(b, int64(d.Act.FreqIndex), 10)
+	return append(b, "}}\n"...)
 }

@@ -240,6 +240,16 @@ func (e *Engine) level1Stores() map[string]*trace.Store {
 	return out
 }
 
+// Level1Records counts the level-1 records the engine holds across
+// every store: the Chapter 4 system's and each testbed's.
+func (e *Engine) Level1Records() int {
+	n := 0
+	for _, st := range e.level1Stores() {
+		n += st.Len()
+	}
+	return n
+}
+
 // Close stops the background compactor and closes the segment log. Safe
 // to call on engines without one, and more than once.
 func (e *Engine) Close() error {
