@@ -1,6 +1,9 @@
 package httpapi
 
-import "net/http"
+import (
+	"encoding/json"
+	"net/http"
+)
 
 // Every /v1 error response is one envelope:
 //
@@ -57,5 +60,6 @@ type errorEnvelope struct {
 // is the client's own input reflected back; 5xx callers must pass a
 // sanitized error (see writeServerErr).
 func writeErr(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, errorEnvelope{Error: apiError{Code: code, Message: err.Error()}})
+	body, _ := json.Marshal(errorEnvelope{Error: apiError{Code: code, Message: err.Error()}}) // strings always encode
+	writeBody(w, status, body, []byte("\n"))
 }

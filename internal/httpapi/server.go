@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dramtherm/internal/memo"
 	"dramtherm/internal/obs"
 	"dramtherm/internal/sim"
 	"dramtherm/internal/sweep"
@@ -92,6 +94,12 @@ type Server struct {
 	handoffAccepted atomic.Int64
 	handoffSkipped  atomic.Int64
 
+	// encoded holds the JSON encoding of every result /v1/exec has
+	// served, by the run's cache key. A result is a pure function of its
+	// key, so an entry never goes stale; the table is unbounded like the
+	// engine's run cache.
+	encoded *memo.Table[sweep.Key, []byte]
+
 	// base is the lifetime context of asynchronous jobs; cancelling it
 	// (server shutdown) aborts in-flight simulations.
 	base context.Context
@@ -127,6 +135,7 @@ func New(base context.Context, eng *sweep.Engine, cfg Config) *Server {
 		repl:      cfg.ReplicationStatus,
 		gossip:    cfg.Gossip,
 		started:   time.Now(),
+		encoded:   memo.New[sweep.Key, []byte](0),
 		base:      base,
 	}
 	if s.log == nil {
@@ -208,10 +217,53 @@ func summarize(r sim.MEMSpotResult, traces bool) *runSummary {
 	return out
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// writeJSON answers with v as json.Encoder encodes it. The body is
+// encoded before the status is written, so a value that cannot be
+// encoded (a NaN or ±Inf float) gets a 500, not the success status over
+// an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		s.writeServerErr(w, r, fmt.Errorf("encoding reply: %w", err))
+		return
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody answers with a JSON body whose parts are written in order,
+// under a Content-Length of their total size.
+func writeBody(w http.ResponseWriter, status int, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // nothing to do about a dead client
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return // nothing to do about a dead client
+		}
+	}
+}
+
+// encodeResult returns the JSON encoding of res, the result of the run
+// keyed key, encoding it at most once per key however many requests
+// serve it. A failed encoding is not cached. The encoding is one
+// bounded json.Marshal, so a request that finds another's in flight
+// waits it out rather than watching for cancellation.
+func (s *Server) encodeResult(key sweep.Key, res sim.MEMSpotResult) ([]byte, error) {
+	body, _, err := s.encoded.Do(context.Background(), key, func(context.Context) ([]byte, error) {
+		return json.Marshal(res)
+	})
+	return body, err
+}
+
+// quote returns the JSON encoding of str, as json.Marshal writes it.
+func quote(str string) []byte {
+	b, _ := json.Marshal(str) // a string always encodes
+	return b
 }
 
 // writeServerErr reports a 5xx: the underlying error is logged
@@ -289,7 +341,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	out.HandoffAccepted = s.handoffAccepted.Load()
 	out.HandoffSkipped = s.handoffSkipped.Load()
-	writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, r, http.StatusOK, out)
 }
 
 // handleHandoff ingests replicated and handed-off cache entries: a
@@ -327,7 +379,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 			s.mHandoff.WithLabelValues("skipped").Inc()
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
 // handleGossip serves the receiving half of an anti-entropy exchange:
@@ -346,7 +398,7 @@ func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("gossip message has %d members (max %d)", len(msg.Members), gossip.MaxMembers))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.gossip.HandleExchange(msg))
+	s.writeJSON(w, r, http.StatusOK, s.gossip.HandleExchange(msg))
 }
 
 // handleExec runs one spec synchronously and returns the full result
@@ -379,7 +431,16 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, remote.ExecResponse{Outcome: info.Outcome.String(), Result: res})
+	key := s.eng.Key(spec)
+	result, err := s.encodeResult(key, res)
+	if err != nil {
+		s.writeServerErr(w, r, fmt.Errorf("encoding result %s: %w", key, err))
+		return
+	}
+	// The body is byte for byte what json.NewEncoder writes for
+	// remote.ExecResponse{Outcome, Result}.
+	writeBody(w, http.StatusOK, []byte(`{"outcome":`), quote(info.Outcome.String()),
+		[]byte(`,"result":`), result, []byte("}\n"))
 }
 
 // jobView is the wire rendering of one job. Total carries the spec
@@ -464,7 +525,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		}
 		job.Finish(res.Results[0], nil)
 	}()
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID()})
+	s.writeJSON(w, r, http.StatusAccepted, map[string]string{"id": job.ID()})
 }
 
 // listResponse pages job listings.
@@ -504,7 +565,7 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 		// Listings stay scalar: traces are per-job fetches only.
 		out.Jobs = append(out.Jobs, s.viewJob(snap, false, false))
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, r, http.StatusOK, out)
 }
 
 func intParam(v string, def int) (int, error) {
@@ -524,7 +585,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, CodeJobNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.viewJob(job.Snapshot(), wantFlag(r, "traces"), wantFlag(r, "specs")))
+	s.writeJSON(w, r, http.StatusOK, s.viewJob(job.Snapshot(), wantFlag(r, "traces"), wantFlag(r, "specs")))
 }
 
 func (s *Server) handleDeleteRun(w http.ResponseWriter, r *http.Request) {
@@ -534,11 +595,11 @@ func (s *Server) handleDeleteRun(w http.ResponseWriter, r *http.Request) {
 	case !ok:
 		writeErr(w, http.StatusNotFound, CodeJobNotFound, fmt.Errorf("unknown job %q", id))
 	case evicted:
-		writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": "evicted"})
+		s.writeJSON(w, r, http.StatusOK, map[string]string{"id": id, "status": "evicted"})
 	default:
 		// Cancellation is asynchronous: the job turns "cancelled" once
 		// the simulation goroutine observes its dead context.
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": "cancelling"})
+		s.writeJSON(w, r, http.StatusAccepted, map[string]string{"id": id, "status": "cancelling"})
 	}
 }
 
@@ -631,7 +692,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			job.Finish(s.execSweep(job.Context(), specs, req.Normalize, search,
 				func(ev sweep.Event) { job.Publish(sweep.JobEventFrom(ev)) }))
 		}()
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID()})
+		s.writeJSON(w, r, http.StatusAccepted, map[string]string{"id": job.ID()})
 		return
 	}
 
@@ -646,9 +707,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	switch p := payload.(type) {
 	case *sweepPayload:
-		writeJSON(w, http.StatusOK, s.sweepResponseOf(specs, p.res, p.normalize, p.wall, wantFlag(r, "traces")))
+		s.writeJSON(w, r, http.StatusOK, s.sweepResponseOf(specs, p.res, p.normalize, p.wall, wantFlag(r, "traces")))
 	case *searchPayload:
-		writeJSON(w, http.StatusOK, s.searchResponseOf(p.res, p.wall, wantFlag(r, "specs")))
+		s.writeJSON(w, r, http.StatusOK, s.searchResponseOf(p.res, p.wall, wantFlag(r, "specs")))
 	}
 }
 
