@@ -243,9 +243,7 @@ func main() {
 	}
 	eng := sweep.NewEngine(core.NewSystem(cfg), poolWidth)
 	if *prefixOn {
-		// Before Instrument (registers the prefix metric families) and
-		// before EnableSegmentLog (replays persisted checkpoint records
-		// into the sharer).
+		// Before Instrument, which registers the prefix metric families.
 		eng.EnablePrefixSharing()
 	}
 	eng.Instrument(reg)

@@ -130,8 +130,9 @@ func WithCompactInterval(d time.Duration) EngineOption {
 // later policies resume from the checkpoint before their first
 // divergent decision instead of replaying from t=0. Results are
 // bit-identical to cold replay (the divergence differential suite in
-// internal/simtest is the proof). With WithStateDir, checkpoint records
-// persist in the segment log and survive restarts.
+// internal/simtest is the proof). Groups live only in memory; with
+// WithStateDir the finished runs persist, so a restarted engine serves
+// them as hits without sharing anything.
 func WithPrefixSharing() EngineOption {
 	return func(o *engineOptions) { o.prefixShare = true }
 }
@@ -147,8 +148,6 @@ func NewEngine(cfg Config, opts ...EngineOption) (*Engine, error) {
 	}
 	eng := sweep.NewEngine(core.NewSystem(cfg), o.workers)
 	if o.prefixShare {
-		// Before EnableSegmentLog, so replayed checkpoint records import
-		// and completed groups gain the persistence hook.
 		eng.EnablePrefixSharing()
 	}
 	if o.stateDir != "" {

@@ -46,8 +46,8 @@ type JobState struct {
 
 // MEMSpotState is the restorable state of a MEMSpot between windows at a
 // DTM decision boundary. All fields are exported so the state crosses
-// gob (segment-log checkpoint records) and fmt (canonical digest)
-// unchanged.
+// gob (a prefix group record, as older builds persisted it) and fmt
+// (canonical digest) unchanged.
 type MEMSpotState struct {
 	// WindowS pins the window length the snapshot was taken under;
 	// Restore rejects a mismatch rather than resume on a different grid.

@@ -134,8 +134,9 @@ type Engine struct {
 	compactStop chan struct{}
 	compactDone chan struct{}
 	appendErrs  atomic.Int64
-	// Foreign records replay dropped, by kind.
-	skippedRuns, skippedTraces atomic.Int64
+	// Records replay dropped, by kind: foreign runs and level-1
+	// records, and checkpoint frames older builds wrote.
+	skippedRuns, skippedTraces, skippedCheckpoints atomic.Int64
 }
 
 // NewEngine builds an engine over sys with the given worker-pool width
@@ -183,17 +184,15 @@ func (e *Engine) SetRunFunc(fn RunFunc) {
 // before their first divergent decision — or reuse the leader's result
 // outright when the decision logs match in full. Results are
 // bit-identical to cold replay (enforced by internal/simtest's
-// divergence differential suite). It must be called before the engine
-// is shared across goroutines; call it before EnableSegmentLog so
-// persisted checkpoint records replay into the sharer.
+// divergence differential suite). Groups live only in memory: the
+// segment log persists runs and level-1 records, never decision logs or
+// checkpoints. It must be called before the engine is shared across
+// goroutines.
 func (e *Engine) EnablePrefixSharing() {
 	if e.prefix != nil {
 		return
 	}
 	e.prefix = prefix.New(e.sys)
-	if e.seglog != nil {
-		e.prefix.OnGroupComplete(e.appendCheckpoint)
-	}
 }
 
 // PrefixStats returns the prefix sharer's counters and whether sharing

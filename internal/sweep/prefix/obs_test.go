@@ -8,27 +8,22 @@ import (
 	"dramtherm/internal/core"
 	"dramtherm/internal/dtm"
 	"dramtherm/internal/obs"
-	"dramtherm/internal/sim"
 	"dramtherm/internal/sweep/prefix"
 )
 
-// fabricatedRecord builds a valid importable group record whose first
-// recorded action no real policy would take, with its only checkpoint
-// after decision 0 — so a follower diverges immediately and has nothing
-// to restore from.
+// fabricatedRecord builds a group record whose first recorded action no
+// real policy would take, with its only checkpoint after decision 0 — so
+// a follower diverges immediately and has nothing to restore from.
 func fabricatedRecord(key string) prefix.GroupRecord {
-	var st sim.MEMSpotState
 	absurd := dtm.Action{BWCapGBps: dtm.NoCap(), ActiveCores: 1, FreqIndex: 3}
-	rec := prefix.GroupRecord{
+	return prefix.GroupRecord{
 		Key: key,
 		Decisions: []prefix.DecisionRecord{
 			{In: dtm.Input{AMB: 100, DRAM: 70, Now: 0.01, Dt: 0.01}, Act: absurd},
 			{In: dtm.Input{AMB: 100, DRAM: 70, Now: 0.02, Dt: 0.01}, Act: absurd},
 		},
-		Checkpoints: []prefix.CheckpointRecord{{Decision: 1, StateDigest: st.Digest(), State: st}},
+		Checkpoints: []prefix.CheckpointRecord{{Decision: 1}},
 	}
-	rec.TraceDigest = prefix.TraceDigest(rec.Key, rec.Decisions)
-	return rec
 }
 
 // TestRunColdOnImmediateDivergence: a follower that diverges at decision
@@ -45,9 +40,7 @@ func TestRunColdOnImmediateDivergence(t *testing.T) {
 	}
 
 	s := prefix.New(sys)
-	if err := s.Import(fabricatedRecord("cold-slice")); err != nil {
-		t.Fatal(err)
-	}
+	s.Install(fabricatedRecord("cold-slice"))
 	got, err := s.Run(context.Background(), "cold-slice", func() (core.RunSpec, error) {
 		return runSpec(t, sys, "DTM-TS"), nil
 	})
@@ -70,9 +63,7 @@ func TestRunColdOnImmediateDivergence(t *testing.T) {
 // run-mode counter carries one sample per mode.
 func TestInstrument(t *testing.T) {
 	s := prefix.New(testSystem(t))
-	if err := s.Import(fabricatedRecord("g1")); err != nil {
-		t.Fatal(err)
-	}
+	s.Install(fabricatedRecord("g1"))
 	reg := obs.NewRegistry()
 	s.Instrument(reg)
 	if got := reg.Sum("dramtherm_prefix_groups", nil); got != 1 {
@@ -88,40 +79,4 @@ func TestInstrument(t *testing.T) {
 	}
 	// A nil registry must be a no-op, not a panic.
 	s.Instrument(nil)
-}
-
-// TestExportRoundTrip: Export visits every importable group, stops when
-// the visitor declines, and the exported records re-import cleanly.
-func TestExportRoundTrip(t *testing.T) {
-	s := prefix.New(testSystem(t))
-	for _, key := range []string{"a", "b"} {
-		if err := s.Import(fabricatedRecord(key)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var recs []prefix.GroupRecord
-	s.Export(func(r prefix.GroupRecord) bool {
-		recs = append(recs, r)
-		return true
-	})
-	if len(recs) != 2 {
-		t.Fatalf("exported %d groups, want 2", len(recs))
-	}
-	fresh := prefix.New(testSystem(t))
-	for _, r := range recs {
-		if err := r.Validate(); err != nil {
-			t.Fatalf("exported record invalid: %v", err)
-		}
-		if err := fresh.Import(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stopped := 0
-	fresh.Export(func(prefix.GroupRecord) bool {
-		stopped++
-		return false
-	})
-	if stopped != 1 {
-		t.Fatalf("visitor ran %d times after declining, want 1", stopped)
-	}
 }

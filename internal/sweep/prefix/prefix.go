@@ -25,18 +25,16 @@
 // reproduce, bit for bit, the state a cold run would have reached —
 // identical report tables, 0-ULP trajectories. Anything cheaper (the
 // inexact-cuts temptation) is rejected by construction: only exact
-// action matches extend the shared prefix. Checkpoints are keyed by
-// (trace digest, state digest) so persisted records are validated
-// before reuse.
+// action matches extend the shared prefix. Groups live only in the
+// sharer's memory; OnGroupComplete hands a digest-keyed record of each
+// to a caller that wants to persist it.
 package prefix
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -68,7 +66,7 @@ type DecisionRecord struct {
 
 // Checkpoint is a restorable simulator state at a decision boundary:
 // the state was taken immediately before decision Decision was asked.
-// Its digest is taken only when the checkpoint is persisted (export).
+// Its digest is taken only when the group is exported (export).
 type Checkpoint struct {
 	Decision int
 	State    *sim.MEMSpotState
@@ -148,8 +146,8 @@ func New(b Builder) *Sharer {
 }
 
 // OnGroupComplete registers fn to receive a persistable record of every
-// leader-completed group that produced checkpoints (the segment-log
-// append hook). Call before the first Run.
+// leader-completed group that produced checkpoints. The sweep engine
+// registers none. Call before the first Run.
 func (s *Sharer) OnGroupComplete(fn func(GroupRecord)) { s.onComplete = fn }
 
 // Stats returns a snapshot of the counters.
@@ -415,95 +413,11 @@ func export(key string, g *group) GroupRecord {
 	return rec
 }
 
-// Export streams persistable records of every completed group with
-// checkpoints (segment-log compaction uses it).
-func (s *Sharer) Export(fn func(GroupRecord) bool) {
-	s.groups.Range(func(key string, g *group) bool {
-		return len(g.checkpoints) == 0 || fn(export(key, g))
-	})
-}
-
-// Validate checks a record's internal consistency: the trace digest must
-// match the decision log and every checkpoint's state digest must match
-// its state. It is the gate persisted records pass before reuse.
-func (rec *GroupRecord) Validate() error {
-	if rec.Key == "" {
-		return fmt.Errorf("prefix: record without a key")
-	}
-	if len(rec.Decisions) > maxDecisions {
-		return fmt.Errorf("prefix: record with %d decisions exceeds the cap", len(rec.Decisions))
-	}
-	if len(rec.Checkpoints) > maxCheckpoints {
-		return fmt.Errorf("prefix: record with %d checkpoints exceeds the cap", len(rec.Checkpoints))
-	}
-	if got := TraceDigest(rec.Key, rec.Decisions); got != rec.TraceDigest {
-		return fmt.Errorf("prefix: trace digest mismatch (%s != %s)", got, rec.TraceDigest)
-	}
-	last := 0
-	for i := range rec.Checkpoints {
-		cp := &rec.Checkpoints[i]
-		if cp.Decision <= last && i > 0 || cp.Decision <= 0 {
-			return fmt.Errorf("prefix: checkpoint decisions not increasing")
-		}
-		if cp.Decision > len(rec.Decisions) {
-			return fmt.Errorf("prefix: checkpoint at decision %d beyond the %d-entry log", cp.Decision, len(rec.Decisions))
-		}
-		if !stateDigestValid(&cp.State, cp.StateDigest) {
-			return fmt.Errorf("prefix: state digest mismatch at decision %d", cp.Decision)
-		}
-		last = cp.Decision
-	}
-	return nil
-}
-
-// legacyResultTail ends the rendering of a state whose result carries
-// zero Chapter 5 platform fields. Builds from before those fields
-// existed rendered such a state without it.
-const legacyResultTail = " AvgCPUWatt:0 AvgInletC:0 LevelTimeS:[0 0 0 0 0]}}"
-
-// stateDigestValid reports whether digest is the state digest of st,
-// either as sim.MEMSpotState.Digest takes it or as builds from before
-// the result's platform fields took it, so checkpoint records those
-// builds persisted stay usable.
-func stateDigestValid(st *sim.MEMSpotState, digest string) bool {
-	if st.Digest() == digest {
-		return true
-	}
-	s, ok := strings.CutSuffix(fmt.Sprintf("%+v", *st), legacyResultTail)
-	if !ok {
-		return false
-	}
-	sum := sha256.Sum256([]byte(s + "}}"))
-	return hex.EncodeToString(sum[:8]) == digest
-}
-
-// Import installs a persisted group record (segment-log replay). The
-// record must Validate; a group already present under the key wins.
-// Imported groups carry no result, so followers resume from checkpoints
-// rather than reuse a result outright.
-func (s *Sharer) Import(rec GroupRecord) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	g := &group{
-		decisions: rec.Decisions,
-		truncated: true, // no result to reuse; resume-only
-	}
-	for i := range rec.Checkpoints {
-		cp := &rec.Checkpoints[i]
-		st := cp.State
-		g.checkpoints = append(g.checkpoints, Checkpoint{Decision: cp.Decision, State: &st})
-	}
-	s.groups.Add(rec.Key, g)
-	return nil
-}
-
 // TraceDigest is the canonical digest of a group's identity: the slice
 // key plus the full-precision rendering of its decision log, hashed and
 // truncated to 16 hex digits (the core.ConfigDigest idiom). Each record
 // renders as fmt's "%+v" would, one per line, written out field by field
-// with strconv: the digests of logs and records persisted before stay
-// valid.
+// with strconv, so a digest matches the one older builds persisted.
 func TraceDigest(key string, log []DecisionRecord) string {
 	h := sha256.New()
 	buf := make([]byte, 0, 4096)

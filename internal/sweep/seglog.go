@@ -24,7 +24,7 @@ import (
 //	[8]byte  magic "DTMSTATE"
 //	uint32   version (little endian)
 //	records: repeated frames of
-//	  byte    kind (recordRun | recordTrace)
+//	  byte    kind (recordRun | recordTrace | recordCheckpoint)
 //	  uint32  payload length (little endian)
 //	  uint32  CRC-32 (IEEE) of the payload
 //	  []byte  payload
@@ -33,7 +33,9 @@ import (
 // leaves at most one torn frame at the tail; replay truncates it and the
 // log is clean again. Later records for the same key win, so compaction
 // (rewriting the live snapshot as one fresh segment) is a pure
-// space/startup-time optimization, never a correctness step.
+// space/startup-time optimization, never a correctness step. This build
+// writes only run and trace frames; checkpoint frames come only from
+// logs older builds wrote, and compaction drops them.
 var stateMagic = [8]byte{'D', 'T', 'M', 'S', 'T', 'A', 'T', 'E'}
 
 // StateVersion is the current persisted-state wire-format version.
@@ -48,11 +50,11 @@ const (
 	// recordTrace is one level-1 trace-store record: payload is a gob
 	// trace.Rates.
 	recordTrace byte = 2
-	// recordCheckpoint is one prefix-sharing group record: payload is a
-	// gob checkpointRecord (decision log + strided simulator
-	// checkpoints, digest-keyed). Checkpoint records are an
-	// optimization, not source of truth — replay skips any that fail to
-	// decode or validate instead of aborting.
+	// recordCheckpoint is one prefix-sharing group record (decision log
+	// + strided simulator checkpoints) as older builds persisted it.
+	// Nothing writes it now. It stays a known kind so replay skips the
+	// frame unread and keeps the records after it (an unknown kind
+	// would end the segment's replay there).
 	recordCheckpoint byte = 3
 )
 
@@ -240,17 +242,24 @@ func (l *SegmentLog) rotateLocked(seq int) error {
 	return nil
 }
 
+// encodeFrame frames one record: kind, payload length, payload CRC,
+// payload.
+func encodeFrame(kind byte, payload []byte) []byte {
+	frame := make([]byte, 9+len(payload))
+	frame[0] = kind
+	binary.LittleEndian.PutUint32(frame[1:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[5:], crc32.ChecksumIEEE(payload))
+	copy(frame[9:], payload)
+	return frame
+}
+
 // Append writes one framed record to the active segment, rotating first
 // when it is over the size bound. Safe for concurrent use.
 func (l *SegmentLog) Append(kind byte, payload []byte) error {
 	if len(payload) > maxRecordBytes {
 		return fmt.Errorf("sweep: segment record of %d bytes exceeds %d", len(payload), maxRecordBytes)
 	}
-	frame := make([]byte, 9+len(payload))
-	frame[0] = kind
-	binary.LittleEndian.PutUint32(frame[1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[5:], crc32.ChecksumIEEE(payload))
-	copy(frame[9:], payload)
+	frame := encodeFrame(kind, payload)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -392,12 +401,7 @@ func (l *SegmentLog) Compact(snapshot func(emit func(kind byte, payload []byte) 
 		return err
 	}
 	emit := func(kind byte, payload []byte) error {
-		frame := make([]byte, 9+len(payload))
-		frame[0] = kind
-		binary.LittleEndian.PutUint32(frame[1:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[5:], crc32.ChecksumIEEE(payload))
-		copy(frame[9:], payload)
-		_, err := f.Write(frame)
+		_, err := f.Write(encodeFrame(kind, payload))
 		return err
 	}
 	if err := snapshot(emit); err != nil {

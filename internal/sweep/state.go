@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dramtherm/internal/sim"
-	"dramtherm/internal/sweep/prefix"
 	"dramtherm/internal/trace"
 )
 
@@ -37,7 +36,7 @@ type traceRecord struct {
 // hooks so every freshly built run and trace record is appended as it
 // completes — there is no shutdown flush to lose. When replay skipped
 // any record, the log is compacted once before returning, so foreign
-// records are decoded on this open only. compactEvery > 0 starts a
+// records and legacy checkpoint frames are read on this open only. compactEvery > 0 starts a
 // background compactor folding the log into one snapshot segment on that
 // period (stopped by Close); <= 0 leaves compaction to CompactState
 // calls. Call once, before the engine is shared across goroutines.
@@ -55,7 +54,7 @@ func (e *Engine) EnableSegmentLog(dir string, compactEvery time.Duration) error 
 		return err
 	}
 	e.seglog = l
-	if e.skippedRuns.Load()+e.skippedTraces.Load() > 0 {
+	if e.skippedRuns.Load()+e.skippedTraces.Load()+e.skippedCheckpoints.Load() > 0 {
 		if err := e.CompactState(); err != nil {
 			l.Close()
 			e.seglog = nil
@@ -65,9 +64,6 @@ func (e *Engine) EnableSegmentLog(dir string, compactEvery time.Duration) error 
 	e.cache.OnInsert(func(k Key, v sim.MEMSpotResult) {
 		e.appendRun(k, v)
 	})
-	if e.prefix != nil {
-		e.prefix.OnGroupComplete(e.appendCheckpoint)
-	}
 	e.sys.Store().SetOnBuild(func(r trace.Rates) { e.appendTrace(r, e.l1digest) })
 	if compactEvery > 0 {
 		e.compactStop = make(chan struct{})
@@ -112,7 +108,8 @@ func (e *Engine) appendTrace(r trace.Rates, digest string) {
 // whose builder digest matches none of this engine's builders (a
 // directory reused after a seed or parameter change). Level-1 records
 // go to the store of the builder that made them: the Chapter 4
-// system's or a testbed's. A skipped record is rebuilt on demand;
+// system's or a testbed's. A checkpoint frame an older build wrote is
+// skipped and counted unread. A skipped record is rebuilt on demand;
 // EnableSegmentLog compacts it out of the log.
 func (e *Engine) replayState(l *SegmentLog) error {
 	for _, m := range testbeds {
@@ -143,14 +140,7 @@ func (e *Engine) replayState(l *SegmentLog) error {
 			}
 			st.Put(rec.Rates)
 		case recordCheckpoint:
-			// Checkpoints are droppable: a record that no longer decodes
-			// or validates costs one cold replay, not a failed startup.
-			if e.prefix == nil {
-				break
-			}
-			if rec, err := decodeCheckpointRecord(payload); err == nil {
-				e.prefix.Import(rec)
-			}
+			e.skippedCheckpoints.Add(1)
 		}
 		return nil
 	})
@@ -210,21 +200,7 @@ func (e *Engine) CompactState() error {
 				return err
 			}
 		}
-		if e.prefix != nil {
-			e.prefix.Export(func(rec prefix.GroupRecord) bool {
-				payload, encErr := encodeCheckpointRecord(rec)
-				if encErr != nil {
-					err = encErr
-					return false
-				}
-				if len(payload) > maxCheckpointRecordBytes {
-					return true // skip, as appendCheckpoint would
-				}
-				err = emit(recordCheckpoint, payload)
-				return err == nil
-			})
-		}
-		return err
+		return nil
 	})
 }
 
