@@ -53,7 +53,6 @@
 //	GET    /metrics              Prometheus text exposition (cache, pool, jobs, HTTP, gossip, ring)
 //	GET    /debug/pprof/         runtime profiles (opt-in via -pprof)
 //	POST   /v1/gossip            anti-entropy membership exchange
-//	POST   /v1/handoff           cache replication ingest: NDJSON result stream (with -replication)
 //	POST   /v1/exec              synchronous single-run execution
 //	POST   /v1/exec/batch        shard execution (cluster dispatch): specs in, streamed NDJSON outcomes out
 //	POST   /v1/runs              async submit: {"mix":"W1","policy":"DTM-ACG"} → {"id":"run-1"}
@@ -68,12 +67,10 @@
 // With -segment-dir the run cache and level-1 trace store are durable:
 // every completed result is appended to a crash-safe segment log as it
 // finishes (not on shutdown), replayed at boot, and compacted in the
-// background. With -replication each completed result is also pushed
-// to its key's ring successor over POST /v1/handoff (RF=2), cached
-// shards — results the coordinator built itself included — stream to
-// every member the ring admits (a join or a served half-open retry),
-// and a dead primary's replica holder is promoted in place — so a
-// worker crash loses no cached result.
+// background. That log is node-local: the cluster keeps no replicas.
+// Every result is a pure function of its spec's cache key, so a worker
+// crash costs only its shard's warmth — the key's next ring owner
+// rebuilds what it asks for, slower but never wrong.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: it stops
 // accepting requests and cancels in-flight simulations.
@@ -170,7 +167,6 @@ func main() {
 		segDir   = flag.String("segment-dir", "", "durable state: append-only segment-log directory; results persist as they complete and replay on boot")
 		compact  = flag.Duration("compact-interval", 10*time.Minute, "segment-log compaction period (0 disables background compaction)")
 		prefixOn = flag.Bool("prefix-share", false, "prefix-state checkpointing: specs differing only in DTM policy share their warm-up prefix — one leader run records decisions and checkpoints, later policies resume from the checkpoint before their first divergent decision (results stay bit-identical to cold replay)")
-		replicat = flag.Bool("replication", false, "with -peers: replicate each completed result to its key's ring successor (RF=2) and hand cached shards to every member the ring admits")
 		jobTTL   = flag.Duration("job-ttl", 15*time.Minute, "evict finished jobs this long after completion (0 disables eviction)")
 		maxJobs  = flag.Int("max-jobs", sweep.DefaultMaxJobs, "job registry bound; submissions beyond it are rejected while all jobs run")
 		peers    = flag.String("peers", "", "coordinate a cluster: comma-separated seed URLs of its workers, or @file with one per line")
@@ -280,11 +276,9 @@ func main() {
 	var node *gossip.Node
 	if len(peerSeeds) > 0 {
 		backend, err := remote.New(remote.Config{
-			Key:         eng.Key,
-			MaxPerPeer:  *perPeer,
-			Logger:      logger,
-			Replication: *replicat,
-			Entries:     eng.Range,
+			Key:        eng.Key,
+			MaxPerPeer: *perPeer,
+			Logger:     logger,
 		})
 		if err != nil {
 			fatalf("-peers: %v", err)
@@ -296,9 +290,6 @@ func main() {
 		}
 		eng.SetBatchBackend(backend)
 		apiCfg.ClusterStatus = func() any { return backend.Status() }
-		if *replicat {
-			apiCfg.ReplicationStatus = func() any { return backend.ReplicationStatus() }
-		}
 	} else {
 		var err error
 		if node, err = gossip.NewNode(gcfg); err != nil {
@@ -314,7 +305,7 @@ func main() {
 	}
 	logger.Info("gossip membership", "member", self.ID, "url", self.URL,
 		"seeds", len(seeds), "coordinator", len(peerSeeds) > 0,
-		"replication", *replicat, "interval", gossipInt.String())
+		"interval", gossipInt.String())
 
 	api := httpapi.New(ctx, eng, apiCfg)
 	defer api.Close()

@@ -13,15 +13,6 @@
 // unacknowledged shard re-plans onto the survivor or runs locally) — and
 // asserts the table still comes out byte-identical.
 //
-// It then proves the replicated result cache under churn: a
-// replication-enabled coordinator sweeps the grid (each built result
-// streams to its key's ring successor over POST /v1/handoff, RF=2), a
-// joiner receives its shard's cached results by handoff before any
-// traffic lands, and a kill promotes the dead owner's replica holders
-// in place — verified by cold-coordinator re-sweeps that must come back
-// 100% worker-side cache hits (zero rebuilds on any worker engine) with
-// byte-identical tables.
-//
 // Finally it proves gossip-based membership under churn: every node
 // runs a gossip.Node, the coordinator learns its ring from seed URLs,
 // a third worker joins the running cluster mid-sweep through a seed
@@ -91,14 +82,12 @@ func newEngine() *sweep.Engine {
 // (requests accepted but never answered) so the kill deterministically
 // leaves a whole unacknowledged shard to fail over.
 type worker struct {
-	ts       *httptest.Server
-	api      atomic.Pointer[httpapi.Server] // late-bound: the listener must exist first for the gossip self-URL
-	eng      *sweep.Engine                  // the worker's own run cache, for build/hit assertions
-	node     *gossip.Node
-	gated    atomic.Bool
-	batches  atomic.Int64 // POST /v1/exec/batch (one whole shard)
-	handoffs atomic.Int64 // POST /v1/handoff (replication / cache handoff)
-	once     sync.Once
+	ts      *httptest.Server
+	api     atomic.Pointer[httpapi.Server] // late-bound: the listener must exist first for the gossip self-URL
+	node    *gossip.Node
+	gated   atomic.Bool
+	batches atomic.Int64 // POST /v1/exec/batch (one whole shard)
+	once    sync.Once
 }
 
 // gossipTimings are the demo's fast-convergence knobs: rounds every
@@ -119,8 +108,6 @@ func startWorker(id string, seeds ...string) *worker {
 		switch r.URL.Path {
 		case remote.ExecPath:
 			log.Fatalf("a worker received POST %s; coordinators dispatch only over %s", remote.ExecPath, remote.BatchPath)
-		case remote.HandoffPath:
-			w.handoffs.Add(1)
 		case remote.BatchPath:
 			w.batches.Add(1)
 			if w.gated.Load() {
@@ -151,8 +138,7 @@ func startWorker(id string, seeds ...string) *worker {
 		w.node = node
 		cfg.Gossip = node
 	}
-	w.eng = newEngine()
-	w.api.Store(httpapi.New(context.Background(), w.eng, cfg))
+	w.api.Store(httpapi.New(context.Background(), newEngine(), cfg))
 	return w
 }
 
@@ -356,17 +342,6 @@ func gossipSweep(specs []sweep.Spec) (table string, served map[string]int, joine
 	return res.Table("cluster sweep").String(), served, w3.batches.Load()
 }
 
-// drainRepl waits until the backend has planned wantRounds handoff
-// rounds and its replication queue is empty, then returns the snapshot.
-func drainRepl(b *remote.Backend, wantRounds int64) remote.ReplicationStatus {
-	var st remote.ReplicationStatus
-	waitFor(30*time.Second, func() bool {
-		st = b.ReplicationStatus()
-		return st.HandoffRounds >= wantRounds && st.Pending == 0
-	}, "replication never drained (want %d handoff rounds)", wantRounds)
-	return st
-}
-
 // waitFor polls cond until it holds, exiting with the message if it
 // does not within d.
 func waitFor(d time.Duration, cond func() bool, format string, args ...any) {
@@ -375,180 +350,6 @@ func waitFor(d time.Duration, cond func() bool, format string, args ...any) {
 			log.Fatalf(format, args...)
 		}
 	}
-}
-
-// pickJoiner returns the first worker id whose arrival would take
-// ownership of at least one swept spec. Ring placement is a pure
-// function of member ids and keys, so this is checked offline against a
-// probe backend — a joiner that owns nothing would get nothing handed
-// off, proving nothing.
-func pickJoiner(coord *sweep.Engine, peers []remote.Peer, specs []sweep.Spec) string {
-	for i := 3; ; i++ {
-		id := fmt.Sprintf("worker-%d", i)
-		probe, err := remote.New(remote.Config{
-			Peers: append(append([]remote.Peer{}, peers...), remote.Peer{ID: id, URL: "http://joiner.invalid"}),
-			Key:   coord.Key,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		owns := false
-		for _, s := range specs {
-			if probe.OwnerOf(s) == id {
-				owns = true
-				break
-			}
-		}
-		probe.Close()
-		if owns {
-			return id
-		}
-	}
-}
-
-// verifySweep proves cluster-wide cache warmth: a brand-new coordinator
-// (cold cache, same config digest) sweeps specs over ring, and every
-// spec must come back a worker-side cache hit — zero simulations
-// anywhere, table byte-identical to the single-node reference. Returns
-// who served what.
-func verifySweep(specs []sweep.Spec, ring []remote.Peer, workers map[string]*worker, refTable, what string) map[string]int {
-	before := map[string]int64{}
-	for id, w := range workers {
-		before[id] = w.eng.Stats().Builds
-	}
-	coord := newEngine()
-	backend, err := remote.New(remote.Config{Peers: ring, Key: coord.Key})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer backend.Close()
-	coord.SetBatchBackend(backend)
-	var mu sync.Mutex
-	served := map[string]int{}
-	hits := 0
-	res, err := coord.Sweep(context.Background(), specs, sweep.Options{
-		OnEvent: func(ev sweep.Event) {
-			if ev.Kind != sweep.EventFinished {
-				return
-			}
-			mu.Lock()
-			served[ev.Peer]++
-			if ev.Outcome == sweep.Hit {
-				hits++
-			}
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		log.Fatalf("%s verification sweep: %v", what, err)
-	}
-	if table := res.Table("cluster sweep").String(); table != refTable {
-		log.Fatalf("%s table differs from single-node table:\n--- local ---\n%s--- %s ---\n%s",
-			what, refTable, what, table)
-	}
-	if hits != len(specs) {
-		log.Fatalf("%s: %d/%d specs were worker cache hits, want all %d", what, hits, len(specs), len(specs))
-	}
-	for id, w := range workers {
-		if d := w.eng.Stats().Builds - before[id]; d != 0 {
-			log.Fatalf("%s: worker %s rebuilt %d specs, want 0", what, id, d)
-		}
-	}
-	return served
-}
-
-// replicationSweep proves the durable-cache story under churn. A
-// replication-enabled coordinator sweeps the grid (RF=2: every built
-// result streams to its key's ring successor over /v1/handoff). Then a
-// joiner enters the ring and its shard's cached results are handed off
-// before any traffic lands; a cold coordinator re-sweep must be all
-// worker-side hits with the joiner serving its shard from handed-off
-// cache. Then the owner of the first spec is killed; every one of its
-// cached results was already replicated to its successor — now promoted
-// to owner — so another cold re-sweep still sees zero rebuilds and a
-// byte-identical table.
-func replicationSweep(specs []sweep.Spec, refTable string) {
-	w1, w2 := startWorker(""), startWorker("")
-	defer w1.kill()
-	defer w2.kill()
-	workers := map[string]*worker{"worker-1": w1, "worker-2": w2}
-	peers := []remote.Peer{
-		{ID: "worker-1", URL: w1.ts.URL},
-		{ID: "worker-2", URL: w2.ts.URL},
-	}
-
-	coord := newEngine()
-	backend, err := remote.New(remote.Config{
-		Peers:       peers,
-		Key:         coord.Key,
-		Replication: true,
-		Entries:     coord.Range,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer backend.Close()
-	coord.SetBatchBackend(backend)
-
-	// Warm sweep: every result is built on its ring owner, streams back
-	// into the coordinator's cache, and replicates to its successor.
-	if _, err := coord.Sweep(context.Background(), specs, sweep.Options{}); err != nil {
-		log.Fatalf("replicated sweep: %v", err)
-	}
-	st := drainRepl(backend, 0)
-	if st.Sent < int64(len(specs)) || st.Dropped != 0 {
-		log.Fatalf("replication sent %d of %d results (%d dropped), want all", st.Sent, len(specs), st.Dropped)
-	}
-	fmt.Printf("  ✓ %d results replicated to ring successors over %s (RF=2)\n", st.Sent, remote.HandoffPath)
-
-	// Join: the membership delta hands the moved shard's cached results
-	// to the new owner before any traffic lands there.
-	joinID := pickJoiner(coord, peers, specs)
-	wj := startWorker("")
-	defer wj.kill()
-	workers[joinID] = wj
-	peers = append(peers, remote.Peer{ID: joinID, URL: wj.ts.URL})
-	backend.SetMembers(peers)
-	st = drainRepl(backend, 1)
-	waitFor(10*time.Second, func() bool { return wj.eng.Stats().Entries > 0 },
-		"joiner %s never received a handed-off result", joinID)
-	fmt.Printf("  ⇄ %s joined: %d cached results handed off in %d request(s), before any traffic\n",
-		joinID, wj.eng.Stats().Entries, wj.handoffs.Load())
-
-	served := verifySweep(specs, peers, workers, refTable, "post-join")
-	if served[joinID] == 0 {
-		log.Fatalf("joiner %s serves none of the re-swept specs, want its shard", joinID)
-	}
-	fmt.Printf("  ✓ cold-coordinator re-sweep: all %d specs served as worker cache hits, %s served %d from handed-off cache\n",
-		len(specs), joinID, served[joinID])
-
-	// Kill the current owner of the first spec. Its every cached result
-	// already lives on its successor, which the ring now promotes to
-	// owner — nothing is lost and nothing is rebuilt.
-	victim := backend.OwnerOf(specs[0])
-	workers[victim].kill()
-	var ring []remote.Peer
-	for _, p := range peers {
-		if p.ID != victim {
-			ring = append(ring, p)
-		}
-	}
-	backend.SetMembers(ring)
-	st = drainRepl(backend, 2)
-	if st.Promotions == 0 {
-		log.Fatalf("killed %s but no replica promotions were planned", victim)
-	}
-	fmt.Printf("  ✂ killed %s (owner of %s): %d keys promoted to their replica holders in place\n",
-		victim, specs[0], st.Promotions)
-
-	live := map[string]*worker{}
-	for id, w := range workers {
-		if id != victim {
-			live[id] = w
-		}
-	}
-	served = verifySweep(specs, ring, live, refTable, "post-kill")
-	fmt.Printf("  ✓ cold-coordinator re-sweep after the kill: zero rebuilds, every pre-kill result served from a replica (%v)\n", served)
 }
 
 // livePeersServing counts distinct worker peers in a served map (the
@@ -620,11 +421,6 @@ func main() {
 		log.Fatalf("killed a worker mid-batch but replan_rounds_total = %v", n)
 	}
 	fmt.Println("  ✓ failover visible in metrics: down transition + re-planned work")
-
-	// Replication: RF=2 successor copies, handoff on join, promotion on
-	// kill — cached results survive churn with zero recomputation.
-	fmt.Println("\nreplicated cluster sweep: RF=2 handoff on join, replica promotion on kill:")
-	replicationSweep(specs, refTable)
 
 	// Gossip membership under churn: join mid-sweep, kill mid-sweep.
 	fmt.Println("\ngossip cluster sweep: worker-3 joins mid-sweep, one worker killed:")

@@ -177,6 +177,11 @@ func (p *levelPolicy) Decide(in Input) Action {
 
 // NewBW builds DTM-BW with Table 4.3 caps: no limit, 19.2, 12.8,
 // 6.4 GB/s, off.
+//
+// The 19.2 GB/s level never throttles a Chapter 4 level-1 build: in
+// uncapped builds of W1–W8 at 3.2 and 1.6 GHz, the busiest 100 µs
+// cap-accounting window carries at most 17.57 GB/s (W3 at 3.2 GHz). So
+// at level 1 a 19.2 GB/s design point is the uncapped point.
 func NewBW(levels Levels, cores int) Policy {
 	return &levelPolicy{
 		name:   "DTM-BW",

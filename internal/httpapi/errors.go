@@ -21,12 +21,11 @@ const (
 	// CodeBadSpec: a spec failed validation (unknown mix/policy/cooling/
 	// model, partial limits, bad instr_scale).
 	CodeBadSpec = "bad_spec"
-	// CodeBadSearch: the search block names an unknown strategy or an
-	// invalid rung ladder.
+	// CodeBadSearch: the search block has an invalid rung ladder or eta.
 	CodeBadSearch = "bad_search"
 	// CodeJobNotFound: no job with the given id.
 	CodeJobNotFound = "job_not_found"
-	// CodeTooLarge: the batch, handoff stream, or body exceeds a bound.
+	// CodeTooLarge: the batch or body exceeds a bound.
 	CodeTooLarge = "too_large"
 	// CodeRegistryFull: the job registry cannot admit another running
 	// job; retry later.

@@ -6,19 +6,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"dramtherm/internal/memo"
 	"dramtherm/internal/obs"
 	"dramtherm/internal/sim"
 	"dramtherm/internal/sweep"
-	"dramtherm/internal/sweep/remote"
 	"dramtherm/internal/sweep/remote/gossip"
 )
 
@@ -53,10 +50,6 @@ type Config struct {
 	// of the healthz body — cluster-mode dramthermd passes the remote
 	// backend's Status method here.
 	ClusterStatus func() any
-	// ReplicationStatus, when non-nil, adds its result as the
-	// "replication" field of the healthz body — coordinators with RF=2
-	// enabled pass the remote backend's ReplicationStatus method here.
-	ReplicationStatus func() any
 	// Gossip, when non-nil, serves POST /v1/gossip exchanges against
 	// this node and adds its membership table to the healthz body —
 	// every dramthermd passes its gossip.Node here. When nil (an
@@ -78,7 +71,6 @@ type Server struct {
 	log       *slog.Logger
 	version   string
 	cluster   func() any
-	repl      func() any
 	gossip    *gossip.Node
 	started   time.Time
 
@@ -88,11 +80,6 @@ type Server struct {
 	mInflight   *obs.Gauge
 	mSSESubs    *obs.Gauge
 	mSSEDropped *obs.Counter
-	mHandoff    *obs.CounterVec // {result}
-
-	// Handoff ingestion counters; also surfaced without Metrics.
-	handoffAccepted atomic.Int64
-	handoffSkipped  atomic.Int64
 
 	// encoded holds the JSON encoding of every result /v1/exec has
 	// served, by the run's cache key. A result is a pure function of its
@@ -132,7 +119,6 @@ func New(base context.Context, eng *sweep.Engine, cfg Config) *Server {
 		log:       cfg.Logger,
 		version:   cfg.Version,
 		cluster:   cfg.ClusterStatus,
-		repl:      cfg.ReplicationStatus,
 		gossip:    cfg.Gossip,
 		started:   time.Now(),
 		encoded:   memo.New[sweep.Key, []byte](0),
@@ -154,9 +140,6 @@ func New(base context.Context, eng *sweep.Engine, cfg Config) *Server {
 			"Open job event streams.")
 		s.mSSEDropped = reg.Counter("dramtherm_sse_dropped_total",
 			"Event streams that ended before delivering the job's terminal event (client gone, write failure, or server drain).")
-		s.mHandoff = reg.CounterVec("dramtherm_handoff_received_total",
-			"Results received via POST /v1/handoff, by disposition (accepted: imported into the cache; skipped: already present or wrong config digest).",
-			"result")
 		s.jobs.Instrument(reg)
 		s.handle("GET /metrics", reg.Handler().ServeHTTP)
 	}
@@ -165,7 +148,6 @@ func New(base context.Context, eng *sweep.Engine, cfg Config) *Server {
 	s.handle("POST /v1/runs", s.handleSubmitRun)
 	s.handle("POST /v1/exec", s.handleExec)
 	s.handle("POST /v1/exec/batch", s.handleExecBatch)
-	s.handle("POST "+remote.HandoffPath, s.handleHandoff)
 	s.handle("GET /v1/runs", s.handleListRuns)
 	s.handle("GET /v1/runs/{id}", s.handleGetRun)
 	s.handle("GET /v1/runs/{id}/events", s.handleRunEvents)
@@ -306,16 +288,9 @@ type healthzResponse struct {
 	// incarnation, alive/suspect/dead), present when the server has a
 	// gossip node (every dramthermd does).
 	Membership []gossip.Member `json:"membership,omitempty"`
-	// Replication is the coordinator's RF=2 replication/handoff state
-	// (remote.ReplicationStatus), present only when replication is on.
-	Replication any `json:"replication,omitempty"`
 	// State is the durable segment-log snapshot, present only when the
 	// engine persists through one.
 	State *sweep.StateStats `json:"state,omitempty"`
-	// HandoffAccepted / HandoffSkipped count results this node received
-	// via POST /v1/handoff.
-	HandoffAccepted int64 `json:"handoff_accepted,omitempty"`
-	HandoffSkipped  int64 `json:"handoff_skipped,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -333,53 +308,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.gossip != nil {
 		out.Membership = s.gossip.Members()
 	}
-	if s.repl != nil {
-		out.Replication = s.repl()
-	}
 	if st, ok := s.eng.StateStats(); ok {
 		out.State = &st
 	}
-	out.HandoffAccepted = s.handoffAccepted.Load()
-	out.HandoffSkipped = s.handoffSkipped.Load()
 	s.writeJSON(w, r, http.StatusOK, out)
-}
-
-// handleHandoff ingests replicated and handed-off cache entries: a
-// stream of NDJSON remote.HandoffLines, each imported idempotently —
-// present keys and foreign config digests are skipped, not errors, so
-// senders with a stale view cannot poison the cache or fail the stream.
-func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 256<<20))
-	var resp remote.HandoffResponse
-	for n := 0; ; n++ {
-		var ln remote.HandoffLine
-		if err := dec.Decode(&ln); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("decoding handoff line %d: %w", n, err))
-			return
-		}
-		if ln.Key == "" || ln.Result == nil {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("handoff line %d lacks key or result", n))
-			return
-		}
-		if n >= s.maxBatch {
-			writeErr(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-				fmt.Errorf("handoff stream exceeds %d lines", s.maxBatch))
-			return
-		}
-		if s.eng.ImportResult(sweep.Key(ln.Key), *ln.Result) {
-			resp.Accepted++
-			s.handoffAccepted.Add(1)
-			s.mHandoff.WithLabelValues("accepted").Inc()
-		} else {
-			resp.Skipped++
-			s.handoffSkipped.Add(1)
-			s.mHandoff.WithLabelValues("skipped").Inc()
-		}
-	}
-	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
 // handleGossip serves the receiving half of an anti-entropy exchange:
@@ -761,8 +693,8 @@ func gridSize(g *sweep.Grid) int {
 // else 400) and returns false. Client endpoints decode strictly,
 // rejecting fields they do not know: a misspelled or retired field must
 // be a 400, not a silently different run. Node-to-node endpoints
-// (batch, handoff, gossip) decode leniently so mixed-version clusters
-// keep working.
+// (batch, gossip) decode leniently so mixed-version clusters keep
+// working.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, strict bool, what string, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	if strict {

@@ -236,15 +236,19 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	}
 }
 
-// TestExecEncodeFailureNotCached: a cached result json cannot encode
-// (a NaN temperature) fails /v1/exec with a 500 on every request: the
-// failure is never cached.
+// TestExecEncodeFailureNotCached: a result json cannot encode (a NaN
+// temperature) fails /v1/exec with a 500 on every request, the cache hit
+// after the build included: the failure is never cached.
 func TestExecEncodeFailureNotCached(t *testing.T) {
-	ts, api, eng := newGatedServer(t, 2, nil)
+	eng := sweep.NewEngine(core.NewSystem(core.DefaultConfig()), 2)
+	eng.SetRunFunc(func(context.Context, core.RunSpec) (sim.MEMSpotResult, error) {
+		return sim.MEMSpotResult{Seconds: 100, MaxAMB: math.NaN()}, nil
+	})
+	api := New(context.Background(), eng, Config{Logf: func(string, ...any) {}})
+	t.Cleanup(api.Close)
+	ts := httptest.NewServer(api)
+	t.Cleanup(ts.Close)
 	spec := sweep.Spec{Mix: "W3", Policy: "DTM-TS"}
-	if !eng.ImportResult(eng.Key(spec), sim.MEMSpotResult{Seconds: 100, MaxAMB: math.NaN()}) {
-		t.Fatal("import refused")
-	}
 	for range 2 {
 		status, _, body := execRaw(t, ts.URL, spec)
 		assertInternalErr(t, status, body)

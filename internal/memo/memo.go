@@ -168,23 +168,9 @@ func (t *Table[K, V]) Put(key K, v V) {
 	t.mu.Unlock()
 }
 
-// Add inserts v unless key already has a completed entry, and reports
-// whether it did — one critical section, so of any number of concurrent
-// Adds of one key exactly one succeeds. It does not fire the OnInsert
-// hook.
-func (t *Table[K, V]) Add(key K, v V) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.done[key]; ok {
-		return false
-	}
-	t.insertLocked(key, v)
-	return true
-}
-
 // OnInsert registers fn to run after every leader insert — a value newly
-// built by Do, not one restored via Put or Add (so replaying a
-// persisted log does not re-persist every record). fn runs outside the
+// built by Do, not one restored via Put (so replaying a persisted log
+// does not re-persist every record). fn runs outside the
 // lock on the leader's goroutine, after joiners have been released.
 // Call before the table is in use; not synchronized with concurrent Do.
 func (t *Table[K, V]) OnInsert(fn func(K, V)) { t.onInsert = fn }

@@ -243,31 +243,25 @@ func TestEvictionBound(t *testing.T) {
 		t.Fatalf("evicted key: v=%d outcome %v, want 11 built", v, out)
 	}
 
-	// Put and Add respect the bound, and overwriting a key keeps its age.
+	// Put respects the bound, and overwriting a key keeps its age.
 	c.Put(3, 33)
-	if !c.Add(4, 4) {
-		t.Fatal("Add of an absent key refused")
-	}
+	c.Put(4, 4)
 	c.Put(3, 34)
 	c.Put(5, 5)
 	if _, ok := c.Get(3); ok || c.Len() != 2 {
-		t.Fatalf("Put/Add ignored the bound or an overwrite renewed its key: len %d", c.Len())
+		t.Fatalf("Put ignored the bound or an overwrite renewed its key: len %d", c.Len())
 	}
 	if v, ok := c.Get(4); !ok || v != 4 {
 		t.Fatalf("key 4 = %d, %v, want 4", v, ok)
 	}
 }
 
-// TestOnInsertLeaderOnly: the hook fires on leader inserts, not on Put
-// or Add.
+// TestOnInsertLeaderOnly: the hook fires on leader inserts, not on Put.
 func TestOnInsertLeaderOnly(t *testing.T) {
 	c := New[string, int](0)
 	var seen []string
 	c.OnInsert(func(k string, _ int) { seen = append(seen, k) })
 	c.Put("put", 1)
-	if !c.Add("add", 2) {
-		t.Fatal("Add of an absent key refused")
-	}
 	c.Do(context.Background(), "put", constBuild(0)) // hit
 	c.Do(context.Background(), "built", constBuild(3))
 	if _, _, err := c.Do(context.Background(), "failed", func(context.Context) (int, error) {
@@ -277,37 +271,6 @@ func TestOnInsertLeaderOnly(t *testing.T) {
 	}
 	if len(seen) != 1 || seen[0] != "built" {
 		t.Fatalf("OnInsert saw %v, want [built]", seen)
-	}
-}
-
-// TestAddOnce: of many concurrent Adds of one key exactly one succeeds,
-// and an Add never replaces a completed entry.
-func TestAddOnce(t *testing.T) {
-	for iter := 0; iter < 100; iter++ {
-		c := New[string, int](0)
-		var wins atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				if c.Add("k", g) {
-					wins.Add(1)
-				}
-			}(g)
-		}
-		wg.Wait()
-		if n := wins.Load(); n != 1 {
-			t.Fatalf("iteration %d: %d Adds succeeded, want 1", iter, n)
-		}
-	}
-	c := New[string, int](0)
-	c.Put("k", 1)
-	if c.Add("k", 2) {
-		t.Fatal("Add replaced a completed entry")
-	}
-	if v, _ := c.Get("k"); v != 1 {
-		t.Fatalf("value %d, want 1", v)
 	}
 }
 

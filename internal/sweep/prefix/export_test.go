@@ -12,5 +12,5 @@ func (s *Sharer) Install(rec GroupRecord) {
 		st := cp.State
 		g.checkpoints = append(g.checkpoints, Checkpoint{Decision: cp.Decision, State: &st})
 	}
-	s.groups.Add(rec.Key, g)
+	s.groups.Put(rec.Key, g)
 }

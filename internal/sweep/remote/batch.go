@@ -85,8 +85,7 @@ func (b *Backend) PlanShards(specs []sweep.Spec) []Shard {
 // back. When a peer fails or dies mid-stream the specs it had not yet
 // acknowledged are re-planned onto the surviving ring; when no peer is
 // left they are delivered with sweep.ErrRunLocal so the engine executes
-// them on its own pool. Results built by a peer are queued for RF=2
-// replication (Config.Replication).
+// them on its own pool.
 func (b *Backend) RunSpecs(ctx context.Context, specs []sweep.Spec, deliver func(i int, res sim.MEMSpotResult, info sweep.RunInfo, err error)) {
 	// Failover can race a late line from a dying stream; guard delivery
 	// so each spec is reported exactly once.
@@ -98,9 +97,6 @@ func (b *Backend) RunSpecs(ctx context.Context, specs []sweep.Spec, deliver func
 		acked[i] = true
 		mu.Unlock()
 		if !dup {
-			if err == nil {
-				b.maybeReplicate(specs[i], res, info)
-			}
 			deliver(i, res, info, err)
 		}
 	}
@@ -246,11 +242,7 @@ func (b *Backend) postBatch(ctx context.Context, p *peer, specs []sweep.Spec, id
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		unacked := b.decodeBatchStream(ctx, p, resp.Body, specs, idxs, deliver)
-		if unacked == nil && ctx.Err() == nil {
-			b.answered(p)
-		}
-		return unacked, false
+		return b.decodeBatchStream(ctx, p, resp.Body, specs, idxs, deliver), false
 	case resp.StatusCode == http.StatusRequestEntityTooLarge && len(idxs) > 1:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
 		return nil, true

@@ -59,8 +59,9 @@
 // (internal/sweep/remote/gossip) that membership source: the node's
 // view changes drive SetMembers, dispatch-failure ejections become
 // gossip suspicions, and a coordinator gossips as an observer with no
-// URL, so no ring ever holds a coordinator. Every rebuild that admits a
-// member — a join, or a half-open readmission once the member has
-// served a batch — hands the cached results it became responsible for
-// over to it when Replication is on.
+// URL, so no ring ever holds a coordinator.
+//
+// There are no replicas. Every result is a pure function of its spec's
+// cache key, so a lost peer costs only its shard's warmth: the key's
+// next ring owner rebuilds it, slower but never wrong.
 package remote

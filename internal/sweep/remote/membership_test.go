@@ -3,7 +3,6 @@ package remote_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -173,9 +172,8 @@ func TestDetectorCallbacks(t *testing.T) {
 }
 
 // TestCloseDuringChurnNoLeak: a storm of dispatches and membership
-// deltas, with replication handing off on every admission, must all
-// unwind on Close — no goroutine may outlive the backend, whatever state
-// the churn left it in.
+// deltas must all unwind on Close — no goroutine may outlive the
+// backend, whatever state the churn left it in.
 func TestCloseDuringChurnNoLeak(t *testing.T) {
 	coord := fakeEngine(nil, 0)
 	w1, w2 := fakeWorker(t, nil, 0), fakeWorker(t, nil, 0)
@@ -191,11 +189,9 @@ func TestCloseDuringChurnNoLeak(t *testing.T) {
 
 	for iter := 0; iter < 3; iter++ {
 		b, err := remote.New(remote.Config{
-			Peers:       peers,
-			Key:         coord.Key,
-			Backoff:     time.Microsecond,
-			Replication: true,
-			Entries:     coord.Range,
+			Peers:   peers,
+			Key:     coord.Key,
+			Backoff: time.Microsecond,
 			// Client stays nil: the backend owns it, so Close must also
 			// reap its idle connections.
 		})
@@ -519,87 +515,6 @@ func TestCoordinatorsNeverDispatchToEachOther(t *testing.T) {
 	}
 	if w1.batches.Load()+w2.batches.Load() == 0 {
 		t.Fatal("the workers served nothing")
-	}
-}
-
-// TestLocallyBuiltResultHandedOffOnReadmission: with replication on
-// and the only peer failing, the coordinator builds a spec itself; a
-// half-open trial the peer fails hands nothing off, and once a
-// readmitted peer serves a batch, that key arrives at its /v1/handoff.
-func TestLocallyBuiltResultHandedOffOnReadmission(t *testing.T) {
-	clk := newClock()
-	var failing atomic.Bool
-	var mu sync.Mutex
-	var handed []string
-	inner := httpapi.New(context.Background(), fakeEngine(nil, 0), httpapi.Config{})
-	defer inner.Close()
-	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case failing.Load():
-			http.Error(w, "boom", http.StatusInternalServerError)
-		case r.URL.Path == remote.HandoffPath:
-			dec := json.NewDecoder(r.Body)
-			n := 0
-			for {
-				var ln remote.HandoffLine
-				if dec.Decode(&ln) != nil {
-					break
-				}
-				mu.Lock()
-				handed = append(handed, ln.Key)
-				mu.Unlock()
-				n++
-			}
-			json.NewEncoder(w).Encode(remote.HandoffResponse{Accepted: n}) //nolint:errcheck
-		default:
-			inner.ServeHTTP(w, r)
-		}
-	}))
-	defer worker.Close()
-
-	coord := fakeEngine(nil, 0)
-	b := newBackend(t, coord, remote.Config{
-		Peers:       []remote.Peer{{ID: "w", URL: worker.URL}},
-		Backoff:     time.Minute,
-		Now:         clk.now,
-		Replication: true,
-		Entries:     coord.Range,
-	})
-	coord.SetBatchBackend(b)
-
-	failing.Store(true)
-	local := sweep.Spec{Mix: "W1", Policy: "DTM-TS"}
-	if _, info, err := coord.Run(context.Background(), local); err != nil || info.Peer != "local" {
-		t.Fatalf("run with the only peer failing: info=%+v err=%v, want a local build", info, err)
-	}
-	// A half-open trial of a peer that still fails hands nothing off.
-	clk.advance(2 * time.Minute)
-	if _, info, err := coord.Run(context.Background(), sweep.Spec{Mix: "W2", Policy: "DTM-TS"}); err != nil || info.Peer != "local" {
-		t.Fatalf("run with the readmitted peer still failing: info=%+v err=%v, want a local build", info, err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if st := b.ReplicationStatus(); st.HandoffRounds != 0 || st.Dropped != 0 {
-		t.Fatalf("a failed half-open trial planned a handoff: %+v", st)
-	}
-	failing.Store(false)
-	clk.advance(2 * time.Minute)
-	if _, info, err := coord.Run(context.Background(), sweep.Spec{Mix: "W1", Policy: "DTM-BW"}); err != nil || info.Peer != "w" {
-		t.Fatalf("run after the backoff: info=%+v err=%v, want peer w", info, err)
-	}
-	key := string(coord.Key(local))
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		got := slices.Contains(handed, key)
-		mu.Unlock()
-		if got {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("locally built %s never reached the readmitted peer's handoff; got %v (status %+v)",
-				key, handed, b.ReplicationStatus())
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -31,7 +31,7 @@ func (b *Backend) Instrument(reg *obs.Registry) {
 		return
 	}
 	b.mDispatch = reg.CounterVec("dramtherm_remote_dispatch_total",
-		"Requests dispatched to peers, by peer id and kind (batch, handoff).",
+		"Requests dispatched to peers, by peer id and kind (batch).",
 		"peer", "kind")
 	b.mTransition = reg.CounterVec("dramtherm_remote_peer_state_transitions_total",
 		"Peer ring-state transitions, by destination state: down (ejected), half_open (backoff-expiry retry).",
@@ -44,21 +44,6 @@ func (b *Backend) Instrument(reg *obs.Registry) {
 		"Bytes read from batch NDJSON response streams.")
 	b.mStreamLines = reg.Counter("dramtherm_remote_batch_stream_lines_total",
 		"NDJSON lines decoded from batch response streams.")
-	b.mReplSent = reg.CounterVec("dramtherm_remote_replication_sent_total",
-		"Results delivered to a replica or handoff destination, by destination peer.",
-		"peer")
-	b.mReplDropped = reg.Counter("dramtherm_remote_replication_dropped_total",
-		"Results not replicated: queue overflow, no eligible destination, or delivery failure.")
-	b.mHandoffKeys = reg.CounterVec("dramtherm_remote_handoff_keys_total",
-		"Cached results streamed to a newly responsible member on membership change, by destination peer.",
-		"peer")
-	b.mHandoffRounds = reg.Counter("dramtherm_remote_handoff_rounds_total",
-		"Membership changes that planned a cache handoff.")
-	b.mPromotions = reg.Counter("dramtherm_remote_replica_promotions_total",
-		"Keys whose dead primary's replica holder became the new ring owner (promoted in place, no data movement).")
-	reg.GaugeFunc("dramtherm_remote_replication_pending",
-		"Queued-but-undelivered replication results.",
-		func() float64 { return float64(b.replPending.Load()) })
 	reg.SampleFunc(obs.KindGauge, "dramtherm_remote_peers",
 		"Ring membership by state, from the same snapshot healthz peers report.",
 		[]string{"state"}, func() []obs.Sample {

@@ -71,18 +71,6 @@ type Config struct {
 	// local failure-detector output Follow feeds to gossip as a
 	// suspicion. Called without locks held.
 	OnPeerDown func(id string, cause error)
-	// Replication enables RF=2: every result a peer builds for this
-	// coordinator is asynchronously pushed to its key's ring successor
-	// via POST /v1/handoff, and every member the ring admits (a join or
-	// a served half-open retry) is streamed the cached results it became
-	// responsible for (see Entries), the coordinator's own builds too.
-	// Best-effort: delivery failures cost cache warmth, never sweep
-	// correctness.
-	Replication bool
-	// Entries iterates the coordinator's cached results — pass the
-	// engine's Range method. Required for handoff on admission; without
-	// it only build-time replication runs.
-	Entries func(fn func(sweep.Key, sim.MEMSpotResult) bool)
 }
 
 // Backend distributes runs across dramthermd peers by consistent
@@ -108,33 +96,14 @@ type Backend struct {
 	ringPeers []*peer      // the membership snapshot ring indices point into
 	down      atomic.Int32 // ejected-peer count; lets the hot path skip readmitExpired
 
-	// Replication state (replicate.go); the queue is nil unless
-	// Config.Replication is set.
-	replQ         chan replJob
-	replSent      atomic.Int64
-	replDropped   atomic.Int64
-	replPending   atomic.Int64
-	handoffKeys   atomic.Int64
-	handoffRounds atomic.Int64
-	promotions    atomic.Int64
-
 	// Instrumentation; all nil (and therefore no-ops) until Instrument.
-	mDispatch      *obs.CounterVec // {peer, kind}
-	mTransition    *obs.CounterVec // {peer, to}
-	mReplan        *obs.Counter
-	mMoved         *obs.Counter
-	mStreamBytes   *obs.Counter
-	mStreamLines   *obs.Counter
-	mReplSent      *obs.CounterVec // {peer}
-	mReplDropped   *obs.Counter
-	mHandoffKeys   *obs.CounterVec // {peer}
-	mHandoffRounds *obs.Counter
-	mPromotions    *obs.Counter
-	prevOwners     []string // probe-key owners at the last rebuild (guarded by mu)
-
-	stop chan struct{}
-	once sync.Once
-	wg   sync.WaitGroup
+	mDispatch    *obs.CounterVec // {peer, kind}
+	mTransition  *obs.CounterVec // {peer, to}
+	mReplan      *obs.Counter
+	mMoved       *obs.Counter
+	mStreamBytes *obs.Counter
+	mStreamLines *obs.Counter
+	prevOwners   []string // probe-key owners at the last rebuild (guarded by mu)
 }
 
 // peer is one ring member plus its health state and traffic counters.
@@ -145,7 +114,6 @@ type peer struct {
 
 	requests atomic.Int64
 	failures atomic.Int64
-	halfOpen atomic.Bool // readmitted after its backoff, no batch answered yet
 
 	// Guarded by Backend.mu.
 	up        bool
@@ -171,7 +139,6 @@ func New(cfg Config) (*Backend, error) {
 		client: cfg.Client,
 		now:    cfg.Now,
 		log:    cfg.Logger,
-		stop:   make(chan struct{}),
 	}
 	if b.client == nil {
 		b.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: cfg.MaxPerPeer}}
@@ -199,11 +166,6 @@ func New(cfg Config) (*Backend, error) {
 		})
 	}
 	b.rebuildLocked() // no lock needed yet: b is not shared
-	if cfg.Replication {
-		b.replQ = make(chan replJob, replQueueDepth)
-		b.wg.Add(1)
-		go b.replicateLoop()
-	}
 	return b, nil
 }
 
@@ -231,12 +193,10 @@ func canonPeer(pc Peer) (id, url string, err error) {
 	return id, url, nil
 }
 
-// Close stops the replication worker and reaps the backend-owned HTTP
-// client's idle connections. In-flight dispatches are not interrupted;
-// cancel their contexts for that.
+// Close reaps the backend-owned HTTP client's idle connections.
+// In-flight dispatches are not interrupted; cancel their contexts for
+// that.
 func (b *Backend) Close() {
-	b.once.Do(func() { close(b.stop) })
-	b.wg.Wait()
 	if b.ownClient {
 		b.client.CloseIdleConnections()
 	}
@@ -250,7 +210,6 @@ func (b *Backend) Close() {
 // coordinator. Unusable entries (no URL) and duplicate ids are skipped.
 func (b *Backend) SetMembers(peers []Peer) {
 	b.mu.Lock()
-	oldRing, oldRingPeers := b.ring, b.ringPeers
 	current := make(map[string]*peer, len(b.peers))
 	for _, p := range b.peers {
 		current[p.id] = p
@@ -294,7 +253,6 @@ func (b *Backend) SetMembers(peers []Peer) {
 	if changed {
 		b.log.Info("remote: membership changed",
 			"peers", len(next), "joined", fmt.Sprint(joined), "left", fmt.Sprint(left))
-		b.handoff(oldRing, oldRingPeers, left)
 	}
 }
 
@@ -333,15 +291,6 @@ func (b *Backend) Follow(cfg gossip.Config) (*gossip.Node, error) {
 	}
 	n.Round(context.Background())
 	return n, nil
-}
-
-// handoff streams the cached results a ring rebuild made members newly
-// responsible for to them, before traffic lands there. Asynchronous: a
-// membership change must not block on a cache walk.
-func (b *Backend) handoff(oldRing *ring, oldPeers []*peer, left []string) {
-	if b.cfg.Replication && b.cfg.Entries != nil {
-		go b.handoffOnChange(oldRing, oldPeers, left)
-	}
 }
 
 // errorBody extracts the message of a 4xx reply's structured
@@ -400,7 +349,7 @@ func (b *Backend) eject(p *peer, cause error) {
 
 // readmitExpired returns ejected peers whose backoff has elapsed to the
 // ring, so request routing retries them (half-open); a failure ejects
-// them again, and a served batch ends the trial (see answered).
+// them again.
 func (b *Backend) readmitExpired() {
 	if b.down.Load() == 0 {
 		return // all peers admitted: stay off the write lock
@@ -411,7 +360,6 @@ func (b *Backend) readmitExpired() {
 	for _, p := range b.peers {
 		if !p.up && !now.Before(p.downUntil) {
 			p.up = true
-			p.halfOpen.Store(true)
 			b.down.Add(-1)
 			changed = true
 			b.mTransition.WithLabelValues(p.id, "half_open").Inc()
@@ -424,44 +372,22 @@ func (b *Backend) readmitExpired() {
 	b.mu.Unlock()
 }
 
-// answered ends p's half-open trial once it has served a batch: the
-// readmission then hands off like a join. A peer still failing is
-// ejected again first, so backoff expiries of a dead peer walk no cache.
-func (b *Backend) answered(p *peer) {
-	if !p.halfOpen.CompareAndSwap(true, false) {
-		return
-	}
-	b.mu.RLock()
-	admitted := p.up && !p.gone
-	oldRing, oldPeers := b.ringOf(b.ringPeers, p), b.ringPeers
-	b.mu.RUnlock()
-	if admitted {
-		b.handoff(oldRing, oldPeers, nil)
-	}
-}
-
 // rebuildLocked recomputes the ring from the admitted peers, snapshotting
 // the membership the new ring's indices point into — lookups resolved
 // against an old ring stay valid even after SetMembers rewrites b.peers.
 // Callers hold b.mu (or exclusive access during construction).
 func (b *Backend) rebuildLocked() {
-	b.ring = b.ringOf(b.peers, nil)
-	b.ringPeers = append([]*peer(nil), b.peers...)
-	b.countMovedLocked()
-}
-
-// ringOf builds the ring of the admitted peers other than skip, with
-// indices into peers.
-func (b *Backend) ringOf(peers []*peer, skip *peer) *ring {
-	ids := make([]string, len(peers))
+	ids := make([]string, len(b.peers))
 	var members []int
-	for i, p := range peers {
+	for i, p := range b.peers {
 		ids[i] = p.id
-		if p.up && p != skip {
+		if p.up {
 			members = append(members, i)
 		}
 	}
-	return buildRing(ids, members, vnodes)
+	b.ring = buildRing(ids, members, vnodes)
+	b.ringPeers = append([]*peer(nil), b.peers...)
+	b.countMovedLocked()
 }
 
 // OwnerOf reports the id of the ring member spec currently routes to —

@@ -9,12 +9,9 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -288,80 +285,6 @@ func TestEngineSegmentLogAppendsOnBuild(t *testing.T) {
 	}
 	if builds.Load() != 0 {
 		t.Fatal("restored engine rebuilt a persisted run")
-	}
-}
-
-// TestEngineImportResult covers the replica/handoff ingestion path:
-// digest-mismatched keys are rejected, imports are idempotent, and an
-// imported result both persists and serves later Runs as a hit.
-func TestEngineImportResult(t *testing.T) {
-	var builds atomic.Int64
-	e := testEngine(1, &builds, 0)
-	if err := e.EnableSegmentLog(t.TempDir(), 0); err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	spec := Spec{Mix: "W1"}
-	key := e.Key(spec)
-	res := sim.MEMSpotResult{Seconds: 42}
-	if e.ImportResult("deadbeef|W1|...", res) {
-		t.Fatal("accepted a key from a different config digest")
-	}
-	if !e.ImportResult(key, res) {
-		t.Fatal("rejected a well-formed import")
-	}
-	if e.ImportResult(key, res) {
-		t.Fatal("re-import of a present key reported accepted")
-	}
-	got, info, err := e.Run(context.Background(), spec)
-	if err != nil || info.Outcome != Hit || got.Seconds != 42 {
-		t.Fatalf("run after import: %+v out=%v err=%v, want hit of imported result", got, info.Outcome, err)
-	}
-	if builds.Load() != 0 {
-		t.Fatal("import did not prevent a rebuild")
-	}
-	if st, _ := e.StateStats(); st.Appends != 1 {
-		t.Fatalf("import not persisted: %+v", st)
-	}
-}
-
-// TestEngineImportResultOnce: concurrent deliveries of one key (two
-// /v1/handoff requests racing) must accept exactly one import and append
-// exactly one segment-log frame.
-func TestEngineImportResultOnce(t *testing.T) {
-	const (
-		iterations = 500
-		deliveries = 16
-	)
-	sys := core.NewSystem(core.DefaultConfig())
-	root := t.TempDir()
-	res := sim.MEMSpotResult{Seconds: 42}
-	for iter := 0; iter < iterations; iter++ {
-		e := NewEngine(sys, 1)
-		if err := e.EnableSegmentLog(filepath.Join(root, strconv.Itoa(iter)), 0); err != nil {
-			t.Fatal(err)
-		}
-		key := e.Key(Spec{Mix: "W1"})
-		var accepted atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < deliveries; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if e.ImportResult(key, res) {
-					accepted.Add(1)
-				}
-			}()
-		}
-		wg.Wait()
-		st, _ := e.StateStats()
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if n := accepted.Load(); n != 1 || st.Appends != 1 {
-			t.Fatalf("iteration %d: %d imports accepted, %d frames appended; want 1 and 1", iter, n, st.Appends)
-		}
 	}
 }
 
@@ -694,10 +617,9 @@ func TestForeignRecordsSkippedOnReplay(t *testing.T) {
 	if n := e.System().Store().Len(); n != 0 {
 		t.Fatalf("replayed %d digest-less trace records, want 0", n)
 	}
-	e.Range(func(k Key, _ sim.MEMSpotResult) bool {
-		t.Errorf("Range returned foreign run record %q", k)
-		return true
-	})
+	if n := e.Stats().Entries; n != 0 {
+		t.Errorf("run cache holds %d entries after replaying only a foreign run record, want 0", n)
+	}
 	if st, _ := e.StateStats(); st.SkippedRuns != 1 || st.SkippedTraces != 1 {
 		t.Fatalf("state stats = %+v, want one skipped run and one skipped trace", st)
 	}

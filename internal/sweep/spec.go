@@ -115,7 +115,7 @@ func (s Spec) Key(configDigest string) Key {
 		n.PsiXi, n.Interval,
 		n.Limits.AMBTDP, n.Limits.DRAMTDP, n.Limits.AMBTRP, n.Limits.DRAMTRP)
 	// Full fidelity keeps the pre-InstrScale key format, so existing
-	// segment logs and replicated caches stay valid; only fractional
+	// segment logs stay valid; only fractional
 	// rungs grow the suffix that makes them distinct entries.
 	if n.InstrScale != 1 {
 		k += fmt.Sprintf("|is=%g", n.InstrScale)

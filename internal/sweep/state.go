@@ -270,29 +270,6 @@ func (e *Engine) StateStats() (StateStats, bool) {
 	}, true
 }
 
-// ImportResult installs an externally produced result (a replica or a
-// handed-off cache entry) under its canonical key, persisting it when a
-// segment log is enabled. Keys minted under a different configuration
-// digest are rejected — a replica from a mis-configured peer must not
-// shadow this node's own results. Returns false for rejected or
-// already-present keys (the import is idempotent).
-func (e *Engine) ImportResult(key Key, res sim.MEMSpotResult) bool {
-	if !e.ownKey(key) {
-		return false
-	}
-	if !e.cache.Add(key, res) {
-		return false
-	}
-	if e.seglog != nil {
-		e.appendRun(key, res)
-	}
-	return true
-}
-
 // ownKey reports whether key was minted under this engine's
 // ConfigDigest.
 func (e *Engine) ownKey(key Key) bool { return strings.HasPrefix(string(key), e.digest+"|") }
-
-// Range iterates the completed run cache (see memo.Table.Range) — the export
-// side of replication and handoff.
-func (e *Engine) Range(fn func(Key, sim.MEMSpotResult) bool) { e.cache.Range(fn) }
